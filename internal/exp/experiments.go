@@ -3,7 +3,6 @@ package exp
 import (
 	"strings"
 
-	"breakhammer/internal/results"
 	"breakhammer/internal/sim"
 	"breakhammer/internal/trace"
 )
@@ -75,45 +74,33 @@ func (r *Runner) Coverage(name string) (cached, total int, err error) {
 	case "sec5":
 		return r.rawCoverage("sec5", r.section5Config())
 	}
-	keys, err := r.experimentKeys(name)
+	keyed, err := r.experimentKeys(name)
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(keys) == 0 {
-		return 0, 0, nil
-	}
-	return r.store.Coverage(keys), len(keys), nil
+	return r.store.Coverage(keyed.keys), len(keyed.keys), nil
 }
 
-// experimentKeys returns the memoized content keys of the named
-// experiment's points. Keys are pure functions of the runner's immutable
-// Options and (for trace-backed options) the trace files' contents, so
-// they are derived once per trace epoch; a server listing its catalogue
-// on every page poll must not re-fingerprint the whole sweep each time.
-func (r *Runner) experimentKeys(name string) ([]string, error) {
+// experimentKeys returns the memoized keyed points of the named
+// experiment. Keys are pure functions of the runner's immutable Options
+// and (for trace-backed options) the trace files' contents, so they are
+// derived once per trace epoch; a server listing its catalogue on every
+// page poll must not re-fingerprint the whole sweep each time.
+func (r *Runner) experimentKeys(name string) (keyedPoints, error) {
 	r.keyMu.Lock()
 	defer r.keyMu.Unlock()
 	if err := r.refreshKeyEpochLocked(); err != nil {
-		return nil, err
+		return keyedPoints{}, err
 	}
-	if keys, ok := r.pointKeys[name]; ok {
-		return keys, nil
+	if keyed, ok := r.pointKeys[name]; ok {
+		return keyed, nil
 	}
-	points := r.PointsFor([]string{name})
-	keys := make([]string, 0, len(points))
-	for _, p := range points {
-		mixes, err := r.mixesFor(p)
-		if err != nil {
-			return nil, err
-		}
-		key, err := results.Key(r.configFor(p), mixes)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, key)
+	keyed, err := r.keyPoints(r.PointsFor([]string{name}))
+	if err != nil {
+		return keyedPoints{}, err
 	}
-	r.pointKeys[name] = keys
-	return keys, nil
+	r.pointKeys[name] = keyed
+	return keyed, nil
 }
 
 // refreshKeyEpochLocked drops the memoized key lists when the trace
@@ -144,7 +131,7 @@ func (r *Runner) refreshKeyEpochLocked() error {
 	}
 	if e := epoch.String(); e != r.keyEpoch {
 		r.keyEpoch = e
-		r.pointKeys = make(map[string][]string)
+		r.pointKeys = make(map[string]keyedPoints)
 		r.rawKeys = make(map[string]string)
 	}
 	return nil
@@ -206,18 +193,13 @@ func (r *Runner) PointCoverageFor(name string) ([]PointCoverage, error) {
 	case "sec5":
 		return r.rawPointCoverage("sec5", r.section5Config())
 	}
-	keys, err := r.experimentKeys(name)
+	keyed, err := r.experimentKeys(name)
 	if err != nil {
 		return nil, err
 	}
-	points := r.PointsFor([]string{name})
-	out := make([]PointCoverage, 0, len(keys))
-	for i, key := range keys {
-		label := key[:12]
-		if i < len(points) {
-			label = points[i].String()
-		}
-		out = append(out, PointCoverage{Label: label, Key: key, Cached: r.store.Has(key)})
+	out := make([]PointCoverage, 0, len(keyed.keys))
+	for i, key := range keyed.keys {
+		out = append(out, PointCoverage{Label: keyed.points[i].String(), Key: key, Cached: r.store.Has(key)})
 	}
 	return out, nil
 }

@@ -55,8 +55,7 @@ func (r *Runner) Figure19() (Table, error) {
 	}
 
 	run := func(th float64, nrh int, attack bool) ([]sim.MixResult, error) {
-		rs, _, err := r.point(Point{Mech: "graphene", NRH: nrh, BH: true, Attack: attack, BHThreat: th})
-		return rs, err
+		return r.point(Point{Mech: "graphene", NRH: nrh, BH: true, Attack: attack, BHThreat: th})
 	}
 
 	refThreat := r.opts.THthreats[len(r.opts.THthreats)-1]

@@ -3,13 +3,9 @@ package exp
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"breakhammer/internal/results"
 	"breakhammer/internal/sim"
-	"breakhammer/internal/stats"
 )
 
 // Point identifies one cacheable configuration point of the evaluation: a
@@ -194,18 +190,14 @@ func (r *Runner) PointsFor(names []string) []Point {
 	return out
 }
 
-// Prefetch brings every listed point into the store, simulating cache
-// misses in a worker pool bounded by SetJobs that spans points (each
-// point's mixes additionally run in parallel). Completed points persist
-// immediately, so a killed sweep resumes where it died. A failing point
-// does not abort the others: the sweep runs to the end and the failures
-// come back aggregated as a *SweepError, so a rerun only retries what
-// actually failed. Progress streams to the callback installed with
-// SetProgress.
-//
-// Points are deduplicated by store key, not by Point value, so two
-// spellings of the same simulation (e.g. Fig. 19's TH_threat=32 column
-// versus Fig. 9's default-threat points) cannot run twice concurrently.
+// Prefetch brings every listed point into the store: it builds a point
+// queue over them (deduplicated by store key, see NewQueue) and drains it
+// with SetJobs local consumers (each point's mixes additionally run in
+// parallel). Completed points persist immediately, so a killed sweep
+// resumes where it died. A failing point does not abort the others: the
+// sweep runs to the end and the failures come back aggregated as a
+// *SweepError, so a rerun only retries what actually failed. Progress
+// streams to the callback installed with SetProgress.
 func (r *Runner) Prefetch(points []Point) error {
 	return r.PrefetchContext(context.Background(), points, nil)
 }
@@ -217,134 +209,18 @@ func (r *Runner) Prefetch(points []Point) error {
 // returned. Point failures do not cancel the sweep; they are collected
 // and returned as a *SweepError once every other point has finished
 // (the context error takes precedence when both occur). Per-call
-// progress is what lets one runner serve several concurrent sweeps
-// (bhserve streams each job's events to its own clients).
+// progress is what lets one runner serve several concurrent sweeps.
 func (r *Runner) PrefetchContext(ctx context.Context, points []Point, progress ProgressFunc) error {
 	if progress == nil {
 		progress = r.progress
 	}
-	type pointJob struct {
-		p   Point
-		key string
-	}
-	seen := map[string]bool{}
-	var uniq []pointJob
-	for _, p := range points {
-		mixes, err := r.mixesFor(p)
-		if err != nil {
-			return err
-		}
-		key, err := results.Key(r.configFor(p), mixes)
-		if err != nil {
-			return err
-		}
-		if !seen[key] {
-			seen[key] = true
-			uniq = append(uniq, pointJob{p: p, key: key})
-		}
-	}
-	jobs := r.jobs
-	if jobs <= 0 {
-		// Each point already fans out across its mixes inside
-		// sim.RunMixes (up to GOMAXPROCS workers), so defaulting to
-		// GOMAXPROCS points in flight would square the parallelism and
-		// balloon memory with live System instances at paper scale. A
-		// quarter of the cores at the point level keeps the machine
-		// saturated through the mix-level pool.
-		jobs = runtime.GOMAXPROCS(0) / 4
-		if jobs < 2 {
-			jobs = 2
-		}
-	}
-	// ETA bookkeeping: the estimator averages per-point wall-clock
-	// seconds, seeded from the timings earlier runs recorded for any of
-	// the sweep's points — cached points' timings estimate the scale of
-	// the missing ones — so a resumed sweep projects before its first
-	// simulation finishes.
-	est := &stats.RunningMean{}
-	missing := map[string]bool{}
-	for _, j := range uniq {
-		if d, ok := r.store.Elapsed(j.key); ok {
-			est.Add(d.Seconds())
-		}
-		if !r.store.Has(j.key) {
-			missing[j.key] = true
-		}
-	}
-	sem := make(chan struct{}, jobs)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		done     int
-		pending  = len(missing) // missing points not yet finished
-		failures []PointError
-	)
-	total := len(uniq)
-	sampled := r.opts.Base.Sampling.Enabled
-	// emit runs under mu so callers see serialized, ordered events.
-	emit := func(e Event) {
-		e.Sampled = sampled
-		if progress != nil {
-			progress(e)
-		}
-	}
-	for _, j := range uniq {
-		wg.Add(1)
-		go func(j pointJob) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mu.Lock()
-			abort := ctx.Err() != nil
-			if !abort {
-				emit(Event{Type: PointStarted, Done: done, Total: total, Point: j.p, Label: j.p.String()})
-			}
-			mu.Unlock()
-			if abort {
-				return
-			}
-			start := time.Now()
-			_, cached, err := r.pointCtx(ctx, j.p)
-			elapsed := time.Since(start)
-			mu.Lock()
-			defer mu.Unlock()
-			done++
-			if err != nil {
-				// Cancellation is the sweep stopping, not the point
-				// failing; it is reported once via the returned ctx.Err().
-				if ctx.Err() == nil {
-					failures = append(failures, PointError{Point: j.p, Err: err})
-					emit(Event{Type: PointFinished, Done: done, Total: total, Point: j.p,
-						Label: j.p.String(), ElapsedNS: elapsed.Nanoseconds(), Error: err.Error()})
-				}
-				return
-			}
-			if missing[j.key] {
-				pending--
-			}
-			if !cached {
-				est.Add(elapsed.Seconds())
-			}
-			e := Event{Type: PointFinished, Done: done, Total: total, Point: j.p,
-				Label: j.p.String(), Cached: cached, ElapsedNS: elapsed.Nanoseconds()}
-			if est.N() > 0 && pending > 0 {
-				// Outstanding points overlap across the pool; divide the
-				// serial projection by the effective parallelism.
-				par := jobs
-				if par > pending {
-					par = pending
-				}
-				e.EstimateNS = int64(est.Mean() * float64(pending) / float64(par) * 1e9)
-			}
-			emit(e)
-		}(j)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	// The lease TTL is the claim files' default: a local consumer
+	// heartbeats its lease — and through it the claim file — every quarter
+	// of it, so other processes sharing the cache directory steal a point
+	// only from a sweep that died.
+	q, err := NewQueue(r, points, results.DefaultClaimTTL, progress)
+	if err != nil {
 		return err
 	}
-	if len(failures) > 0 {
-		return &SweepError{Failures: failures, Total: total}
-	}
-	return nil
+	return r.Drain(ctx, q)
 }

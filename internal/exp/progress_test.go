@@ -231,9 +231,7 @@ func TestConcurrentPrefetchSharesSimulations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := NewRunnerWithStore(opts, store)
-		r.claimPoll = 10 * time.Millisecond // fast re-probe keeps the test snappy
-		return r
+		return NewRunnerWithStore(opts, store)
 	}
 	r1, r2 := mk(), mk()
 	points := r1.PointsFor([]string{"13"})
@@ -257,66 +255,70 @@ func TestConcurrentPrefetchSharesSimulations(t *testing.T) {
 	}
 }
 
-// TestSlowPointSurvivesShortClaimTTL: the claim-heartbeat contract at
-// the orchestrator level. A fake point holder takes the claim and then
-// "simulates" for many times the claim TTL before writing its record; a
-// second runner arriving mid-hold must wait the whole time (the
-// heartbeat keeps the claim fresh) and then serve the holder's record
-// instead of stealing the claim and simulating the point again. Before
-// heartbeats this required hand-tuning SetClaimTTL to the point's
-// expected duration.
+// TestSlowPointSurvivesShortClaimTTL: the lease-heartbeat contract at
+// the queue level. A consumer leases a point and then "simulates" for
+// many times the lease TTL before completing it, heartbeating through
+// the real keepAlive loop; a second sweep over the same cache directory
+// arriving mid-hold must wait the whole time (the heartbeats keep the
+// lease — and the claim file under it — fresh) and then serve the
+// holder's record instead of stealing the claim and simulating the
+// point again. Without heartbeats this required hand-tuning the TTL to
+// the point's expected duration.
 func TestSlowPointSurvivesShortClaimTTL(t *testing.T) {
 	dir := t.TempDir()
 	opts := tinyOptions()
 	// Generous relative to the ttl/4 heartbeat cadence so a starved
 	// goroutine on a loaded CI runner cannot make the claim look stale.
 	const ttl = 400 * time.Millisecond
-
-	holderStore, err := results.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waiterStore, err := results.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waiter := NewRunnerWithStore(opts, waiterStore)
-	waiter.SetClaimTTL(ttl)
-	waiter.claimPoll = 10 * time.Millisecond
-
 	p := Point{Mech: "rfm", NRH: 128}
-	key, err := results.Key(waiter.configFor(p), waiter.mixes(p.Attack))
+	open := func() *Runner {
+		store, err := results.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewRunnerWithStore(opts, store)
+	}
+	holder, waiter := open(), open()
+	hq, err := NewQueue(holder, []Point{p}, ttl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	claim, err := holderStore.TryClaim(key, ttl)
-	if err != nil || claim == nil {
-		t.Fatal("holder could not take the claim")
+	lease, err := hq.Lease(context.Background(), "")
+	if err != nil || lease.Token == "" {
+		t.Fatalf("holder got no lease: %+v, %v", lease, err)
 	}
 	sentinel := []sim.MixResult{{Result: sim.Result{MixName: "slow-holder"}}}
 	go func() {
 		// The slow fake point: 4x the TTL of pure simulation time.
+		stop := keepAlive(context.Background(), hq, lease)
 		time.Sleep(4 * ttl)
-		if err := holderStore.Put(key, sentinel); err != nil {
+		stop()
+		err := hq.Complete(context.Background(), lease.Token,
+			Completion{Key: lease.Key, Schema: results.SchemaVersion, ElapsedNS: int64(4 * ttl), Results: sentinel})
+		if err != nil {
 			t.Error(err)
 		}
-		claim.Release()
 	}()
 
-	rs, cached, err := waiter.point(p)
+	wq, err := NewQueue(waiter, []Point{p}, ttl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cached || len(rs) != 1 || rs[0].MixName != "slow-holder" {
-		name := ""
-		if len(rs) > 0 {
-			name = rs[0].MixName
-		}
-		t.Fatalf("waiter got (cached=%v, %d results, %q), want the holder's record",
-			cached, len(rs), name)
+	if err := waiter.Drain(context.Background(), wq); err != nil {
+		t.Fatal(err)
+	}
+	rs, ok := waiter.Store().Get(lease.Key)
+	if !ok || len(rs) != 1 || rs[0].MixName != "slow-holder" {
+		t.Fatalf("waiter got (%v, %d results), want the holder's record", ok, len(rs))
+	}
+	if st := wq.Status(); st.Cached != 1 {
+		t.Errorf("waiter's queue finished the point as %+v, want cached", st)
 	}
 	if got := waiter.Executed(); got != 0 {
-		t.Errorf("waiter simulated %d points despite the live claim, want 0", got)
+		t.Errorf("waiter simulated %d points despite the live lease, want 0", got)
+	}
+	if st := hq.Status(); st.Steals != 0 {
+		t.Errorf("holder's lease was stolen %d times", st.Steals)
 	}
 }
 

@@ -122,16 +122,14 @@ func (o Options) midNRH() int {
 // simulates points the store has never seen. See PointsFor/Prefetch for
 // running whole sweeps in a bounded worker pool.
 type Runner struct {
-	opts      Options
-	store     *results.Store
-	jobs      int
-	progress  ProgressFunc
-	claimTTL  time.Duration // 0 = results.DefaultClaimTTL
-	claimPoll time.Duration // 0 = default; how often a waiter re-probes a claimed key
-	cacheTTL  time.Duration // 0 = raw tables never expire; >0 TTLs the cache generation
-	executed  int64         // simulation points actually run (not served from the store)
+	opts     Options
+	store    *results.Store
+	jobs     int
+	progress ProgressFunc
+	cacheTTL time.Duration // 0 = raw tables never expire; >0 TTLs the cache generation
+	executed int64         // simulation points actually run (not served from the store)
 
-	// keyMu guards the memoized content-key lists behind Coverage. Keys
+	// keyMu guards the memoized keyed-point lists behind Coverage. Keys
 	// are pure functions of the immutable Options — plus, for
 	// trace-backed options, of the trace files' contents — but deriving
 	// one means fingerprinting the full config + mixes and hashing it:
@@ -142,8 +140,8 @@ type Runner struct {
 	// never go stale against the store.
 	keyMu     sync.Mutex
 	keyEpoch  string
-	pointKeys map[string][]string // experiment name -> point store keys
-	rawKeys   map[string]string   // raw-table label -> raw store key
+	pointKeys map[string]keyedPoints // experiment name -> deduplicated points with store keys
+	rawKeys   map[string]string      // raw-table label -> raw store key
 }
 
 // NewRunner builds a Runner memoizing into process memory only —
@@ -161,7 +159,7 @@ func NewRunnerWithStore(opts Options, store *results.Store) *Runner {
 	return &Runner{
 		opts:      opts,
 		store:     store,
-		pointKeys: make(map[string][]string),
+		pointKeys: make(map[string]keyedPoints),
 		rawKeys:   make(map[string]string),
 	}
 }
@@ -183,12 +181,6 @@ func (r *Runner) SetJobs(n int) { r.jobs = n }
 // Prefetch (PrefetchContext callers may override it per call).
 func (r *Runner) SetProgress(f ProgressFunc) { r.progress = f }
 
-// SetClaimTTL adjusts how old another worker's in-flight claim on a
-// shared cache directory must be before this runner steals it (<= 0
-// restores results.DefaultClaimTTL). Raise it for paper-scale points
-// that legitimately simulate for hours.
-func (r *Runner) SetClaimTTL(d time.Duration) { r.claimTTL = d }
-
 // SetCacheTTL bounds how long rendered raw tables stay served before
 // the store's cache generation lazily advances and they recompute
 // (<= 0, the default, means they never expire). Simulation-point
@@ -206,8 +198,6 @@ func (r *Runner) WithOptions(opts Options) *Runner {
 	nr := NewRunnerWithStore(opts, r.store)
 	nr.jobs = r.jobs
 	nr.progress = r.progress
-	nr.claimTTL = r.claimTTL
-	nr.claimPoll = r.claimPoll
 	nr.cacheTTL = r.cacheTTL
 	return nr
 }
@@ -249,23 +239,28 @@ func (r *Runner) mixesFor(p Point) ([]workload.Mix, error) {
 // results runs (or recalls) one configuration point across all mixes of a
 // family.
 func (r *Runner) results(mech string, nrh int, bh, attack bool) ([]sim.MixResult, error) {
-	rs, _, err := r.point(Point{Mech: mech, NRH: nrh, BH: bh, Attack: attack})
-	return rs, err
+	return r.point(Point{Mech: mech, NRH: nrh, BH: bh, Attack: attack})
 }
 
-// point serves p from the store or simulates and persists it, reporting
-// whether the store already had it.
-func (r *Runner) point(p Point) (rs []sim.MixResult, cached bool, err error) {
-	return r.pointCtx(context.Background(), p)
-}
-
-// claimPollInterval returns how long a waiter sleeps between re-probing
-// a key claimed by another worker.
-func (r *Runner) claimPollInterval() time.Duration {
-	if r.claimPoll > 0 {
-		return r.claimPoll
+// point serves p from the store or, on a miss, runs it as a one-point
+// sweep — through the same queue as Prefetch, so a figure rendered
+// without prefetching still takes the point's claim and concurrent
+// sweeps (other goroutines sharing this store, other processes sharing
+// the cache directory) run it exactly once between them.
+func (r *Runner) point(p Point) ([]sim.MixResult, error) {
+	key, err := r.PointKey(p)
+	if err != nil {
+		return nil, err
 	}
-	return 200 * time.Millisecond
+	if rs, ok := r.store.Get(key); ok {
+		return rs, nil
+	}
+	// Silent: a render-time point is not sweep progress.
+	if err := r.PrefetchContext(context.Background(), []Point{p}, func(Event) {}); err != nil {
+		return nil, err
+	}
+	rs, _ := r.store.Get(key)
+	return rs, nil
 }
 
 // resolvedMixes returns p's mix list with trace content hashes pinned
@@ -284,11 +279,11 @@ func (r *Runner) resolvedMixes(p Point) ([]workload.Mix, error) {
 }
 
 // PointKey derives the content address of one configuration point —
-// the exact key pointCtx and ExecutePoint store results under, with
-// trace hashes resolved first. The fleet coordinator leases points by
-// this key and validates submissions against it, so a worker whose
-// derivation disagrees (diverged options, code, or trace content) is
-// rejected instead of poisoning the store.
+// the exact key its results are stored under, with trace hashes
+// resolved first. The point queue leases points by this key and
+// validates completions against it, so a consumer whose derivation
+// disagrees (diverged options, code, or trace content) is rejected
+// instead of poisoning the store.
 func (r *Runner) PointKey(p Point) (string, error) {
 	mixes, err := r.resolvedMixes(p)
 	if err != nil {
@@ -297,118 +292,72 @@ func (r *Runner) PointKey(p Point) (string, error) {
 	return results.Key(r.configFor(p), mixes)
 }
 
-// ExecutedPoint is the outcome of ExecutePoint.
-type ExecutedPoint struct {
-	Key     string          // the point's content address in the store
-	Results []sim.MixResult // one result per workload mix
-	Cached  bool            // served from the local store without simulating
-	Elapsed time.Duration   // simulation wall-clock (0 when cached)
+// keyedPoints is a point list with its store keys, parallel slices
+// deduplicated by key.
+type keyedPoints struct {
+	points []Point
+	keys   []string
 }
 
-// ExecutePoint simulates p with pinned trace hashes, serving from and
-// warming the runner's local store. Unlike pointCtx it takes no claim:
-// it exists for fleet workers (breakhammer/internal/fleet), whose
-// exclusivity is the coordinator's lease rather than a claim file, and
-// duplicating a point against an unrelated local sweep stays safe
-// because the store is append-only. The hashes are resolved before the
-// key is derived and the very same resolved mixes are simulated, so a
-// trace edited mid-lease surfaces as a key mismatch at submit or as
-// workload.NewSource's pinned-hash failure — never as a poisoned
-// record.
-func (r *Runner) ExecutePoint(ctx context.Context, p Point) (ExecutedPoint, error) {
-	cfg := r.configFor(p)
-	mixes, err := r.resolvedMixes(p)
-	if err != nil {
-		return ExecutedPoint{}, err
+// keyPoints derives every point's store key and deduplicates by it —
+// not by Point value, so two spellings of the same simulation (e.g.
+// Fig. 19's TH_threat=32 column versus Fig. 9's default-threat points)
+// collapse into one entry, the first spelling's.
+func (r *Runner) keyPoints(points []Point) (keyedPoints, error) {
+	seen := make(map[string]bool, len(points))
+	var out keyedPoints
+	for _, p := range points {
+		key, err := r.PointKey(p)
+		if err != nil {
+			return keyedPoints{}, fmt.Errorf("exp: keying %v: %w", p, err)
+		}
+		if !seen[key] {
+			seen[key] = true
+			out.points = append(out.points, p)
+			out.keys = append(out.keys, key)
+		}
 	}
+	return out, nil
+}
+
+// executedPoint is the outcome of getOrSimulate.
+type executedPoint struct {
+	Results []sim.MixResult // one result per workload mix
+	Cached  bool            // served from the store without simulating
+	Elapsed time.Duration   // simulation wall-clock (the recorded timing when cached)
+}
+
+// getOrSimulate serves one explicit configuration from the store or
+// simulates and persists it, recording the simulation's wall-clock in
+// the store's raw namespace for ETA estimation. Every simulation the
+// harness runs goes through here. It takes no claim: exclusivity is the
+// caller's lease on the point.
+func (r *Runner) getOrSimulate(ctx context.Context, cfg sim.Config, mixes []workload.Mix) (executedPoint, error) {
 	key, err := results.Key(cfg, mixes)
 	if err != nil {
-		return ExecutedPoint{}, err
+		return executedPoint{}, err
 	}
 	if rs, ok := r.store.Get(key); ok {
-		return ExecutedPoint{Key: key, Results: rs, Cached: true}, nil
+		d, _ := r.store.Elapsed(key)
+		return executedPoint{Results: rs, Cached: true, Elapsed: d}, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return ExecutedPoint{}, err
+		return executedPoint{}, err
 	}
 	start := time.Now()
 	rs, err := sim.RunMixes(cfg, mixes)
 	if err != nil {
-		return ExecutedPoint{}, fmt.Errorf("exp: %v: %w", p, err)
+		return executedPoint{}, err
 	}
 	elapsed := time.Since(start)
 	atomic.AddInt64(&r.executed, 1)
 	if err := r.store.Put(key, rs); err != nil {
-		return ExecutedPoint{}, err
+		return executedPoint{}, err
 	}
 	if err := r.store.RecordElapsed(key, elapsed); err != nil {
-		return ExecutedPoint{}, err
+		return executedPoint{}, err
 	}
-	return ExecutedPoint{Key: key, Results: rs, Elapsed: elapsed}, nil
-}
-
-// pointCtx serves p from the store or simulates and persists it. Before
-// simulating it takes the store's in-flight claim for the point's key,
-// so concurrent sweeps — other goroutines sharing this store, or other
-// processes sharing the cache directory — run each missing point exactly
-// once: losers of the claim race wait for the holder and then read the
-// finished record (re-scanning the shard on disk for cross-process
-// writes). The wall-clock time of a simulated point is recorded in the
-// store's raw namespace for ETA estimation.
-func (r *Runner) pointCtx(ctx context.Context, p Point) (rs []sim.MixResult, cached bool, err error) {
-	cfg := r.configFor(p)
-	mixes, err := r.resolvedMixes(p)
-	if err != nil {
-		return nil, false, err
-	}
-	key, err := results.Key(cfg, mixes)
-	if err != nil {
-		return nil, false, err
-	}
-	var claim *results.Claim
-	for {
-		if rs, ok := r.store.Get(key); ok {
-			return rs, true, nil
-		}
-		claim, err = r.store.TryClaim(key, r.claimTTL)
-		if err != nil {
-			return nil, false, err
-		}
-		if claim != nil {
-			break
-		}
-		// Another worker owns this point; wait it out, re-probing the
-		// shard on disk so a record written by another process is seen.
-		select {
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		case <-time.After(r.claimPollInterval()):
-		}
-		if rs, ok := r.store.Reload(key); ok {
-			return rs, true, nil
-		}
-	}
-	defer claim.Release()
-	// The claim was granted after our Get missed, but the previous
-	// holder may have released between the two; one disk re-probe keeps
-	// the point from simulating twice.
-	if rs, ok := r.store.Reload(key); ok {
-		return rs, true, nil
-	}
-	start := time.Now()
-	rs, err = sim.RunMixes(cfg, mixes)
-	if err != nil {
-		return nil, false, fmt.Errorf("exp: %v: %w", p, err)
-	}
-	elapsed := time.Since(start)
-	atomic.AddInt64(&r.executed, 1)
-	if err := r.store.Put(key, rs); err != nil {
-		return nil, false, err
-	}
-	if err := r.store.RecordElapsed(key, elapsed); err != nil {
-		return nil, false, err
-	}
-	return rs, false, nil
+	return executedPoint{Results: rs, Elapsed: elapsed}, nil
 }
 
 // cachedTable serves experiments whose output is not a plain point sweep

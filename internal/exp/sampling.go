@@ -1,14 +1,10 @@
 package exp
 
 import (
+	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
-	"breakhammer/internal/results"
 	"breakhammer/internal/sampling"
-	"breakhammer/internal/sim"
-	"breakhammer/internal/workload"
 )
 
 // samplingRelTolerance is the relative-error floor of the validation
@@ -33,37 +29,6 @@ func (r *Runner) validationParams() sampling.Params {
 		return r.opts.Base.Sampling.Normalized()
 	}
 	return sampling.Params{Enabled: true, WarmupCycles: 4_000, DetailCycles: 12_000, FFCycles: 134_000}
-}
-
-// runConfig serves one explicit configuration from the store or
-// simulates and persists it, returning the results and the point's
-// simulation wall-clock (the recorded timing when served warm). It is
-// the claim-free, config-level sibling of ExecutePoint: the validation
-// harness needs both the exact and the sampled spelling of one point,
-// which the Point tuple cannot express.
-func (r *Runner) runConfig(cfg sim.Config, mixes []workload.Mix) ([]sim.MixResult, time.Duration, error) {
-	key, err := results.Key(cfg, mixes)
-	if err != nil {
-		return nil, 0, err
-	}
-	if rs, ok := r.store.Get(key); ok {
-		d, _ := r.store.Elapsed(key)
-		return rs, d, nil
-	}
-	start := time.Now()
-	rs, err := sim.RunMixes(cfg, mixes)
-	if err != nil {
-		return nil, 0, err
-	}
-	elapsed := time.Since(start)
-	atomic.AddInt64(&r.executed, 1)
-	if err := r.store.Put(key, rs); err != nil {
-		return nil, 0, err
-	}
-	if err := r.store.RecordElapsed(key, elapsed); err != nil {
-		return nil, 0, err
-	}
-	return rs, elapsed, nil
 }
 
 // samplingVerdict renders one metric comparison row: the sampled value
@@ -126,14 +91,19 @@ func (r *Runner) SamplingValidation() (Table, error) {
 		sampledCfg := exactCfg
 		sampledCfg.Sampling = params
 
-		exact, exactD, err := r.runConfig(exactCfg, mixes)
+		// Both spellings of the point go straight to getOrSimulate: the
+		// Point tuple cannot carry Config.Sampling, so no queue can lease
+		// the sampled twin.
+		exactRun, err := r.getOrSimulate(context.Background(), exactCfg, mixes)
 		if err != nil {
 			return Table{}, err
 		}
-		sampled, sampledD, err := r.runConfig(sampledCfg, mixes)
+		sampledRun, err := r.getOrSimulate(context.Background(), sampledCfg, mixes)
 		if err != nil {
 			return Table{}, err
 		}
+		exact, exactD := exactRun.Results, exactRun.Elapsed
+		sampled, sampledD := sampledRun.Results, sampledRun.Elapsed
 		label := p.String()
 		for i := range exact {
 			mix := exact[i].MixName

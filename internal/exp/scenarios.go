@@ -24,7 +24,7 @@ func (r *Runner) Scenarios() (Table, error) {
 	for _, strat := range r.opts.Strategies {
 		for _, d := range r.opts.Defenses {
 			p := Point{Mech: d.Mechanism, NRH: r.opts.minNRH(), BH: d.BH, Scenario: strat}
-			rs, _, err := r.point(p)
+			rs, err := r.point(p)
 			if err != nil {
 				return Table{}, err
 			}

@@ -279,7 +279,7 @@ func TestLeaseStealing(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("lease = HTTP %d", status)
 	}
-	var lease leaseResponse
+	var lease exp.Lease
 	if err := json.Unmarshal(body, &lease); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestLeaseStealing(t *testing.T) {
 	}
 
 	// The silent worker's token is dead: heartbeat and submit earn 410.
-	if status, _ := post(t, srv.URL+"/api/fleet/heartbeat", heartbeatRequest{Token: lease.Token}); status != http.StatusGone {
+	if status, _ := post(t, srv.URL+"/api/fleet/heartbeat", tokenRequest{Token: lease.Token}); status != http.StatusGone {
 		t.Errorf("stale heartbeat = HTTP %d, want 410", status)
 	}
 
@@ -325,19 +325,20 @@ func TestResultValidation(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("lease = HTTP %d", status)
 	}
-	var lease leaseResponse
+	var lease exp.Lease
 	if err := json.Unmarshal(body, &lease); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate on a worker-side runner with its own store: the
 	// coordinator's store must stay clean until it accepts a submission.
 	wrunner := exp.NewRunner(testOptions())
-	ep, err := wrunner.ExecutePoint(context.Background(), lease.Point)
-	if err != nil {
+	if err := wrunner.Prefetch([]exp.Point{lease.Point}); err != nil {
 		t.Fatal(err)
 	}
-	good := resultRequest{Token: lease.Token, Key: ep.Key, Schema: results.SchemaVersion,
-		ElapsedNS: ep.Elapsed.Nanoseconds(), Results: ep.Results}
+	rs, _ := wrunner.Store().Get(lease.Key)
+	elapsed, _ := wrunner.Store().Elapsed(lease.Key)
+	good := resultRequest{Token: lease.Token, Completion: exp.Completion{Key: lease.Key,
+		Schema: results.SchemaVersion, ElapsedNS: elapsed.Nanoseconds(), Results: rs}}
 
 	cases := []struct {
 		name       string
@@ -450,12 +451,12 @@ func TestReleaseRequeues(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("lease = HTTP %d", status)
 	}
-	var lease leaseResponse
+	var lease exp.Lease
 	if err := json.Unmarshal(body, &lease); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // idempotent
-		if status, _ := post(t, srv.URL+"/api/fleet/release", releaseRequest{Token: lease.Token}); status != http.StatusOK {
+		if status, _ := post(t, srv.URL+"/api/fleet/release", tokenRequest{Token: lease.Token}); status != http.StatusOK {
 			t.Fatalf("release #%d = HTTP %d", i+1, status)
 		}
 	}
@@ -468,7 +469,7 @@ func TestReleaseRequeues(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("re-lease = HTTP %d", status)
 	}
-	var again leaseResponse
+	var again exp.Lease
 	if err := json.Unmarshal(body, &again); err != nil {
 		t.Fatal(err)
 	}
@@ -523,5 +524,61 @@ func TestWarmCoordinatorZeroShardReads(t *testing.T) {
 	}
 	if got := runner.Store().Stats().ShardReads; got != 0 {
 		t.Fatalf("lease against warm store performed %d shard reads, want 0", got)
+	}
+}
+
+// TestClosedCoordinatorGrantsNothing is the regression pin for leases
+// granted during shutdown: bhserve closes the coordinator before its
+// HTTP server finishes draining, so a worker still polling must be told
+// to wait — not handed a lease whose claim file nobody will ever
+// release, pinning the point for a full TTL against the restarted
+// server and any local sweep.
+func TestClosedCoordinatorGrantsNothing(t *testing.T) {
+	dir := t.TempDir()
+	c, _ := newCoordinator(t, dir, testOptions(), []string{"13"}, 0)
+	srv := serveCoordinator(t, c)
+	c.Close()
+
+	status, body := post(t, srv.URL+"/api/fleet/lease", leaseRequest{Worker: "late"})
+	if status != http.StatusOK {
+		t.Fatalf("lease after Close = HTTP %d (body %s)", status, body)
+	}
+	var lease exp.Lease
+	if err := json.Unmarshal(body, &lease); err != nil {
+		t.Fatal(err)
+	}
+	if lease.Token != "" || !lease.Wait {
+		t.Errorf("closed coordinator answered %s, want a wait without a token", body)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "claims"))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("closed coordinator left %d claim file(s) behind", len(entries))
+	}
+}
+
+// TestUndecodableOKAnswerIsFatal: a 2xx answer whose body is not the
+// protocol's JSON (a proxy's HTML page, another service on the port)
+// must stop the worker promptly with an error instead of being retried
+// forever as if it were a connection failure.
+func TestUndecodableOKAnswerIsFatal(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, "not-json")
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err := RunWorker(ctx, WorkerOptions{URL: srv.URL, Name: "w", BaseBackoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
+	if err == nil {
+		t.Fatal("worker accepted a non-JSON 200")
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("worker retried the undecodable answer until the deadline: %v", err)
+	}
+	if !strings.Contains(err.Error(), "undecodable") {
+		t.Errorf("error %q does not say the answer was undecodable", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"breakhammer/internal/exp"
-	"breakhammer/internal/sim"
 )
 
 // ProtocolVersion is the fleet wire-protocol generation. The hello
@@ -41,44 +40,26 @@ type helloResponse struct {
 	Options  json.RawMessage `json:"options"` // coordinator's exp.Options, JSON-encoded
 }
 
-// leaseRequest asks for the next point. Exactly one of the three
-// leaseResponse shapes comes back: a grant (Token set), a wait (Wait
-// set; retry after Retry), or completion (Done set; the worker exits).
+// leaseRequest asks for the next point; the answer is an exp.Lease — a
+// grant, a wait, or done.
 type leaseRequest struct {
 	Worker string `json:"worker"`
 }
 
-type leaseResponse struct {
-	Done    bool      `json:"done,omitempty"`     // every point is in the store; stop asking
-	Wait    bool      `json:"wait,omitempty"`     // nothing leasable right now; retry after Retry
-	RetryNS int64     `json:"retry_ns,omitempty"` // suggested wait before the next lease request
-	Token   string    `json:"token,omitempty"`    // lease token; proves ownership to heartbeat/result
-	Point   exp.Point `json:"point,omitempty"`    // the point to simulate
-	Key     string    `json:"key,omitempty"`      // coordinator's store key for the point
-	TTLNS   int64     `json:"ttl_ns,omitempty"`   // lease TTL; heartbeat at TTL/4 or lose the lease
-}
-
-// heartbeatRequest proves the leased point is still being worked on.
-type heartbeatRequest struct {
+// tokenRequest names a lease: the body of heartbeat (the point is still
+// being worked on) and release (hand it back unfinished; the point is
+// pending again without counting as a steal).
+type tokenRequest struct {
 	Token string `json:"token"`
 }
 
-// resultRequest submits a finished point. The coordinator re-validates
-// Schema and Key against its own derivation before appending to the
-// authoritative store; a stale Token (the lease was stolen) earns 410.
+// resultRequest submits a finished point. The queue re-validates the
+// completion's Schema and Key against its own derivation before
+// appending to the authoritative store; a stale Token (the lease was
+// stolen) earns 410.
 type resultRequest struct {
-	Token     string          `json:"token"`
-	Key       string          `json:"key"`    // worker's independently derived store key
-	Schema    int             `json:"schema"` // worker's results.SchemaVersion
-	Cached    bool            `json:"cached"` // served from the worker's warm local store
-	ElapsedNS int64           `json:"elapsed_ns"`
-	Results   []sim.MixResult `json:"results"`
-}
-
-// releaseRequest hands a lease back unfinished (worker shutdown). The
-// point returns to the pending queue without counting as a steal.
-type releaseRequest struct {
 	Token string `json:"token"`
+	exp.Completion
 }
 
 // okResponse acknowledges heartbeat, result, and release.

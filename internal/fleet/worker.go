@@ -7,9 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"breakhammer/internal/exp"
@@ -31,28 +29,18 @@ type WorkerOptions struct {
 }
 
 // WorkerSummary accounts one RunWorker invocation.
-type WorkerSummary struct {
-	Completed int // results the coordinator accepted
-	Simulated int // points this worker actually simulated
-	Cached    int // points served from the worker's warm local store
-	Stolen    int // leases lost mid-point (the work went to another worker)
-	Failed    int // points that failed to simulate locally
-}
+type WorkerSummary = exp.ConsumerSummary
 
-// protocolError is a non-2xx coordinator answer. Validation failures
-// (4xx) are fatal to the worker — retrying a rejected submission can
+// errProtocol wraps an answer the worker cannot act on: a non-2xx
+// status, or a 2xx whose body is not the JSON the protocol promises (a
+// proxy's HTML page, a different service on the port). Either is fatal
+// to the worker — retrying a rejected or unintelligible exchange can
 // only livelock the fleet — while connection errors retry with backoff.
-type protocolError struct {
-	Status int
-	Msg    string
-}
+var errProtocol = errors.New("fleet protocol error")
 
-func (e *protocolError) Error() string {
-	return fmt.Sprintf("coordinator answered %d: %s", e.Status, e.Msg)
-}
-
-// RunWorker joins the fleet at opts.URL and loops lease -> simulate ->
-// submit until the coordinator reports the sweep done, the context is
+// RunWorker joins the fleet at opts.URL and runs the consumer loop
+// (exp.Runner.Consume: lease -> simulate -> submit) against the
+// coordinator's queue until it reports the sweep done, the context is
 // cancelled, or a fatal error (protocol rejection, local simulation
 // failure, diverged store keys) stops this worker. Cancellation is
 // clean: the held lease is released so the point re-queues immediately,
@@ -61,9 +49,8 @@ func (e *protocolError) Error() string {
 // re-joined worker serves previously simulated points from its warm
 // cache without re-simulating.
 func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerSummary, error) {
-	var sum WorkerSummary
 	if opts.URL == "" {
-		return sum, fmt.Errorf("fleet: worker needs a coordinator URL")
+		return WorkerSummary{}, fmt.Errorf("fleet: worker needs a coordinator URL")
 	}
 	if opts.Client == nil {
 		opts.Client = &http.Client{Timeout: 30 * time.Second}
@@ -85,234 +72,95 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerSummary, error) {
 	// Version handshake: the coordinator ships its resolved options, so
 	// this worker simulates exactly the coordinator's sweep. Protocol or
 	// schema mismatches come back 409 and are fatal.
+	c := client{opts}
 	var hello helloResponse
-	err := withBackoff(ctx, opts, "hello", func() error {
-		return postJSON(ctx, opts, "/api/fleet/hello",
-			helloRequest{Worker: opts.Name, Protocol: ProtocolVersion, Schema: results.SchemaVersion}, &hello)
-	})
+	err := c.call(ctx, "hello",
+		helloRequest{Worker: opts.Name, Protocol: ProtocolVersion, Schema: results.SchemaVersion}, &hello)
 	if err != nil {
-		return sum, err
+		return WorkerSummary{}, err
 	}
 	var sweepOpts exp.Options
 	if err := json.Unmarshal(hello.Options, &sweepOpts); err != nil {
-		return sum, fmt.Errorf("fleet: decoding coordinator options: %w", err)
+		return WorkerSummary{}, fmt.Errorf("fleet: decoding coordinator options: %w", err)
 	}
-	runner := exp.NewRunnerWithStore(sweepOpts, store)
 	opts.Logf("joined fleet at %s (protocol v%d, schema %d)", opts.URL, hello.Protocol, hello.Schema)
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return sum, err
-		}
-		var lease leaseResponse
-		err := withBackoff(ctx, opts, "lease", func() error {
-			return postJSON(ctx, opts, "/api/fleet/lease", leaseRequest{Worker: opts.Name}, &lease)
-		})
-		if err != nil {
-			return sum, err
-		}
-		switch {
-		case lease.Done:
-			return sum, nil
-		case lease.Wait:
-			retry := time.Duration(lease.RetryNS)
-			if retry <= 0 {
-				retry = opts.BaseBackoff
-			}
-			if err := sleepCtx(ctx, jitter(retry)); err != nil {
-				return sum, err
-			}
-			continue
-		}
-		if err := runLease(ctx, opts, runner, lease, &sum); err != nil {
-			return sum, err
-		}
-	}
+	return exp.NewRunnerWithStore(sweepOpts, store).Consume(ctx, c, opts.Name, opts.Logf)
 }
 
-// runLease processes one granted lease end to end.
-func runLease(ctx context.Context, opts WorkerOptions, runner *exp.Runner, lease leaseResponse, sum *WorkerSummary) error {
-	// Derive the point's key independently, trace hashes pinned, before
-	// simulating anything: a mismatch here means this worker would
-	// compute something the coordinator cannot accept (diverged options,
-	// code revision, or trace content), and one wasted simulation per
-	// divergence is one too many.
-	key, err := runner.PointKey(lease.Point)
-	if err != nil {
-		releaseLease(opts, lease.Token)
-		return fmt.Errorf("fleet: keying leased point %v: %w", lease.Point, err)
-	}
-	if key != lease.Key {
-		releaseLease(opts, lease.Token)
-		return fmt.Errorf(
-			"fleet: store key mismatch for %v: this worker derives %.12s, the coordinator leased %.12s (diverged options, code revision, or trace content)",
-			lease.Point, key, lease.Key)
-	}
+// client is the coordinator's queue as seen over HTTP: the
+// exp.LeaseSource a fleet worker consumes from.
+type client struct{ opts WorkerOptions }
 
-	// Heartbeat for as long as the point runs. The goroutine lives on a
-	// detached context so a Ctrl-C mid-simulation doesn't silence the
-	// final heartbeats while the in-flight point drains; it stops via
-	// stopHB. A 410 means the lease was stolen — remember it and stop.
-	var stolen atomic.Bool
-	hbCtx, stopHB := context.WithCancel(context.WithoutCancel(ctx))
-	hbDone := make(chan struct{})
-	ttl := time.Duration(lease.TTLNS)
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(ttl / 4)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-t.C:
-				var ok okResponse
-				err := postJSON(hbCtx, opts, "/api/fleet/heartbeat", heartbeatRequest{Token: lease.Token}, &ok)
-				var pe *protocolError
-				if errors.As(err, &pe) && pe.Status == http.StatusGone {
-					stolen.Store(true)
-					return
-				}
-				// Connection errors are survivable: the TTL tolerates
-				// several missed beats, and the next tick retries.
-			}
-		}
-	}()
-
-	opts.Logf("leased %v", lease.Point)
-	ep, err := runner.ExecutePoint(ctx, lease.Point)
-	stopHB()
-	<-hbDone
-	if err != nil {
-		// A point this worker cannot simulate would fail again on every
-		// retry; release the lease (another worker or code revision may
-		// fare better) and stop this worker with a non-zero report.
-		sum.Failed++
-		releaseLease(opts, lease.Token)
-		return fmt.Errorf("fleet: %w", err)
-	}
-	if stolen.Load() {
-		// The coordinator re-issued the point while it simulated here.
-		// The local store is warm now, so a future lease of a shared
-		// point is free; the fleet result belongs to the new holder.
-		sum.Stolen++
-		opts.Logf("lease for %v was stolen mid-point (heartbeats lost)", lease.Point)
-		return nil
-	}
-
-	// Submit on a detached context so a point that finished during
-	// shutdown still lands — losing a completed simulation to a race
-	// with Ctrl-C wastes the most expensive thing the worker has.
-	subCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Minute)
-	defer cancel()
-	var ok okResponse
-	err = withBackoff(subCtx, opts, "result", func() error {
-		return postJSON(subCtx, opts, "/api/fleet/result", resultRequest{
-			Token:     lease.Token,
-			Key:       ep.Key,
-			Schema:    results.SchemaVersion,
-			Cached:    ep.Cached,
-			ElapsedNS: ep.Elapsed.Nanoseconds(),
-			Results:   ep.Results,
-		}, &ok)
-	})
-	var pe *protocolError
-	if errors.As(err, &pe) && pe.Status == http.StatusGone {
-		sum.Stolen++
-		opts.Logf("lease for %v expired before the result landed", lease.Point)
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("fleet: submitting %v: %w", lease.Point, err)
-	}
-	sum.Completed++
-	if ep.Cached {
-		sum.Cached++
-		opts.Logf("submitted %v (from warm local cache)", lease.Point)
-	} else {
-		sum.Simulated++
-		opts.Logf("submitted %v (simulated in %v)", lease.Point, ep.Elapsed.Round(time.Millisecond))
-	}
-	return nil
+func (c client) Lease(ctx context.Context, worker string) (exp.Lease, error) {
+	var l exp.Lease
+	err := c.call(ctx, "lease", leaseRequest{Worker: worker}, &l)
+	return l, err
 }
 
-// releaseLease hands a lease back on a best-effort background call —
-// used on worker shutdown and fatal errors, where the original context
-// is typically already cancelled.
-func releaseLease(opts WorkerOptions, token string) {
+// Heartbeat posts once, without retries: connection errors are
+// survivable (the TTL tolerates several missed beats, and the next tick
+// tries again); only a 410 reports the lease lost.
+func (c client) Heartbeat(ctx context.Context, token string) error {
+	return c.post(ctx, "heartbeat", tokenRequest{Token: token}, &okResponse{})
+}
+
+func (c client) Complete(ctx context.Context, token string, done exp.Completion) error {
+	return c.call(ctx, "result", resultRequest{Token: token, Completion: done}, &okResponse{})
+}
+
+// Fail hands the lease back — another worker or code revision may fare
+// better — and stops this worker with a non-zero report: a point it
+// cannot simulate would fail again on every retry.
+func (c client) Fail(_ context.Context, token string, cause error) error {
+	c.Release(token)
+	return fmt.Errorf("fleet: %w", cause)
+}
+
+// Release is a best-effort background call — used on worker shutdown
+// and fatal errors, where the original context is typically already
+// cancelled.
+func (c client) Release(token string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	var ok okResponse
-	postJSON(ctx, opts, "/api/fleet/release", releaseRequest{Token: token}, &ok)
+	c.post(ctx, "release", tokenRequest{Token: token}, &okResponse{})
 }
 
-// withBackoff retries op on connection errors with jittered exponential
-// backoff. Protocol errors (any decoded non-2xx answer) are returned
-// immediately: the coordinator answered, and it said no.
-func withBackoff(ctx context.Context, opts WorkerOptions, what string, op func() error) error {
-	delay := opts.BaseBackoff
+// call is post retried on connection errors with jittered exponential
+// backoff. Protocol errors are returned immediately: the coordinator
+// answered, and it said no.
+func (c client) call(ctx context.Context, what string, req, resp any) error {
+	delay := c.opts.BaseBackoff
 	for {
-		err := op()
-		if err == nil {
-			return nil
-		}
-		var pe *protocolError
-		if errors.As(err, &pe) {
+		err := c.post(ctx, what, req, resp)
+		if err == nil || errors.Is(err, errProtocol) || errors.Is(err, exp.ErrLeaseLost) {
 			return err
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		opts.Logf("%s failed (%v); retrying in %v", what, err, delay.Round(time.Millisecond))
-		if serr := sleepCtx(ctx, jitter(delay)); serr != nil {
+		c.opts.Logf("%s failed (%v); retrying in %v", what, err, delay.Round(time.Millisecond))
+		if serr := exp.SleepJitter(ctx, delay); serr != nil {
 			return serr
 		}
-		delay *= 2
-		if delay > opts.MaxBackoff {
-			delay = opts.MaxBackoff
-		}
+		delay = min(2*delay, c.opts.MaxBackoff)
 	}
 }
 
-// jitter spreads d by ±25% so a fleet of workers knocked loose by one
-// coordinator restart doesn't reconnect in lockstep.
-func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	f := 0.75 + 0.5*rand.Float64()
-	return time.Duration(float64(d) * f)
-}
-
-// sleepCtx sleeps d or returns early with the context's error.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// postJSON posts req to the coordinator and decodes the answer into
-// resp. Non-2xx answers decode the errorResponse body into a
-// *protocolError; transport failures return the underlying error.
-func postJSON(ctx context.Context, opts WorkerOptions, path string, req, resp any) error {
+// post sends req to /api/fleet/<what> and decodes the answer into resp.
+// A 410 is exp.ErrLeaseLost; any other non-2xx answer (its errorResponse
+// body decoded) and a 2xx body that is not JSON are errProtocol;
+// transport failures return the underlying error.
+func (c client) post(ctx context.Context, what string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, opts.URL+path, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.opts.URL+"/api/fleet/"+what, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hres, err := opts.Client.Do(hreq)
+	hres, err := c.opts.Client.Do(hreq)
 	if err != nil {
 		return err
 	}
@@ -321,12 +169,16 @@ func postJSON(ctx context.Context, opts WorkerOptions, path string, req, resp an
 	if err != nil {
 		return err
 	}
-	if hres.StatusCode/100 != 2 {
-		var e errorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return &protocolError{Status: hres.StatusCode, Msg: e.Error}
-		}
-		return &protocolError{Status: hres.StatusCode, Msg: string(data)}
+	switch {
+	case hres.StatusCode == http.StatusGone:
+		return exp.ErrLeaseLost
+	case hres.StatusCode/100 != 2:
+		e := errorResponse{Error: string(data)}
+		json.Unmarshal(data, &e) // a body that is not the error JSON is reported raw
+		return fmt.Errorf("%w: coordinator answered %d: %s", errProtocol, hres.StatusCode, e.Error)
 	}
-	return json.Unmarshal(data, resp)
+	if err := json.Unmarshal(data, resp); err != nil {
+		return fmt.Errorf("%w: coordinator answered %d with an undecodable body (%v): %.80q", errProtocol, hres.StatusCode, err, data)
+	}
+	return nil
 }

@@ -11,8 +11,9 @@ import (
 // DefaultClaimTTL is the age past which an unreleased claim file's last
 // heartbeat is considered abandoned (its owner crashed or was killed)
 // and the claim may be stolen. Live holders refresh the file's mtime
-// every TTL/4 (see Claim), so even multi-hour paper-scale points stay
-// claimed without hand-tuning exp.Runner.SetClaimTTL.
+// every TTL/4 (the point queue's consumers heartbeat their leases, see
+// exp.Queue), so even multi-hour paper-scale points stay claimed
+// without hand-tuning.
 const DefaultClaimTTL = 30 * time.Minute
 
 // Claim marks one store key as in flight: while held, TryClaim for the
@@ -22,23 +23,19 @@ const DefaultClaimTTL = 30 * time.Minute
 // duplicate a simulation, not to guard correctness (the store's
 // append-only, last-wins records are already safe under duplication).
 //
-// A persistent claim heartbeats: a background goroutine refreshes the
-// claim file's mtime every quarter of the TTL for as long as the claim
-// is held, so a point that legitimately simulates for hours is never
-// mistaken for an abandoned one — the staleness test measures time
-// since the last heartbeat, not since the claim was taken. Crashed
-// holders stop heartbeating and their claims expire normally. Remote
-// claims (TryClaimRemote) have no background goroutine: the holder
-// relays a remote worker's heartbeats via Heartbeat instead, which is
-// how the fleet coordinator maps HTTP leases onto this lifecycle.
+// A claim's liveness is its file's mtime: the holder calls Heartbeat
+// whenever the worker computing the point proves it is still alive, so
+// a point that legitimately simulates for hours is never mistaken for
+// an abandoned one — the staleness test measures time since the last
+// heartbeat, not since the claim was taken. A holder that goes silent
+// (a crashed process, a remote worker that stopped heartbeating its
+// lease) lets the file age out and the claim expires normally.
 type Claim struct {
 	store *Store
 	key   string
 	path  string // "" for memory-only stores
 
-	stop     chan struct{} // closes on Release; nil for memory-only claims
-	done     chan struct{} // the heartbeat goroutine has exited
-	released sync.Once     // Release is a no-op even under concurrent double calls
+	released sync.Once // Release is a no-op even under concurrent double calls
 }
 
 // TryClaim attempts to take the in-flight claim for key. It returns a
@@ -49,24 +46,6 @@ type Claim struct {
 // treated as abandoned and stolen. The caller must Release the claim
 // once the point's record is in the store.
 func (s *Store) TryClaim(key string, ttl time.Duration) (*Claim, error) {
-	return s.tryClaim(key, ttl, true)
-}
-
-// TryClaimRemote is the lease-over-claim adapter behind the fleet
-// coordinator: it takes the same exclusive claim as TryClaim but starts
-// no heartbeat goroutine. The claim's liveness is driven by a remote
-// worker, so the holder must call Heartbeat whenever that worker proves
-// it is still computing — a remote worker that goes silent lets the
-// claim file age out exactly like a crashed local holder's, and other
-// processes sharing the cache directory (or the coordinator itself)
-// steal the key normally.
-func (s *Store) TryClaimRemote(key string, ttl time.Duration) (*Claim, error) {
-	return s.tryClaim(key, ttl, false)
-}
-
-// tryClaim implements TryClaim and TryClaimRemote; autoHeartbeat selects
-// whether a background goroutine keeps the claim file fresh.
-func (s *Store) tryClaim(key string, ttl time.Duration, autoHeartbeat bool) (*Claim, error) {
 	if key == "" {
 		return nil, fmt.Errorf("results: refusing to claim an empty key")
 	}
@@ -92,50 +71,22 @@ func (s *Store) tryClaim(key string, ttl time.Duration, autoHeartbeat bool) (*Cl
 			return nil, nil
 		}
 		c.path = path
-		if autoHeartbeat {
-			c.stop = make(chan struct{})
-			c.done = make(chan struct{})
-			go c.heartbeat(ttl / 4)
-		}
 	}
 	s.inflight[key] = true
 	return c, nil
 }
 
-// Heartbeat refreshes the claim file's mtime once, on behalf of a
-// remote worker that just proved liveness (see TryClaimRemote).
-// Auto-heartbeat claims from TryClaim never need it; calling it on one,
-// on a memory-only claim, or on a released claim is harmless (refresh
-// errors are ignored for the same reason as in the background
-// heartbeat).
+// Heartbeat refreshes the claim file's mtime once, on behalf of the
+// worker that just proved liveness. Calling it on a memory-only or a
+// released claim is harmless. Refresh errors are ignored: the file may
+// have been stolen by a worker whose TTL was far shorter than ours, and
+// the append-only store stays correct even then.
 func (c *Claim) Heartbeat() {
 	if c == nil || c.path == "" {
 		return
 	}
 	now := time.Now()
 	os.Chtimes(c.path, now, now)
-}
-
-// heartbeat refreshes the claim file's mtime on a fixed cadence until
-// Release. Refresh errors are ignored: the file may have been stolen by
-// a worker whose TTL was far shorter than ours, and the append-only
-// store stays correct even then.
-func (c *Claim) heartbeat(interval time.Duration) {
-	defer close(c.done)
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-			now := time.Now()
-			os.Chtimes(c.path, now, now)
-		}
-	}
 }
 
 // takeClaimFile creates path exclusively, stealing it first when it is
@@ -165,10 +116,10 @@ func takeClaimFile(path string, ttl time.Duration) (bool, error) {
 	return false, nil
 }
 
-// Release drops the claim, stopping its heartbeat and deleting its file
-// for persistent stores. Releasing a nil or already-released claim is a
-// no-op, even from concurrent goroutines (a worker's defer racing a
-// shutdown path must not double-close the heartbeat channel).
+// Release drops the claim, deleting its file for persistent stores.
+// Releasing a nil or already-released claim is a no-op, even from
+// concurrent goroutines (a consumer's completion racing a shutdown path
+// must not remove a file a later holder has since re-created).
 func (c *Claim) Release() {
 	if c == nil || c.store == nil {
 		return
@@ -181,10 +132,6 @@ func (c *Claim) Release() {
 		s.mu.Lock()
 		delete(s.inflight, c.key)
 		s.mu.Unlock()
-		if c.stop != nil {
-			close(c.stop)
-			<-c.done // no heartbeat may touch the file after the remove below
-		}
 		if c.path != "" {
 			os.Remove(c.path)
 		}

@@ -104,8 +104,7 @@ func TestClaimStaleExpiry(t *testing.T) {
 
 // TestClaimConcurrentDoubleRelease: Release is documented as a no-op on
 // an already-released claim — including concurrent double calls (a
-// worker's defer racing a shutdown path), which must not double-close
-// the heartbeat channel.
+// worker's completion racing a shutdown path).
 func TestClaimConcurrentDoubleRelease(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -131,63 +130,20 @@ func TestClaimConcurrentDoubleRelease(t *testing.T) {
 	c2.Release()
 }
 
-// TestClaimHeartbeatKeepsClaimFresh: a held claim outlives its TTL many
-// times over because the heartbeat refreshes the claim file's mtime —
-// no other worker may steal it while the holder is alive, however slow
-// the point is. Without heartbeats this test fails: the file would age
-// past the TTL and the second TryClaim would steal it.
-func TestClaimHeartbeatKeepsClaimFresh(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Generous relative to the ttl/4 heartbeat cadence: the test must
-	// not flake when a loaded CI runner starves the heartbeat goroutine
-	// for tens of milliseconds.
-	const ttl = 400 * time.Millisecond
-	c1, err := s1.TryClaim(testKey, ttl)
-	if err != nil || c1 == nil {
-		t.Fatal("initial claim not granted")
-	}
-	// Model a slow simulation: hold the claim for several TTLs while a
-	// second worker keeps trying to steal it with the same short TTL.
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(4 * ttl)
-	for time.Now().Before(deadline) {
-		if c2, err := s2.TryClaim(testKey, ttl); err != nil {
-			t.Fatal(err)
-		} else if c2 != nil {
-			t.Fatalf("heartbeating claim was stolen mid-hold (TTL %s)", ttl)
-		}
-		time.Sleep(ttl / 8)
-	}
-	c1.Release()
-	// Released: the key is immediately claimable again.
-	c3, err := s2.TryClaim(testKey, ttl)
-	if err != nil || c3 == nil {
-		t.Fatal("claim not reacquirable after the heartbeating holder released")
-	}
-	c3.Release()
-}
-
-// TestRemoteClaimExpiresWithoutHeartbeat: a remote claim (no background
-// heartbeat goroutine) whose worker goes silent ages out and is stolen
-// by another process after the TTL — the property the fleet coordinator
-// relies on so a crashed worker never strands a point.
-func TestRemoteClaimExpiresWithoutHeartbeat(t *testing.T) {
+// TestClaimExpiresWithoutHeartbeat: a claim whose worker goes silent
+// ages out and is stolen by another process after the TTL — the
+// property the point queue relies on so a crashed consumer never
+// strands a point.
+func TestClaimExpiresWithoutHeartbeat(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const ttl = 150 * time.Millisecond
-	c1, err := s1.TryClaimRemote(testKey, ttl)
+	c1, err := s1.TryClaim(testKey, ttl)
 	if err != nil || c1 == nil {
-		t.Fatal("remote claim not granted")
+		t.Fatal("claim not granted")
 	}
 	s2, err := Open(dir)
 	if err != nil {
@@ -195,31 +151,33 @@ func TestRemoteClaimExpiresWithoutHeartbeat(t *testing.T) {
 	}
 	// Fresh: respected like any live claim.
 	if c2, err := s2.TryClaim(testKey, ttl); err != nil || c2 != nil {
-		t.Fatal("fresh remote claim was not respected")
+		t.Fatal("fresh claim was not respected")
 	}
 	time.Sleep(2 * ttl)
 	// No heartbeats arrived: the file aged out and the key is stealable.
 	c3, err := s2.TryClaim(testKey, ttl)
 	if err != nil || c3 == nil {
-		t.Fatal("silent remote claim was not stolen after the TTL")
+		t.Fatal("silent claim was not stolen after the TTL")
 	}
 	c3.Release()
 	c1.Release() // releasing the stolen original stays a no-op for the file owner
 }
 
-// TestRemoteClaimHeartbeatKeepsAlive: manual Heartbeat calls substitute
-// for the background goroutine — as long as the (remote) worker keeps
-// proving liveness, the claim is not stealable.
-func TestRemoteClaimHeartbeatKeepsAlive(t *testing.T) {
+// TestClaimHeartbeatKeepsAlive: a held claim outlives its TTL many
+// times over as long as its holder keeps calling Heartbeat — no other
+// worker may steal it while the holder is alive, however slow the point
+// is. Without the heartbeats the file would age past the TTL and the
+// second TryClaim would steal it.
+func TestClaimHeartbeatKeepsAlive(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const ttl = 300 * time.Millisecond
-	c1, err := s1.TryClaimRemote(testKey, ttl)
+	c1, err := s1.TryClaim(testKey, ttl)
 	if err != nil || c1 == nil {
-		t.Fatal("remote claim not granted")
+		t.Fatal("claim not granted")
 	}
 	s2, err := Open(dir)
 	if err != nil {
@@ -231,14 +189,14 @@ func TestRemoteClaimHeartbeatKeepsAlive(t *testing.T) {
 		if c2, err := s2.TryClaim(testKey, ttl); err != nil {
 			t.Fatal(err)
 		} else if c2 != nil {
-			t.Fatal("heartbeated remote claim was stolen mid-hold")
+			t.Fatal("heartbeated claim was stolen mid-hold")
 		}
 		time.Sleep(ttl / 8)
 	}
 	c1.Release()
 	c3, err := s2.TryClaim(testKey, ttl)
 	if err != nil || c3 == nil {
-		t.Fatal("claim not reacquirable after the remote holder released")
+		t.Fatal("claim not reacquirable after the holder released")
 	}
 	c3.Release()
 	c3.Heartbeat() // harmless on a released claim

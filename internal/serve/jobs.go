@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"breakhammer/internal/exp"
+	"breakhammer/internal/results"
 )
 
 // Job states, in lifecycle order.
@@ -23,64 +24,38 @@ const (
 	JobFailed = "failed"
 )
 
-// Job is one background figure computation: a Prefetch of the figure's
-// missing points followed by a render that warms the store, with every
-// typed progress event retained for replay so late SSE subscribers see
-// the full history.
+// Job is one background figure computation: a point queue over the
+// figure's points, drained by the runner's local consumers, followed by
+// a render that warms the store. The job itself keeps only identity and
+// lifecycle state; progress events (retained for replay, so late SSE
+// subscribers see the full history), counters and subscriptions are its
+// queue's.
 type Job struct {
 	id     string
 	key    string      // dedup key: the figure id, plus the request fingerprint for parameterized jobs
 	fig    string      // figure id, for display
 	runner *exp.Runner // the runner this job sweeps (a derived one for parameterized jobs)
+	queue  *exp.Queue  // the figure's points; empty when they could not be keyed (the job then fails at once)
 
 	mu     sync.Mutex
 	state  string
 	errMsg string
-	events []exp.Event
-	subs   map[chan exp.Event]bool
 	done   chan struct{}
 }
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
 
-// Figure returns the figure id the job computes.
-func (j *Job) Figure() string { return j.fig }
-
-// Key returns the job's dedup key (and the durable ticket suffix).
-func (j *Job) Key() string { return j.key }
-
-// Status snapshots the job for JSON rendering.
+// Status snapshots the job for JSON rendering, from counters the queue
+// keeps — no pass over the event history.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:     j.id,
-		Key:    j.key,
-		Figure: j.fig,
-		State:  j.state,
-		Error:  j.errMsg,
-		Events: len(j.events),
-	}
-	latest := true
-	for i := len(j.events) - 1; i >= 0; i-- {
-		e := j.events[i]
-		if e.Type != exp.PointFinished {
-			continue
-		}
-		if latest {
-			// The most recent finished event carries the sweep totals.
-			st.Done = e.Done
-			st.Total = e.Total
-			st.EstimateNS = e.EstimateNS
-			latest = false
-		}
-		if e.Cached {
-			st.Cached++
-		} else {
-			st.Simulated++
-		}
-	}
+	st := JobStatus{ID: j.id, Key: j.key, Figure: j.fig, State: j.state, Error: j.errMsg}
+	j.mu.Unlock()
+	qs := j.queue.Status()
+	st.Events, st.Done, st.Total = qs.Events, qs.Done, qs.Total
+	st.Cached, st.Simulated = qs.Cached, qs.Done-qs.Cached-len(qs.Failures)
+	st.EstimateNS = qs.EstimateNS
 	return st
 }
 
@@ -93,53 +68,15 @@ type JobStatus struct {
 	Error  string `json:"error,omitempty"`
 	Events int    `json:"events"` // progress events emitted so far
 	Done   int    `json:"done"`   // points finished
-	Total  int    `json:"total"`  // points in the sweep (0 until the first point finishes)
+	Total  int    `json:"total"`  // deduplicated points in the sweep
 	// Simulated and Cached split the finished points into ones this job
 	// actually simulated versus ones served warm from the store — the
 	// restart-resume smoke asserts a resumed job reports Simulated only
 	// for points the killed server never finished.
 	Simulated int `json:"simulated"`
 	Cached    int `json:"cached"`
-	// EstimateNS is the projected remaining wall-clock in nanoseconds
-	// from the job's latest progress event.
+	// EstimateNS is the projected remaining wall-clock in nanoseconds.
 	EstimateNS int64 `json:"eta_ns,omitempty"`
-}
-
-// emit appends a progress event and fans it out to subscribers. A
-// subscriber too slow to drain its buffer is dropped (its channel is
-// closed) rather than stalling the sweep.
-func (j *Job) emit(e exp.Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.events = append(j.events, e)
-	for ch := range j.subs {
-		select {
-		case ch <- e:
-		default:
-			delete(j.subs, ch)
-			close(ch)
-		}
-	}
-}
-
-// subscribe atomically snapshots the event history and registers a live
-// channel, so a subscriber sees every event exactly once regardless of
-// when it arrives. The returned cancel is idempotent and must be called
-// when the subscriber leaves.
-func (j *Job) subscribe() (history []exp.Event, live chan exp.Event, cancel func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	history = append([]exp.Event(nil), j.events...)
-	live = make(chan exp.Event, 1024)
-	j.subs[live] = true
-	return history, live, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if j.subs[live] {
-			delete(j.subs, live)
-			close(live)
-		}
-	}
 }
 
 // finish records the terminal state and wakes every waiter.
@@ -153,13 +90,6 @@ func (j *Job) finish(err error) {
 		j.state = JobDone
 	}
 	close(j.done)
-}
-
-// setState transitions a live job (queued -> running).
-func (j *Job) setState(s string) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
 }
 
 // Manager owns the server's background jobs: a bounded worker pool
@@ -215,10 +145,10 @@ func NewManager(runner *exp.Runner, workers int) *Manager {
 // figure id; parameterized requests append their request fingerprint,
 // so distinct parameter sets run as distinct jobs. A nil runner uses
 // the manager's default; parameterized jobs pass their derived runner,
-// which shares the default one's store. The job prefetches the
-// experiment's missing points through that store and then renders the
-// table once, so a follow-up figure request serves straight from the
-// cache.
+// which shares the default one's store. The job drains a queue of the
+// experiment's points through that store (cached ones finish at once)
+// and then renders the table once, so a follow-up figure request serves
+// straight from the cache.
 func (m *Manager) Ensure(key string, ex exp.Experiment, runner *exp.Runner) *Job {
 	if runner == nil {
 		runner = m.runner
@@ -229,24 +159,32 @@ func (m *Manager) Ensure(key string, ex exp.Experiment, runner *exp.Runner) *Job
 		return j
 	}
 	m.nextID++
+	// The lease TTL is the claim files' default, as for any local sweep.
+	queue, err := exp.NewQueue(runner, runner.PointsFor([]string{ex.Name}), results.DefaultClaimTTL, nil)
+	if err != nil {
+		// Status and the event stream still need a queue to read: an
+		// empty one, whose stream is just the terminal event.
+		queue, _ = exp.NewQueue(runner, nil, results.DefaultClaimTTL, nil)
+	}
 	j := &Job{
 		id:     fmt.Sprintf("job-%d", m.nextID),
 		key:    key,
 		fig:    FigureID(ex.Name),
 		runner: runner,
+		queue:  queue,
 		state:  JobQueued,
-		subs:   make(map[chan exp.Event]bool),
 		done:   make(chan struct{}),
 	}
 	m.active[key] = j
 	m.byID[j.id] = j
 	m.wg.Add(1)
-	go m.run(j, ex)
+	go m.run(j, ex, err)
 	return j
 }
 
-// run executes one job under the worker pool.
-func (m *Manager) run(j *Job, ex exp.Experiment) {
+// run executes one job under the worker pool; a non-nil queueErr (the
+// figure's points could not be keyed) fails it without sweeping.
+func (m *Manager) run(j *Job, ex exp.Experiment, queueErr error) {
 	defer m.wg.Done()
 	defer func() {
 		m.mu.Lock()
@@ -260,7 +198,10 @@ func (m *Manager) run(j *Job, ex exp.Experiment) {
 		}
 		m.mu.Unlock()
 	}()
-	err := m.sweep(j, ex)
+	err := queueErr
+	if err == nil {
+		err = m.sweep(j, ex)
+	}
 	j.finish(err)
 	// A job interrupted by shutdown is not settled: its durable ticket
 	// stays open so the next process reattaches and resumes it. Only
@@ -270,7 +211,7 @@ func (m *Manager) run(j *Job, ex exp.Experiment) {
 	}
 }
 
-// sweep runs the job's prefetch and render, returning its terminal
+// sweep drains the job's queue and renders, returning its terminal
 // error (nil on success).
 func (m *Manager) sweep(j *Job, ex exp.Experiment) error {
 	select {
@@ -279,9 +220,10 @@ func (m *Manager) sweep(j *Job, ex exp.Experiment) error {
 	case <-m.ctx.Done():
 		return m.ctx.Err()
 	}
-	j.setState(JobRunning)
-	points := j.runner.PointsFor([]string{ex.Name})
-	if err := j.runner.PrefetchContext(m.ctx, points, j.emit); err != nil {
+	j.mu.Lock()
+	j.state = JobRunning
+	j.mu.Unlock()
+	if err := j.runner.Drain(m.ctx, j.queue); err != nil {
 		return err
 	}
 	// The render below cannot be cancelled mid-run (the figure builders

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"breakhammer/internal/exp"
 )
 
 // errRateLimited is the 429 body; the Retry-After header carries the
@@ -147,7 +149,7 @@ func (l *limiter) withAccounting(next http.Handler) http.Handler {
 		ok, retry := l.admit(clientKey(r))
 		if !ok {
 			w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)))
-			httpError(w, http.StatusTooManyRequests,
+			exp.WriteError(w, http.StatusTooManyRequests,
 				errRateLimited)
 			return
 		}

@@ -223,7 +223,7 @@ func (s *Server) figureInfo(ex exp.Experiment) (figureInfo, error) {
 func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 	number, size, err := pageParams(r, figuresPageSize, figuresPageMax)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		exp.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The catalogue order is exp.Experiments()'s presentation order —
@@ -233,19 +233,19 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 	for _, ex := range exp.Experiments() {
 		info, err := s.figureInfo(ex)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			exp.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		list = append(list, info)
 	}
-	writeJSON(w, http.StatusOK, paginate(list, number, size))
+	exp.WriteJSON(w, http.StatusOK, paginate(list, number, size))
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ex, ok := exp.ExperimentByName(experimentName(id))
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown figure %q", id))
+		exp.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown figure %q", id))
 		return
 	}
 	s.serveFigure(w, ex, s.runner, FigureID(ex.Name), nil)
@@ -261,19 +261,19 @@ func (s *Server) handleFigurePost(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ex, ok := exp.ExperimentByName(experimentName(id))
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown figure %q", id))
+		exp.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown figure %q", id))
 		return
 	}
 	var req figureRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFigureBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		exp.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	runner, fp, err := s.runnerFor(req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		exp.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	key := FigureID(ex.Name)
@@ -293,13 +293,13 @@ func (s *Server) handleFigurePost(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveFigure(w http.ResponseWriter, ex exp.Experiment, runner *exp.Runner, key string, params *figureRequest) {
 	cached, total, err := runner.Coverage(ex.Name)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		exp.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if cached == total {
 		tbl, err := ex.Run(runner)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			exp.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -310,7 +310,7 @@ func (s *Server) serveFigure(w http.ResponseWriter, ex exp.Experiment, runner *e
 		s.openTicket(key, ex, params)
 	}
 	j := s.mgr.Ensure(key, ex, runner)
-	writeJSON(w, http.StatusAccepted, jobTicket{
+	exp.WriteJSON(w, http.StatusAccepted, jobTicket{
 		Job:       j.Status(),
 		StatusURL: "/api/jobs/" + j.ID(),
 		EventsURL: "/api/jobs/" + j.ID() + "/events",
@@ -325,20 +325,20 @@ func (s *Server) handleFigureCoverage(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ex, ok := exp.ExperimentByName(experimentName(id))
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown figure %q", id))
+		exp.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown figure %q", id))
 		return
 	}
 	number, size, err := pageParams(r, coveragePageSize, coveragePageMax)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		exp.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	pts, err := s.runner.PointCoverageFor(ex.Name)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		exp.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, paginate(pts, number, size))
+	exp.WriteJSON(w, http.StatusOK, paginate(pts, number, size))
 }
 
 // statsResponse is the GET /api/stats body.
@@ -354,10 +354,10 @@ type statsResponse struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	gen, err := s.runner.Store().Generation(0)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		exp.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, statsResponse{
+	exp.WriteJSON(w, http.StatusOK, statsResponse{
 		Generation: gen,
 		Store:      s.runner.Store().Stats(),
 		Jobs:       len(s.mgr.Jobs()),
@@ -372,7 +372,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // configured.
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	if s.adminToken == "" {
-		httpError(w, http.StatusForbidden, fmt.Errorf("invalidation disabled: no admin token configured"))
+		exp.WriteError(w, http.StatusForbidden, fmt.Errorf("invalidation disabled: no admin token configured"))
 		return
 	}
 	tok := r.Header.Get("X-API-Token")
@@ -382,16 +382,16 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if subtle.ConstantTimeCompare([]byte(tok), []byte(s.adminToken)) != 1 {
-		httpError(w, http.StatusUnauthorized, fmt.Errorf("bad admin token"))
+		exp.WriteError(w, http.StatusUnauthorized, fmt.Errorf("bad admin token"))
 		return
 	}
 	gen, err := s.runner.Store().BumpGeneration()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		exp.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.logf("cache invalidated: generation %d", gen)
-	writeJSON(w, http.StatusOK, map[string]uint64{"generation": gen})
+	exp.WriteJSON(w, http.StatusOK, map[string]uint64{"generation": gen})
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -400,98 +400,28 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		list = append(list, j.Status())
 	}
-	writeJSON(w, http.StatusOK, list)
+	exp.WriteJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.mgr.Get(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		exp.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Status())
+	exp.WriteJSON(w, http.StatusOK, j.Status())
 }
 
 // handleJobEvents streams a job's typed progress as Server-Sent Events:
 // one "point-started"/"point-finished" event per point — the full
 // history replays first, so every subscriber sees every point exactly
-// once — and a final "done" event carrying the job's terminal status.
+// once — and, after the render, a final "done" event carrying the job's
+// terminal status.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.mgr.Get(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		exp.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	history, live, cancel := j.subscribe()
-	defer cancel()
-	for _, e := range history {
-		writeSSE(w, e)
-	}
-	flusher.Flush()
-	for {
-		select {
-		case e, ok := <-live:
-			if !ok { // dropped as a slow subscriber
-				return
-			}
-			writeSSE(w, e)
-			flusher.Flush()
-		case <-j.done:
-			// Drain events that raced the terminal state before
-			// announcing it.
-			for {
-				select {
-				case e, ok := <-live:
-					if !ok {
-						return
-					}
-					writeSSE(w, e)
-					continue
-				default:
-				}
-				break
-			}
-			fmt.Fprintf(w, "event: done\n")
-			data, _ := json.Marshal(j.Status())
-			fmt.Fprintf(w, "data: %s\n\n", data)
-			flusher.Flush()
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeSSE renders one progress event in SSE framing.
-func writeSSE(w http.ResponseWriter, e exp.Event) {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data)
-}
-
-// writeJSON renders v as an indented JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// httpError renders an error as a small JSON object.
-func httpError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, "{\"error\":%q}\n", err.Error())
+	exp.StreamEvents(w, r, j.queue, j.done, func() any { return j.Status() })
 }
