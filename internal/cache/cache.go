@@ -96,10 +96,15 @@ type LLC struct {
 	lruTick uint64
 
 	mshrs     map[uint64]*mshr
-	inUse     []int // per-thread MSHR occupancy
+	freeMSHRs []*mshr // released registers, reused with their waiter storage
+	inUse     []int   // per-thread MSHR occupancy
 	totalUsed int
 
-	pendingWB []uint64 // writebacks the MC queue rejected; retried in Tick
+	// Writebacks the MC queue rejected, retried in Tick: a FIFO that pops
+	// by advancing wbHead and rewinds once drained, so the backing array
+	// is reused instead of walked forward and reallocated.
+	pendingWB []uint64
+	wbHead    int
 
 	stats Stats
 }
@@ -115,8 +120,9 @@ func New(cfg Config, threads int, backend Backend) *LLC {
 		mshrs:   make(map[uint64]*mshr),
 		inUse:   make([]int, threads),
 	}
+	lines := make([]line, sets*cfg.Ways) // one backing array, not one per set
 	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.Ways)
+		l.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	l.stats = Stats{
 		Hits:        make([]int64, threads),
@@ -197,9 +203,8 @@ func (l *LLC) Read(lineAddr uint64, thread int, done func()) ReadOutcome {
 		l.stats.QueueBlocks[thread]++
 		return ReadBlocked
 	}
-	l.mshrs[lineAddr] = &mshr{line: lineAddr, thread: thread, waiters: []func(){done}}
-	l.inUse[thread]++
-	l.totalUsed++
+	m := l.allocMSHR(lineAddr, thread, false)
+	m.waiters = append(m.waiters, done)
 	l.stats.Misses[thread]++
 	return ReadMiss
 }
@@ -233,11 +238,26 @@ func (l *LLC) Write(lineAddr uint64, thread int) bool {
 		l.stats.QueueBlocks[thread]++
 		return false
 	}
-	l.mshrs[lineAddr] = &mshr{line: lineAddr, thread: thread, wantFill: true}
-	l.inUse[thread]++
-	l.totalUsed++
+	l.allocMSHR(lineAddr, thread, true)
 	l.stats.WriteMisses[thread]++
 	return true
+}
+
+// allocMSHR claims a register for a missing line on behalf of thread,
+// recycling a released one (and its waiter slice) when there is one.
+func (l *LLC) allocMSHR(lineAddr uint64, thread int, wantFill bool) *mshr {
+	var m *mshr
+	if n := len(l.freeMSHRs); n > 0 {
+		m = l.freeMSHRs[n-1]
+		l.freeMSHRs = l.freeMSHRs[:n-1]
+	} else {
+		m = &mshr{}
+	}
+	m.line, m.thread, m.wantFill = lineAddr, thread, wantFill
+	l.mshrs[lineAddr] = m
+	l.inUse[thread]++
+	l.totalUsed++
+	return m
 }
 
 // AccessFunctional performs one timing-free access for the functional
@@ -305,6 +325,10 @@ func (l *LLC) Fill(lineAddr uint64) {
 			w()
 		}
 	}
+	// Released only now: a waiter may re-enter Read and claim a register.
+	clear(m.waiters)
+	m.waiters = m.waiters[:0]
+	l.freeMSHRs = append(l.freeMSHRs, m)
 }
 
 // install places a line into its set, evicting the LRU way.
@@ -340,12 +364,15 @@ func (l *LLC) writeback(lineAddr uint64) {
 // simulation loop).
 func (l *LLC) Tick() bool {
 	drained := false
-	for len(l.pendingWB) > 0 {
-		if !l.backend.EnqueueWrite(l.pendingWB[0], 0) {
+	for l.wbHead < len(l.pendingWB) {
+		if !l.backend.EnqueueWrite(l.pendingWB[l.wbHead], 0) {
 			return drained
 		}
-		l.pendingWB = l.pendingWB[1:]
+		l.wbHead++
 		drained = true
+	}
+	if drained {
+		l.pendingWB, l.wbHead = l.pendingWB[:0], 0
 	}
 	return drained
 }

@@ -299,3 +299,33 @@ func TestMSHRAccountingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPendingWritebacksDrainInOrderWithoutGrowing: writebacks the backend
+// refused retry oldest first, a partial drain resumes where it stopped,
+// and a queue that fills and drains over and over reuses its storage.
+func TestPendingWritebacksDrainInOrderWithoutGrowing(t *testing.T) {
+	be := &fakeBackend{rejectWR: true}
+	l := New(smallConfig(), 1, be)
+	for i := uint64(1); i <= 3; i++ {
+		l.writeback(i)
+	}
+	be.rejectWR = false
+	if !l.Tick() || len(be.writes) != 3 || be.writes[0] != 1 || be.writes[2] != 3 {
+		t.Fatalf("drain order = %v, want [1 2 3]", be.writes)
+	}
+	if l.Tick() {
+		t.Error("Tick reported progress with nothing pending")
+	}
+	round := func() {
+		be.rejectWR = true
+		l.writeback(10)
+		l.writeback(11)
+		be.rejectWR = false
+		be.writes = be.writes[:0]
+		l.Tick()
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("a fill-and-drain round allocates %.2f objects, want 0", avg)
+	}
+}

@@ -50,6 +50,12 @@ type LoadQuota interface {
 type slot struct {
 	ready   bool
 	readyAt int64 // -1 when completion is callback-driven
+
+	// complete is the load-completion callback handed to Memory.Read for a
+	// load in this slot. It is built once in New: a slot is not reused
+	// until it retires, which a callback-driven load only does after the
+	// callback fired, so one func per slot serves every load it ever holds.
+	complete func()
 }
 
 func (s *slot) done(now int64) bool {
@@ -79,12 +85,15 @@ type Core struct {
 	trace Trace
 	mem   Memory
 
-	window []*slot
+	window []slot
 	head   int
 	count  int
 
-	bubbles int64
-	pending *memOp
+	// The fetched-but-unissued trace record: bubbles instructions, then
+	// the memory access in pending (valid while hasPending).
+	bubbles    int64
+	pending    memOp
+	hasPending bool
 
 	quota       LoadQuota // optional LSU-level throttle (§4.4)
 	outstanding int       // unresolved (miss-backed) loads in flight
@@ -98,9 +107,13 @@ type Core struct {
 // executing to preserve memory contention, as in the paper's methodology).
 func New(id int, cfg Config, trace Trace, mem Memory, target int64) *Core {
 	c := &Core{id: id, cfg: cfg, trace: trace, mem: mem, target: target}
-	c.window = make([]*slot, cfg.WindowSize)
+	c.window = make([]slot, cfg.WindowSize)
 	for i := range c.window {
-		c.window[i] = &slot{}
+		s := &c.window[i]
+		s.complete = func() {
+			s.ready = true
+			c.outstanding--
+		}
 	}
 	c.stats.FinishedAt = -1
 	return c
@@ -151,11 +164,13 @@ func (c *Core) IPC(now int64) float64 {
 // so the skip-ahead simulation loop can detect a fully stalled core. A
 // tick that only bumps stall counters is not progress.
 func (c *Core) Tick(now int64) bool {
-	retired, count, bubbles, pending := c.stats.Retired, c.count, c.bubbles, c.pending
+	retired, count, bubbles, hadPending := c.stats.Retired, c.count, c.bubbles, c.hasPending
 	c.retire(now)
 	c.issue(now)
+	// A record fetched into an empty pending slot flips hasPending; one
+	// fetched right after its predecessor issued shows in count or Retired.
 	return c.stats.Retired != retired || c.count != count ||
-		c.bubbles != bubbles || c.pending != pending
+		c.bubbles != bubbles || c.hasPending != hadPending
 }
 
 // NextWake returns the next cycle at which this core could make progress
@@ -168,9 +183,8 @@ func (c *Core) NextWake(now int64) int64 {
 	if c.count == 0 {
 		return now + 1 // empty window: the core will try to issue next cycle
 	}
-	s := c.window[c.head]
-	if s.readyAt > now {
-		return s.readyAt
+	if at := c.window[c.head].readyAt; at > now {
+		return at
 	}
 	return int64(1) << 62
 }
@@ -182,10 +196,10 @@ func (c *Core) NextWake(now int64) int64 {
 // is surrendered first (with its remaining bubbles), so switching modes
 // never skips or replays part of the stream.
 func (c *Core) FFNext() (bubbles int64, line uint64, write bool) {
-	if c.pending != nil {
-		b, op := c.bubbles, c.pending
-		c.bubbles, c.pending = 0, nil
-		return b, op.line, op.write
+	if c.hasPending {
+		b := c.bubbles
+		c.bubbles, c.hasPending = 0, false
+		return b, c.pending.line, c.pending.write
 	}
 	return c.trace.Next()
 }
@@ -217,8 +231,7 @@ func (c *Core) WindowOccupied() int { return c.count }
 
 func (c *Core) retire(now int64) {
 	for n := 0; n < c.cfg.IssueWidth && c.count > 0; n++ {
-		s := c.window[c.head]
-		if !s.done(now) {
+		if !c.window[c.head].done(now) {
 			return
 		}
 		c.head = (c.head + 1) % len(c.window)
@@ -232,10 +245,10 @@ func (c *Core) retire(now int64) {
 
 func (c *Core) issue(now int64) {
 	for n := 0; n < c.cfg.IssueWidth; n++ {
-		if c.bubbles == 0 && c.pending == nil {
+		if c.bubbles == 0 && !c.hasPending {
 			b, line, wr := c.trace.Next()
 			c.bubbles = b
-			c.pending = &memOp{line: line, write: wr}
+			c.pending, c.hasPending = memOp{line: line, write: wr}, true
 		}
 		if c.bubbles > 0 {
 			if !c.push(now, 0) {
@@ -258,7 +271,7 @@ func (c *Core) issue(now int64) {
 			}
 			c.stats.Stores++
 			c.push(now, 0)
-			c.pending = nil
+			c.hasPending = false
 			continue
 		}
 		// Load: enforce the §4.4 LSU quota, claim a window slot, then ask
@@ -268,12 +281,9 @@ func (c *Core) issue(now int64) {
 			return
 		}
 		tail := (c.head + c.count) % len(c.window)
-		s := c.window[tail]
+		s := &c.window[tail]
 		s.ready, s.readyAt = false, -1
-		res := c.mem.Read(op.line, c.id, now, func() {
-			s.ready = true
-			c.outstanding--
-		})
+		res := c.mem.Read(op.line, c.id, now, s.complete)
 		if !res.OK {
 			c.stats.BlockedStalls++
 			return
@@ -285,7 +295,7 @@ func (c *Core) issue(now int64) {
 		}
 		c.count++
 		c.stats.Loads++
-		c.pending = nil
+		c.hasPending = false
 	}
 }
 
@@ -294,7 +304,7 @@ func (c *Core) push(now int64, _ int) bool {
 		return false
 	}
 	tail := (c.head + c.count) % len(c.window)
-	s := c.window[tail]
+	s := &c.window[tail]
 	s.ready, s.readyAt = true, now
 	c.count++
 	return true

@@ -271,3 +271,71 @@ func TestOutstandingReturnsToZero(t *testing.T) {
 		t.Errorf("Outstanding = %d after all completions, want 0", c.Outstanding())
 	}
 }
+
+// allocMem is a Memory without storage of its own growing over time: it
+// rejects most loads (the LLC's blocked_ratio is 0.6-0.8 under attack),
+// holds one callback-driven miss at a time and answers the rest as hits.
+type allocMem struct {
+	n       int
+	pending func()
+}
+
+func (m *allocMem) Read(line uint64, thread int, now int64, done func()) ReadResult {
+	m.n++
+	switch {
+	case m.n%4 != 0:
+		return ReadResult{} // rejected: the attempt must cost nothing
+	case m.pending == nil:
+		m.pending = done
+		return ReadResult{OK: true, ReadyAt: -1}
+	default:
+		return ReadResult{OK: true, ReadyAt: now + 5}
+	}
+}
+
+func (m *allocMem) Write(line uint64, thread int, now int64) bool { return m.n%3 != 0 }
+
+// TestTickDoesNotAllocate pins the alloc-free issue path: fetching trace
+// records, attempting (and being refused) loads, issuing hits, misses with
+// completion callbacks and stores, and retiring allocate nothing.
+func TestTickDoesNotAllocate(t *testing.T) {
+	tr := &scriptTrace{recs: []rec{{0, 1, false}, {2, 2, false}, {0, 3, true}, {1, 4, false}}}
+	mem := &allocMem{}
+	c := New(0, Config{WindowSize: 16, IssueWidth: 4}, tr, mem, 1<<40)
+	now := int64(0)
+	step := func() {
+		c.Tick(now)
+		if now%7 == 0 && mem.pending != nil {
+			done := mem.pending
+			mem.pending = nil
+			done()
+		}
+		now++
+	}
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
+		t.Errorf("Core.Tick allocates %.2f objects per tick in steady state, want 0", avg)
+	}
+	if s := c.Stats(); s.Loads == 0 || s.Stores == 0 || s.BlockedStalls == 0 || c.Retired() == 0 {
+		t.Fatalf("vacuous run: %+v", *s)
+	}
+}
+
+// TestFetchCountsAsProgress: a Tick whose only effect is fetching the next
+// trace record into the empty pending slot still reports progress — the
+// skip-ahead loop would otherwise put a core to sleep one record early.
+func TestFetchCountsAsProgress(t *testing.T) {
+	tr := &scriptTrace{recs: []rec{{0, 7, false}}}
+	c := New(0, Config{WindowSize: 8, IssueWidth: 2}, tr, &fakeMem{block: true}, 100)
+	if !c.Tick(0) {
+		t.Error("the Tick that fetched the first record reported no progress")
+	}
+	if c.Tick(1) {
+		t.Error("a Tick that only retried a refused load reported progress")
+	}
+	if tr.i != 1 {
+		t.Errorf("fetched %d records, want 1", tr.i)
+	}
+}

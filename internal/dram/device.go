@@ -399,66 +399,129 @@ func (d *Device) BankBlockedUntil(bank int) int64 {
 	return until
 }
 
-// NextRelease returns the earliest cycle strictly after now at which any
-// timing constraint held by the device expires — a sound lower bound on
-// the next cycle a command that is illegal now could become legal, given
-// that no further commands issue in between. Every CanIssue check compares
-// now against a timestamp derived from device state, so with the state
-// frozen, legality can only change at one of these expiry moments. The
-// skip-ahead simulation loop jumps to this cycle when the whole system
-// stalls. Returns a very large value when no constraint is pending.
-func (d *Device) NextRelease(now int64) int64 {
-	const horizon = int64(1) << 62
-	next := horizon
-	take := func(ts int64) {
-		if ts > now && ts < next {
-			next = ts
-		}
+// Never is the cycle EarliestIssue reports for a command that no amount of
+// waiting makes legal: another command has to issue first (an ACT to an
+// open bank, a column command to a row that is not open, a REF to a rank
+// with an open row). It is far enough out to double as the "nothing
+// pending" answer of a NextWake.
+const Never = int64(1) << 62
+
+// EarliestIssue returns the first cycle at which CanIssue(cmd, addr, ·)
+// holds given that no further command issues in between (device state
+// frozen), or Never when the command needs another command first. It is
+// the constraint-for-constraint mirror of CanIssue: every check there is
+// "now >= some timestamp of device state", so the answer is the maximum of
+// those timestamps. The result may lie in the past — the command is legal
+// now. The memory controller sleeps on the minimum of this bound over the
+// commands it could pick, so an over-estimate here would change
+// simulations; TestEarliestIssueMatchesCanIssue pins the mirror.
+func (d *Device) EarliestIssue(cmd Command, addr Addr) int64 {
+	if addr.Bank < 0 || addr.Bank >= len(d.banks) {
+		return Never
 	}
+	b := &d.banks[addr.Bank]
+	rank := d.rankOf[addr.Bank]
+	r := &d.ranks[rank]
 	t := &d.timing
-	for i := range d.banks {
-		b := &d.banks[i]
-		take(b.preReady)
-		take(b.blocked)
+
+	// Rank under refresh or bank blocked by RFM/VRR/MIG gates every command.
+	at := max(r.refUntil, b.blocked)
+
+	switch cmd {
+	case CmdACT:
 		if b.hasOpen {
-			take(b.actAt + t.RCD) // RD/WR become legal
-			take(b.actAt + t.RAS) // PRE becomes legal
-			if b.lastRD != neverIssued {
-				take(b.lastRD + t.RTP)
-			}
-			if b.lastWRend != neverIssued {
-				take(b.lastWRend + t.WR)
-			}
+			return Never
 		}
-	}
-	for i := range d.ranks {
-		r := &d.ranks[i]
-		take(r.refUntil)
+		at = max(at, b.preReady)
 		if r.lastACT != neverIssued {
-			take(r.lastACT + t.RRDS)
-			take(r.lastACT + t.RRDL)
-		}
-		for _, ts := range r.actWindow {
-			if ts != neverIssued {
-				take(ts + t.FAW)
+			gap := t.RRDS
+			if d.groupOf[addr.Bank] == r.lastACTGroup {
+				gap = t.RRDL
 			}
+			at = max(at, r.lastACT+gap)
 		}
+		if oldest := r.actWindow[r.actWindowIdx]; oldest != neverIssued {
+			at = max(at, oldest+t.FAW)
+		}
+		return at
+
+	case CmdPRE:
+		if !b.hasOpen {
+			return at
+		}
+		at = max(at, b.actAt+t.RAS)
+		if b.lastRD != neverIssued {
+			at = max(at, b.lastRD+t.RTP)
+		}
+		if b.lastWRend != neverIssued {
+			at = max(at, b.lastWRend+t.WR)
+		}
+		return at
+
+	case CmdRD, CmdWR:
+		if !b.hasOpen || b.openRow != addr.Row {
+			return Never
+		}
+		at = max(at, b.actAt+t.RCD, d.columnGapOpens(addr.Bank, cmd == CmdWR))
+		if cmd == CmdWR {
+			return max(at, d.busFreeAt-t.CWL)
+		}
+		return max(at, d.busFreeAt-t.CL)
+
+	case CmdREF:
+		base := rank * d.cfg.BanksPerRank()
+		for i := base; i < base+d.cfg.BanksPerRank(); i++ {
+			bb := &d.banks[i]
+			if bb.hasOpen {
+				return Never
+			}
+			at = max(at, bb.preReady, bb.blocked)
+		}
+		return at
+
+	case CmdRFM, CmdVRR, CmdAUX, CmdMIG:
+		if b.hasOpen {
+			return Never
+		}
+		return max(at, b.preReady)
+
+	default:
+		return Never
 	}
-	// Channel-level column constraints: data-bus release and CCD/turnaround.
-	take(d.busFreeAt - t.CL)
-	take(d.busFreeAt - t.CWL)
+}
+
+// columnGapOpens is columnGapOK solved for time: the first cycle the CCD
+// and turnaround constraints admit a column command to bank.
+func (d *Device) columnGapOpens(bank int, isWrite bool) int64 {
+	t := &d.timing
+	key := d.groupKey(bank)
+	at := neverIssued
+	if isWrite {
+		if d.lastWR != neverIssued {
+			gap := t.CCDS
+			if key == d.lastWRGroup {
+				gap = t.CCDL
+			}
+			at = d.lastWR + gap
+		}
+		if d.lastRD != neverIssued {
+			at = max(at, d.lastRD+t.RTW)
+		}
+		return at
+	}
 	if d.lastRD != neverIssued {
-		take(d.lastRD + t.CCDS)
-		take(d.lastRD + t.CCDL)
-		take(d.lastRD + t.RTW)
-	}
-	if d.lastWR != neverIssued {
-		take(d.lastWR + t.CCDS)
-		take(d.lastWR + t.CCDL)
+		gap := t.CCDS
+		if key == d.lastRDGroup {
+			gap = t.CCDL
+		}
+		at = d.lastRD + gap
 	}
 	if d.lastWRend != neverIssued {
-		take(d.lastWRend + t.WTRS)
-		take(d.lastWRend + t.WTRL)
+		gap := t.WTRS
+		if key == d.lastWRGroup {
+			gap = t.WTRL
+		}
+		at = max(at, d.lastWRend+gap)
 	}
-	return next
+	return at
 }

@@ -113,6 +113,11 @@ type Controller struct {
 	dev    *dram.Device
 	mapper AddressMapper
 
+	// Device facts read on every tick, copied out of dev once. (The rank
+	// count is len(nextRef).)
+	banksPerRank int
+	tREFI, tRFM  int64
+
 	readQ  readyQueue
 	writeQ readyQueue
 	arena  reqArena
@@ -147,6 +152,16 @@ type Controller struct {
 	prepCands []prepCand
 	walkers   []gateWalker
 
+	// idleUntil is the controller's sleep: every Tick that runs the
+	// scheduler leaves here the exact first cycle at which any command it
+	// could pick next becomes legal (see earliestCommand), and Tick only
+	// delivers read data until then. What can change that answer between
+	// Ticks either folds itself in (an accepted enqueue, see admit) or
+	// resets it to 0 through wake (a preventive or back-off request,
+	// SkipTo). sleepQ is the demand queue the answer was computed for.
+	idleUntil int64
+	sleepQ    *readyQueue
+
 	now   int64 // current cycle, updated by Tick
 	stats Stats
 }
@@ -154,12 +169,15 @@ type Controller struct {
 // New constructs a controller for the device. threads is the number of
 // hardware threads for per-thread accounting.
 func New(cfg Config, dev *dram.Device, threads int) *Controller {
-	banks := dev.Config().TotalBanks()
-	ranks := dev.Config().Ranks
+	dcfg, t := dev.Config(), dev.Timing()
+	banks, ranks := dcfg.TotalBanks(), dcfg.Ranks
 	c := &Controller{
 		cfg:          cfg,
 		dev:          dev,
-		mapper:       NewMOPMapper(dev.Config()),
+		mapper:       NewMOPMapper(dcfg),
+		banksPerRank: dcfg.BanksPerRank(),
+		tREFI:        t.REFI,
+		tRFM:         t.RFM,
 		readQ:        newReadyQueue(banks),
 		writeQ:       newReadyQueue(banks),
 		responses:    newRespRing(cfg.ReadQueue),
@@ -172,7 +190,6 @@ func New(cfg Config, dev *dram.Device, threads int) *Controller {
 		walkers:      make([]gateWalker, 0, banks),
 		backoffUntil: -1,
 	}
-	t := dev.Timing()
 	for r := 0; r < ranks; r++ {
 		// Stagger the per-rank refresh schedule.
 		c.nextRef[r] = t.REFI * int64(r+1) / int64(ranks)
@@ -221,8 +238,16 @@ func (c *Controller) fireActivate(bank, row, thread int, now int64) {
 	}
 }
 
-// SetActGate installs an activation veto (BlockHammer).
-func (c *Controller) SetActGate(g ActGate) { c.actGate = g }
+// SetActGate installs an activation veto (BlockHammer). A gated controller
+// never sleeps: the gate is stateful and counts every evaluation, so every
+// cycle's scheduling pass is observable.
+func (c *Controller) SetActGate(g ActGate) {
+	c.actGate = g
+	c.wake()
+}
+
+// wake ends the controller's sleep: the next Tick runs the full scheduler.
+func (c *Controller) wake() { c.idleUntil = 0 }
 
 // Stats returns the controller counters.
 func (c *Controller) Stats() *Stats { return &c.stats }
@@ -259,6 +284,7 @@ func (c *Controller) EnqueueReadAddr(line uint64, thread int, addr dram.Addr) bo
 	r.seq = c.seq
 	c.seq++
 	c.readQ.push(addr.Bank, r)
+	c.admit(&c.readQ, addr.Bank)
 	return true
 }
 
@@ -272,6 +298,7 @@ func (c *Controller) EnqueueWriteAddr(line uint64, thread int, addr dram.Addr) b
 	r.seq = c.seq
 	c.seq++
 	c.writeQ.push(addr.Bank, r)
+	c.admit(&c.writeQ, addr.Bank)
 	return true
 }
 
@@ -280,22 +307,25 @@ func (c *Controller) EnqueueWriteAddr(line uint64, thread int, addr dram.Addr) b
 // RequestVRR queues targeted victim-row refreshes on a bank.
 func (c *Controller) RequestVRR(bank int, rows []int) {
 	for _, r := range rows {
-		c.prevQ[bank].push(prevAction{cmd: dram.CmdVRR, row: r})
-		c.prevPending++
+		c.pushPreventive(bank, prevAction{cmd: dram.CmdVRR, row: r})
 	}
+}
+
+func (c *Controller) pushPreventive(bank int, a prevAction) {
+	c.prevQ[bank].push(a)
+	c.prevPending++
+	c.wake()
 }
 
 // RequestRFM queues one refresh-management command on a bank.
 func (c *Controller) RequestRFM(bank int) {
-	c.prevQ[bank].push(prevAction{cmd: dram.CmdRFM})
-	c.prevPending++
+	c.pushPreventive(bank, prevAction{cmd: dram.CmdRFM})
 }
 
 // RequestAux queues one auxiliary metadata access (Hydra's in-DRAM
 // row-count table reads/writebacks) on a bank.
 func (c *Controller) RequestAux(bank int) {
-	c.prevQ[bank].push(prevAction{cmd: dram.CmdAUX})
-	c.prevPending++
+	c.pushPreventive(bank, prevAction{cmd: dram.CmdAUX})
 }
 
 // RequestMigration queues an AQUA row migration on a bank. The single
@@ -306,16 +336,14 @@ func (c *Controller) RequestAux(bank int) {
 // cycles. dstRow therefore selects the quarantine slot but adds no
 // separate command; TestMigrationCommandCounts pins this contract.
 func (c *Controller) RequestMigration(bank, srcRow, dstRow int) {
-	c.prevQ[bank].push(prevAction{cmd: dram.CmdMIG, row: srcRow})
-	c.prevPending++
+	c.pushPreventive(bank, prevAction{cmd: dram.CmdMIG, row: srcRow})
 }
 
 // RequestBackoff models a PRAC alert: the channel stops issuing new
 // demand activations while nRFM refresh-management commands execute on the
 // alerting bank.
 func (c *Controller) RequestBackoff(bank, nRFM int) {
-	t := c.dev.Timing()
-	until := c.now + int64(nRFM)*t.RFM
+	until := c.now + int64(nRFM)*c.tRFM
 	if until > c.backoffUntil {
 		if c.backoffUntil > c.now {
 			c.stats.BackoffCycles += until - c.backoffUntil
@@ -323,6 +351,7 @@ func (c *Controller) RequestBackoff(bank, nRFM int) {
 			c.stats.BackoffCycles += until - c.now
 		}
 		c.backoffUntil = until
+		c.wake()
 	}
 	for i := 0; i < nRFM; i++ {
 		c.RequestRFM(bank)
@@ -341,13 +370,13 @@ func (c *Controller) PendingPreventive() int { return c.prevPending }
 // The sampled loop performs the skipped span's refreshes functionally
 // instead (closing its row state every tREFI).
 func (c *Controller) SkipTo(now int64) {
-	refi := c.dev.Timing().REFI
 	for r := range c.nextRef {
 		if c.nextRef[r] < now {
-			behind := (now - c.nextRef[r] + refi - 1) / refi
-			c.nextRef[r] += behind * refi
+			behind := (now - c.nextRef[r] + c.tREFI - 1) / c.tREFI
+			c.nextRef[r] += behind * c.tREFI
 		}
 	}
+	c.wake()
 }
 
 // Tick advances the controller by one command-bus cycle: it delivers
@@ -355,17 +384,28 @@ func (c *Controller) SkipTo(now int64) {
 // priority: refresh > preventive actions > demand requests (FR-FCFS+Cap).
 // It reports whether the controller made progress (delivered data or
 // issued a command); the skip-ahead loop uses this to detect stalls.
+//
+// Having run the scheduler, Tick puts the controller to sleep until
+// earliestCommand: the scheduling passes are pure functions of queue,
+// refresh, preventive and device state, and until that cycle re-running
+// them on the same state could only reach the verdict "nothing legal".
+// Any lower bound would keep every Tick's verdict identical; an exact one
+// means the controller wakes only to issue.
 func (c *Controller) Tick(nowCycle int64) bool {
 	c.now = nowCycle
-	progress := c.deliverResponses()
-
-	switch {
-	case c.tryRefresh():
-		return true
-	case c.tryPreventive():
-		return true
-	case c.tryDemand():
-		return true
+	progress := c.deliverResponses() // a fill may enqueue a writeback and end the sleep
+	if nowCycle < c.idleUntil {
+		// The one thing a command-less scheduler run still commits: the
+		// write-drain flag, which tryDemand re-evaluates against the
+		// occupancies on every tick that gets that far.
+		c.draining = c.drainNext()
+		return progress
+	}
+	if c.tryRefresh() || c.tryPreventive() || c.tryDemand() {
+		progress = true
+	}
+	if c.actGate == nil {
+		c.idleUntil = c.earliestCommand()
 	}
 	return progress
 }
@@ -396,25 +436,24 @@ func (c *Controller) deliverResponses() bool {
 
 // tryRefresh advances per-rank refresh. Returns true if a command issued.
 func (c *Controller) tryRefresh() bool {
-	dcfg := c.dev.Config()
-	for rank := 0; rank < dcfg.Ranks; rank++ {
+	for rank := range c.nextRef {
 		if !c.refPending[rank] && c.now >= c.nextRef[rank] {
 			c.refPending[rank] = true
 		}
 		if !c.refPending[rank] {
 			continue
 		}
-		base := rank * dcfg.BanksPerRank()
+		base := rank * c.banksPerRank
 		refAddr := dram.Addr{Bank: base}
 		if c.dev.CanIssue(dram.CmdREF, refAddr, c.now) {
 			c.dev.Issue(dram.CmdREF, refAddr, c.now)
 			c.stats.Refreshes++
 			c.refPending[rank] = false
-			c.nextRef[rank] += c.dev.Timing().REFI
+			c.nextRef[rank] += c.tREFI
 			return true
 		}
 		// Close any open row in the rank so REF becomes legal.
-		for b := base; b < base+dcfg.BanksPerRank(); b++ {
+		for b := base; b < base+c.banksPerRank; b++ {
 			if _, open := c.dev.OpenRow(b); !open {
 				continue
 			}
@@ -475,55 +514,148 @@ func (c *Controller) tryPreventive() bool {
 // tryDemand schedules demand requests with FR-FCFS+Cap. Returns true if
 // a command issued.
 func (c *Controller) tryDemand() bool {
-	// Write-drain hysteresis.
-	if c.writeQ.count >= c.cfg.WriteHi {
-		c.draining = true
-	}
-	if c.writeQ.count <= c.cfg.WriteLo {
-		c.draining = false
-	}
-	q := &c.readQ
-	if c.draining || c.readQ.count == 0 {
-		if c.writeQ.count > 0 {
-			q = &c.writeQ
-		} else if c.readQ.count == 0 {
-			return false
-		}
-	}
-	return c.schedule(q)
+	var q *readyQueue
+	q, c.draining = c.pickQueue()
+	return q != nil && c.schedule(q)
 }
 
-// NextWake returns a sound lower bound on the next cycle at which this
-// controller's Tick could make progress, assuming the immediately
-// preceding Tick made none (so all queue and device state is frozen until
-// then). The skip-ahead loop jumps to the minimum NextWake across
-// components during globally idle spans.
+// pickQueue applies the write-drain hysteresis to the current occupancies
+// and returns the queue the scheduler serves (nil when both are empty) and
+// the new draining flag, without storing it: tryDemand commits the flag,
+// the sleep bookkeeping only asks.
+func (c *Controller) pickQueue() (*readyQueue, bool) {
+	draining := c.drainNext()
+	if draining || c.readQ.count == 0 {
+		if c.writeQ.count > 0 {
+			return &c.writeQ, draining
+		}
+		if c.readQ.count == 0 {
+			return nil, draining
+		}
+	}
+	return &c.readQ, draining
+}
+
+// drainNext is the write-drain hysteresis: the draining flag after one
+// more evaluation against the current write-queue occupancy.
+func (c *Controller) drainNext() bool {
+	switch {
+	case c.writeQ.count <= c.cfg.WriteLo:
+		return false
+	case c.writeQ.count >= c.cfg.WriteHi:
+		return true
+	}
+	return c.draining
+}
+
+// earliestCommand returns the first cycle after c.now at which Tick could
+// issue a command, given that nothing calls wake or admit in between: the
+// minimum of dram.Device.EarliestIssue over exactly the candidates
+// tryRefresh, tryPreventive and schedule consider. It never over-estimates
+// (that would change simulations); an answer at or before c.now just means
+// no sleep. It is exact up to one case, a refresh deadline, where the rank
+// turns pending but its REF may still have to wait — the Tick there
+// recomputes. It records the demand queue it assumed in sleepQ, for admit.
+func (c *Controller) earliestCommand() int64 {
+	at := dram.Never
+	// tryRefresh: a rank turns pending at its deadline; a pending rank
+	// issues REF, or a PRE to one of its open banks.
+	for rank, pending := range c.refPending {
+		if !pending {
+			at = min(at, c.nextRef[rank])
+			continue
+		}
+		base := rank * c.banksPerRank
+		at = min(at, c.dev.EarliestIssue(dram.CmdREF, dram.Addr{Bank: base}))
+		for b := base; b < base+c.banksPerRank; b++ {
+			if _, open := c.dev.OpenRow(b); open {
+				at = min(at, c.dev.EarliestIssue(dram.CmdPRE, dram.Addr{Bank: b}))
+			}
+		}
+	}
+	// tryPreventive: each bank's head action, or the PRE that clears it.
+	if c.prevPending > 0 {
+		for bank := range c.prevQ {
+			if c.prevQ[bank].len() == 0 {
+				continue
+			}
+			cmd, addr := dram.CmdPRE, dram.Addr{Bank: bank}
+			if _, open := c.dev.OpenRow(bank); !open {
+				act := c.prevQ[bank].peek()
+				cmd, addr.Row = act.cmd, act.row
+			}
+			at = min(at, c.dev.EarliestIssue(cmd, addr))
+		}
+	}
+	// schedule, on the queue the next tryDemand selects.
+	c.sleepQ, _ = c.pickQueue()
+	if c.sleepQ != nil {
+		for _, b := range c.sleepQ.active {
+			at = min(at, c.earliestDemand(c.sleepQ, int(b)))
+		}
+	}
+	return at
+}
+
+// earliestDemand is one occupied bank's share of earliestCommand: the
+// oldest uncapped hit's column command (schedule's pass 1) and, unless
+// refresh or a preventive action owns the bank, the oldest conflict's PRE
+// or a closed bank's ACT, which PRAC back-off also holds (pass 2).
+func (c *Controller) earliestDemand(q *readyQueue, bank int) int64 {
+	fb := &q.banks[bank]
+	row, open := c.dev.OpenRow(bank)
+	fb.validate(row, open)
+	owned := c.prevQ[bank].len() > 0 || c.refPending[c.dev.RankOf(bank)]
+	if !open {
+		if owned {
+			return dram.Never
+		}
+		return max(c.dev.EarliestIssue(dram.CmdACT, fb.reqs[0].Addr), c.backoffUntil)
+	}
+	at := dram.Never
+	h, f := fb.hitIdx, fb.confIdx
+	if h >= 0 && !(f >= 0 && f < h && c.capCount[bank] >= c.cfg.Cap) {
+		cmd := dram.CmdRD
+		if fb.reqs[h].Write {
+			cmd = dram.CmdWR
+		}
+		at = c.dev.EarliestIssue(cmd, fb.reqs[h].Addr)
+	}
+	if f >= 0 && !owned {
+		at = min(at, c.dev.EarliestIssue(dram.CmdPRE, dram.Addr{Bank: bank}))
+	}
+	return at
+}
+
+// admit folds a request just pushed onto q's bank into the sleep. A
+// request appended to a bank can only add candidates to that bank (it is
+// younger than every request already there), so the bound is the minimum
+// of the old one and the bank's new share — unless the enqueue flips
+// which queue tryDemand selects, or lands on the queue it does not.
+func (c *Controller) admit(q *readyQueue, bank int) {
+	if c.idleUntil <= c.now {
+		return // not asleep: the next Tick runs the scheduler anyway
+	}
+	if picked, _ := c.pickQueue(); picked != c.sleepQ {
+		c.wake()
+	} else if q == picked {
+		c.idleUntil = min(c.idleUntil, c.earliestDemand(q, bank))
+	}
+}
+
+// NextWake returns the next cycle at which this controller's Tick could
+// make progress, assuming the immediately preceding Tick made none: the
+// front read-data arrival or the end of the controller's sleep, whichever
+// is first. The skip-ahead loop jumps to the minimum NextWake across
+// components during globally idle spans. A controller that is not asleep
+// (it has an ActGate, or something woke it since its last Tick) answers
+// now+1.
 func (c *Controller) NextWake(now int64) int64 {
-	const horizon = int64(1) << 62
-	next := horizon
-	take := func(ts int64) {
-		if ts > now && ts < next {
-			next = ts
-		}
-	}
+	next := c.idleUntil
 	if c.responses.len() > 0 {
-		take(c.responses.front().at)
+		next = min(next, c.responses.front().at)
 	}
-	busy := c.readQ.count > 0 || c.writeQ.count > 0 || c.prevPending > 0
-	for r := range c.nextRef {
-		if c.refPending[r] {
-			// Actively clearing the rank for REF: blocked purely by device
-			// timing, covered by NextRelease below.
-			busy = true
-		} else {
-			take(c.nextRef[r])
-		}
-	}
-	if busy {
-		take(c.backoffUntil)
-		take(c.dev.NextRelease(now))
-	}
-	return next
+	return max(next, now+1)
 }
 
 // completeColumn finalizes a column command: reads schedule a response,

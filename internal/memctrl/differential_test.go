@@ -56,6 +56,12 @@ type diffProfile struct {
 	gate     bool    // install a (deterministic, stateful) ActGate
 	cycles   int64
 	burst    int // enqueue attempts per enqueue event (drives queues full)
+
+	// Out of every gapEvery cycles the last gapLen see no arrivals at all
+	// (0: no gaps): queues drain and the controller idles across refresh
+	// deadlines. backoffIn overrides the 1-in-4096 back-off rate.
+	gapEvery, gapLen int64
+	backoffIn        int
 }
 
 func diffProfiles() []diffProfile {
@@ -67,6 +73,14 @@ func diffProfiles() []diffProfile {
 		{name: "backoff", banks: 4, rows: 6, readProb: 0.8, enqProb: 0.6, prevProb: 0.05, backoff: true, cycles: 40_000, burst: 2},
 		{name: "gated", banks: 4, rows: 6, readProb: 0.85, enqProb: 0.8, prevProb: 0.02, gate: true, cycles: 60_000, burst: 3},
 		{name: "gated-backoff-mix", banks: 5, rows: 5, readProb: 0.6, enqProb: 0.85, prevProb: 0.08, gate: true, backoff: true, cycles: 60_000, burst: 4},
+		// Shapes that put the controller to sleep and then disturb it:
+		// long idle gaps, preventive and back-off requests landing on a
+		// sleeping controller with little demand traffic, and write bursts
+		// that flip the drain hysteresis between ticks.
+		{name: "idle-gaps", banks: 6, rows: 4, readProb: 0.8, enqProb: 0.6, prevProb: 0.01, cycles: 80_000, burst: 3, gapEvery: 12_000, gapLen: 10_500},
+		{name: "mid-sleep-requests", banks: 5, rows: 6, readProb: 0.7, enqProb: 0.02, prevProb: 0.002, backoff: true, backoffIn: 500, cycles: 80_000, burst: 2},
+		{name: "drain-flips", banks: 4, rows: 3, readProb: 0.5, enqProb: 0.12, prevProb: 0.005, cycles: 80_000, burst: 12},
+		{name: "gated-idle-gaps", banks: 4, rows: 6, readProb: 0.8, enqProb: 0.5, prevProb: 0.01, gate: true, cycles: 40_000, burst: 2, gapEvery: 8_000, gapLen: 6_000},
 	}
 }
 
@@ -108,7 +122,15 @@ func runDiffProfile(t *testing.T, p diffProfile, seed int64, h *diffHarness, se 
 	rng := rand.New(rand.NewSource(seed))
 	var progress []bool
 	line := uint64(1)
+	backoffIn := 4096
+	if p.backoffIn > 0 {
+		backoffIn = p.backoffIn
+	}
 	for cycle := int64(0); cycle < p.cycles; cycle++ {
+		if p.gapEvery > 0 && cycle%p.gapEvery >= p.gapEvery-p.gapLen {
+			progress = append(progress, h.tick(cycle))
+			continue
+		}
 		if rng.Float64() < p.enqProb {
 			for b := 0; b < p.burst; b++ {
 				bank := rng.Intn(p.banks) * 2 // spread across bank groups
@@ -141,7 +163,7 @@ func runDiffProfile(t *testing.T, p diffProfile, seed int64, h *diffHarness, se 
 				h.requestMig(bank, rng.Intn(64), 1024+rng.Intn(64))
 			}
 		}
-		if p.backoff && rng.Intn(4096) == 0 {
+		if p.backoff && rng.Intn(backoffIn) == 0 {
 			h.backoff(rng.Intn(p.banks)*2, 1+rng.Intn(3))
 		}
 		progress = append(progress, h.tick(cycle))

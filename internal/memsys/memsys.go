@@ -38,8 +38,8 @@ type MemorySystem interface {
 	// buffers drain in channel-index order — the same observable event
 	// order whether the batch ran serially or on the worker pool.
 	Tick(now int64) bool
-	// NextWake returns a sound lower bound on the next cycle any channel
-	// could make progress, assuming the preceding Tick made none.
+	// NextWake returns the next cycle any channel could make progress,
+	// assuming the preceding Tick made none.
 	NextWake(now int64) int64
 	// Close releases the channel-tick worker pool, if one was started.
 	// It must be called once ticking is over; Tick after Close falls back
@@ -249,18 +249,13 @@ func (m *Interleaved) Tick(now int64) bool {
 	return progress
 }
 
-// NextWake implements MemorySystem. Like Tick, the per-channel bounds of
-// a multi-channel system are gathered through the worker pool when one
-// is running; NextWake is read-only, so no drain follows.
+// NextWake implements MemorySystem: the minimum of the per-channel
+// bounds. Each is a field read (memctrl.Controller.NextWake), so the
+// worker pool is not involved.
 func (m *Interleaved) NextWake(now int64) int64 {
-	if p := m.tickPool(); p != nil {
-		return p.nextWake(now)
-	}
-	next := int64(1) << 62
+	next := dram.Never
 	for _, c := range m.ctrls {
-		if w := c.NextWake(now); w < next {
-			next = w
-		}
+		next = min(next, c.NextWake(now))
 	}
 	return next
 }

@@ -247,3 +247,82 @@ func TestCloseIsIdempotentAndTickSurvivesClose(t *testing.T) {
 		t.Fatalf("completed %d of 2 reads across Close", fills)
 	}
 }
+
+// TestNextWakeIsTight guards the exactness of the wake bound, the property
+// that makes the controllers' sleep worth having: after an idle Tick with
+// work outstanding, every Tick before NextWake is idle too (soundness) and
+// the Tick at NextWake issues a command or delivers data (tightness). Any
+// lower bound keeps simulations identical, so a bound decaying back toward
+// "the next expiry of any constraint" would pass every identity test and
+// only show here. The one wake allowed to be idle is a refresh deadline,
+// where a rank turns pending but its REF may still have to wait.
+func TestNextWakeIsTight(t *testing.T) {
+	for _, channels := range []int{1, 2} {
+		m, err := New(testConfig(channels), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetFillFunc(func(uint64) {})
+		rowStride := uint64(m.cfg.DRAM.ColumnsPerRow * m.cfg.DRAM.TotalBanks() * channels)
+		outstanding := func() bool {
+			for ch := 0; ch < channels; ch++ {
+				r, w := m.Channel(ch).QueueOccupancy()
+				if r+w+m.Channel(ch).PendingPreventive() > 0 {
+					return true
+				}
+			}
+			return false
+		}
+		var tight, loose int
+		cycle := int64(0)
+		for burst := uint64(0); burst < 40; burst++ {
+			// A burst of conflicting reads and writes over a few banks, then
+			// silence until it drains: nothing arrives between an idle Tick
+			// and its wake, which is the premise of NextWake.
+			for i := uint64(0); i < 12; i++ {
+				line := (burst*7+i*3)*rowStride + i%4*64 + i
+				if i%3 == 2 {
+					m.EnqueueWrite(line, -1)
+				} else {
+					m.EnqueueRead(line, int(i)%2)
+				}
+			}
+			if burst%5 == 4 {
+				m.Channel(int(burst)%channels).RequestVRR(int(burst)%8, []int{3, 4})
+			}
+			wake := int64(-1) // the pending bound, -1 when none
+			for drained := false; !drained; cycle++ {
+				progress := m.Tick(cycle)
+				switch {
+				case wake >= 0 && cycle < wake && progress:
+					t.Fatalf("channels=%d: progress at cycle %d, before NextWake %d", channels, cycle, wake)
+				case wake >= 0 && cycle == wake && progress:
+					tight++
+				case wake >= 0 && cycle == wake:
+					loose++
+				}
+				if progress || cycle >= wake {
+					wake = -1
+				}
+				if !progress && wake < 0 {
+					if !outstanding() {
+						drained = true
+						continue
+					}
+					if wake = m.NextWake(cycle); wake <= cycle {
+						t.Fatalf("channels=%d: NextWake(%d) = %d, not in the future", channels, cycle, wake)
+					}
+				}
+			}
+		}
+		refreshes := m.Stats().Refreshes
+		deadlines := int(refreshes) + channels*m.cfg.DRAM.Ranks
+		if tight == 0 || loose > deadlines {
+			t.Errorf("channels=%d: %d wakes made progress, %d did not; at most %d (refresh deadlines) may not",
+				channels, tight, loose, deadlines)
+		}
+		if tight < 10*loose {
+			t.Errorf("channels=%d: only %d of %d wakes made progress", channels, tight, tight+loose)
+		}
+	}
+}

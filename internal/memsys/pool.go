@@ -11,7 +11,6 @@ import (
 // Worker-pool batch operations.
 const (
 	opTick uint32 = iota // advance every channel one cycle
-	opWake               // gather every channel's NextWake bound
 	opStop               // shut the workers down
 )
 
@@ -30,8 +29,7 @@ const (
 // channels' results do not share a cache line.
 type chanResult struct {
 	progress bool
-	wake     int64
-	_        [48]byte
+	_        [63]byte
 }
 
 // tickPool executes cycle batches across min(channels, GOMAXPROCS)
@@ -95,15 +93,10 @@ func newTickPool(ctrls []*memctrl.Controller) *tickPool {
 	return p
 }
 
-// runShare executes one share's channels for the current batch.
-func (p *tickPool) runShare(share int, op uint32, now int64) {
+// runShare ticks one share's channels for the current batch.
+func (p *tickPool) runShare(share int, now int64) {
 	for c := share; c < len(p.ctrls); c += p.shares {
-		switch op {
-		case opTick:
-			p.res[c].progress = p.ctrls[c].Tick(now)
-		case opWake:
-			p.res[c].wake = p.ctrls[c].NextWake(now)
-		}
+		p.res[c].progress = p.ctrls[c].Tick(now)
 	}
 }
 
@@ -133,7 +126,7 @@ func (p *tickPool) worker(share int) {
 			p.remaining.Add(-1)
 			return
 		}
-		p.runShare(share, op, now)
+		p.runShare(share, now)
 		p.remaining.Add(-1)
 	}
 }
@@ -145,7 +138,7 @@ func (p *tickPool) worker(share int) {
 func (p *tickPool) run(op uint32, now int64) {
 	if len(p.parked) == 0 {
 		if op != opStop {
-			p.runShare(0, op, now)
+			p.runShare(0, now)
 		}
 		return
 	}
@@ -159,7 +152,7 @@ func (p *tickPool) run(op uint32, now int64) {
 		}
 	}
 	if op != opStop {
-		p.runShare(0, op, now)
+		p.runShare(0, now)
 	}
 	for p.remaining.Load() != 0 {
 		runtime.Gosched()
@@ -177,19 +170,6 @@ func (p *tickPool) tick(now int64) bool {
 		}
 	}
 	return progress
-}
-
-// nextWake gathers every channel's NextWake bound across the shares and
-// merges the minimum at the barrier.
-func (p *tickPool) nextWake(now int64) int64 {
-	p.run(opWake, now)
-	next := p.res[0].wake
-	for _, r := range p.res[1:] {
-		if r.wake < next {
-			next = r.wake
-		}
-	}
-	return next
 }
 
 // stop shuts the workers down and waits for them to exit.

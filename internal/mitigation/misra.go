@@ -49,7 +49,11 @@ func (m *MisraGries) Observe(key int) int {
 		return m.entries[pos].count
 	}
 	if len(m.entries) < m.capacity {
-		heap.Push((*mgHeap)(m), mgEntry{key: key, count: 1})
+		// heap.Push without boxing the entry into an interface: append,
+		// then sift the new last element up.
+		m.index[key] = len(m.entries)
+		m.entries = append(m.entries, mgEntry{key: key, count: 1})
+		heap.Fix((*mgHeap)(m), len(m.entries)-1)
 		return 1
 	}
 	// Space-saving eviction: replace the minimum, inherit its count + 1.

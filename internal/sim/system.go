@@ -397,7 +397,7 @@ func (s *System) runEveryCycle() Result {
 	return s.collect(cycle)
 }
 
-// runSkipAhead is the event-batched loop. Two batching levels, both
+// runSkipAhead is the event-batched loop. Three batching levels, all
 // exact:
 //
 // Per-core sleep: a core whose Tick made no progress is frozen — it can
@@ -409,11 +409,19 @@ func (s *System) runEveryCycle() Result {
 // interaction (MSHR pool, queues, quotas) changes only through the
 // memory subsystem, the LLC or BreakHammer.
 //
+// Per-controller sleep: a memory controller whose scheduler found nothing
+// legal knows the exact first cycle at which any command it could pick
+// becomes legal, and until then its Tick only delivers due read data
+// (memctrl.Controller.Tick). This level lives inside the controller, so
+// the every-cycle loop, the sampled loop's detailed spans and the
+// benchmark's shadow rig get it too.
+//
 // Global skip: on a cycle where no component makes progress the whole
 // system is provably frozen until some wake-up signal fires (a read-data
-// arrival, a refresh deadline, a DRAM timing constraint expiring, a
-// core's known completion time, a throttling window boundary), so the
-// loop jumps straight to the earliest one.
+// arrival, the end of a controller's sleep — its next legal command or
+// refresh deadline —, a core's known completion time, a throttling window
+// boundary, a feedback delivery), so the loop jumps straight to the
+// earliest one.
 //
 // Cycles the loop never executes are exactly the cycles the every-cycle
 // loop would execute as no-ops, so both loops produce identical
