@@ -349,13 +349,14 @@ func BenchmarkAblationAddressMapRowInterleaved(b *testing.B) {
 	benchRunWS(b, func(c *sim.Config) { c.AddressMap = "rowint" })
 }
 
-// --- Simulation-loop benchmarks (event-batched vs every-cycle) ---
+// --- Simulation-driver benchmarks (skip-ahead vs lockstep) ---
 
-// The skip-ahead scheduler batches provably idle spans: on a cycle where
-// no component makes progress, the loop jumps straight to the earliest
-// wake-up signal and stops ticking individually stalled cores. Both
-// loops produce identical simulations (sim.TestSkipAheadMatchesEveryCycle
-// asserts cycle-exact equality); these two benchmarks measure the
+// The detailed driver batches provably idle spans: on a cycle where no
+// component makes progress, it jumps straight to the earliest wake-up
+// signal and stops ticking individually stalled cores. In lockstep
+// (Config.DisableSkipAhead) the same driver ticks every core on every
+// cycle and produces the identical simulation
+// (sim.TestSkipAheadMatchesEveryCycle); these two benchmarks measure the
 // wall-clock difference on the standard attack-mix run.
 func BenchmarkLoopSkipAhead(b *testing.B) {
 	benchRunWS(b, func(c *sim.Config) { c.DisableSkipAhead = false })

@@ -52,23 +52,9 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8077", "listen address")
 		cacheDir   = flag.String("cache-dir", "", "results store directory shared with bhsweep/bhsim (empty: memory-only, nothing survives a restart)")
-		preset     = flag.String("preset", "default", "experiment scale preset: default, quick or paper")
-		mixes      = flag.Int("mixes", 0, "workload mixes per group (0 = preset default; paper: 15)")
-		channels   = flag.Int("channels", 0, "memory channels per experiment point (0 = preset default)")
-		insts      = flag.Int64("insts", 0, "instructions per benign core (0 = preset default)")
-		nrhs       = flag.String("nrhs", "", "comma-separated N_RH sweep (empty = preset default)")
-		mechs      = flag.String("mechs", "", "comma-separated mechanisms (empty = preset default)")
-		traces     = flag.String("traces", "", "comma-separated trace files; point-sweep figures replay them (one benign core per file) instead of the synthetic mixes (table3/sec5 stay synthetic)")
-		sample     = flag.Bool("sample", false, "SMARTS interval sampling for every simulated point: metrics become estimates with 95% confidence bands; fleet workers inherit this through the hello handshake")
-		warmup     = flag.Int64("warmup", 0, "with -sample: detailed-but-unmeasured warm-up cycles before each measured window (0 = default)")
-		detail     = flag.Int64("detail", 0, "with -sample: measured detailed window length in cycles (0 = default)")
-		ffWin      = flag.Int64("ff", 0, "with -sample: functional fast-forward window length in cycles (0 = default)")
-		strategies = flag.String("strategies", "", "comma-separated adaptive attacker strategies for the scenario figure (default hammer,probe,burst,decoy)")
-		defenses   = flag.String("defenses", "", "comma-separated composed defenses for the scenario figure, e.g. graphene+bh,prac+rfm+bh")
 		jobs       = flag.Int("jobs", 0, "configuration points simulated concurrently per figure job (0 = auto)")
 		figureJobs = flag.Int("figure-jobs", 2, "figure jobs computed concurrently")
 		compact    = flag.Bool("compact", true, "compact the store's shards at startup (drops superseded records)")
-		parallelCh = flag.Bool("parallel-channels", false, "tick each simulation's memory channels on a worker pool (identical results and cache keys; pair with -jobs 1 on dedicated multi-core hosts)")
 
 		fleetFigs = flag.String("fleet", "", "coordinate a distributed sweep fleet for these experiments (comma-separated names or 'all'); `bhsweep -worker <url>` processes join and drain the points")
 		fleetTTL  = flag.Duration("fleet-ttl", 0, "fleet lease TTL: a worker silent this long loses its point to another worker (0 = 2m)")
@@ -78,26 +64,12 @@ func main() {
 		adminToken = flag.String("admin-token", "", "arms POST /api/invalidate: requests presenting this token (X-API-Token or bearer) bump the cache generation (empty = endpoint disabled)")
 		cacheTTL   = flag.Duration("cache-ttl", 0, "rendered-table cache TTL: past it the cache generation advances lazily and derived tables recompute on next use; simulation points never expire (0 = never)")
 	)
+	var spec exp.OptionSpec
+	flag.StringVar(&spec.Preset, "preset", "default", "experiment scale preset: default, quick or paper")
+	spec.Bind(flag.CommandLine)
 	flag.Parse()
 
-	opts, err := exp.OptionSpec{
-		Preset:     *preset,
-		Mixes:      *mixes,
-		Channels:   *channels,
-		Insts:      *insts,
-		NRHs:       *nrhs,
-		Mechanisms: *mechs,
-		Traces:     *traces,
-		Strategies: *strategies,
-		Defenses:   *defenses,
-
-		Sample: *sample,
-		Warmup: *warmup,
-		Detail: *detail,
-		FF:     *ffWin,
-
-		ParallelChannels: *parallelCh,
-	}.Resolve()
+	opts, err := spec.Resolve()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -214,7 +186,7 @@ func main() {
 		httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("serving %d experiments on %s (preset %s)", len(exp.Experiments()), *addr, *preset)
+	log.Printf("serving %d experiments on %s (preset %s)", len(exp.Experiments()), *addr, spec.Preset)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err) // bind/accept failure: the shutdown goroutine never ran
 	}

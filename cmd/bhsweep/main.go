@@ -64,22 +64,8 @@ func main() {
 	log.SetPrefix("bhsweep: ")
 
 	var (
-		figs     = flag.String("figs", "all", "comma-separated experiment list: table1,table2,table3,2,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,sec5,sec6,scenarios,sampling or 'all'")
-		mixes    = flag.Int("mixes", 0, "workload mixes per group (0 = preset default; paper: 15)")
-		insts    = flag.Int64("insts", 0, "instructions per benign core (0 = preset default)")
-		channels = flag.Int("channels", 0, "memory channels for every experiment point (power of two; 0 = preset default)")
-		nrhs     = flag.String("nrhs", "", "comma-separated N_RH sweep (default 4096,1024,256,64)")
-		mechs    = flag.String("mechs", "", "comma-separated mechanisms (default: all eight)")
-		traces   = flag.String("traces", "", "comma-separated trace files; point-sweep figures replay them (one benign core per file) instead of the synthetic mixes (table3/sec5 stay synthetic)")
-
-		sample = flag.Bool("sample", false, "SMARTS interval sampling for every simulated point: metrics become estimates with 95% confidence bands, cached under keys distinct from exact runs")
-		warmup = flag.Int64("warmup", 0, "with -sample: detailed-but-unmeasured warm-up cycles before each measured window (0 = default)")
-		detail = flag.Int64("detail", 0, "with -sample: measured detailed window length in cycles (0 = default)")
-		ffWin  = flag.Int64("ff", 0, "with -sample: functional fast-forward window length in cycles (0 = default)")
-
+		figs       = flag.String("figs", "all", "comma-separated experiment list: table1,table2,table3,2,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,sec5,sec6,scenarios,sampling or 'all'")
 		scenarios  = flag.Bool("scenarios", false, "run only the adversarial scenario grid (shorthand for -figs scenarios)")
-		strategies = flag.String("strategies", "", "comma-separated adaptive attacker strategies for the scenario grid (default hammer,probe,burst,decoy)")
-		defenses   = flag.String("defenses", "", "comma-separated composed defenses for the scenario grid, e.g. graphene+bh,prac+rfm+bh")
 		csvOut     = flag.Bool("csv", false, "emit CSV instead of ASCII")
 		jsonOut    = flag.Bool("json", false, "emit JSON instead of ASCII")
 		outDir     = flag.String("out", "", "write one file per experiment into this directory")
@@ -90,14 +76,14 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "configuration points simulated concurrently (0 = auto: ~GOMAXPROCS/4, since each point also parallelizes across its mixes)")
 		progress   = flag.Bool("progress", true, "stream per-point progress (with ETA) to stderr")
 		compact    = flag.Bool("compact", false, "with -cache-dir: compact the store's shards (drop superseded records) and exit")
-
-		parallelCh = flag.Bool("parallel-channels", false, "tick each simulation's memory channels on a worker pool (identical results and cache keys; pair with -jobs 1 on dedicated multi-core hosts)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 
 		worker     = flag.String("worker", "", "join the sweep fleet coordinated by the `bhserve -fleet` instance at this URL; only -cache-dir, -worker-name and -progress combine with it")
 		workerName = flag.String("worker-name", "", "worker display name reported to the coordinator (default host-pid)")
 	)
+	var spec exp.OptionSpec
+	spec.Bind(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
@@ -151,31 +137,13 @@ func main() {
 		return
 	}
 
-	preset := "default"
 	switch {
 	case *quick:
-		preset = "quick"
+		spec.Preset = "quick"
 	case *paper:
-		preset = "paper"
+		spec.Preset = "paper"
 	}
-	opts, err := exp.OptionSpec{
-		Preset:     preset,
-		Mixes:      *mixes,
-		Channels:   *channels,
-		Insts:      *insts,
-		NRHs:       *nrhs,
-		Mechanisms: *mechs,
-		Traces:     *traces,
-		Strategies: *strategies,
-		Defenses:   *defenses,
-
-		Sample: *sample,
-		Warmup: *warmup,
-		Detail: *detail,
-		FF:     *ffWin,
-
-		ParallelChannels: *parallelCh,
-	}.Resolve()
+	opts, err := spec.Resolve()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -59,9 +59,13 @@ const (
 
 // Stats counts cache events, per thread.
 type Stats struct {
-	Hits         []int64
-	Misses       []int64
-	MSHRHits     []int64
+	Hits     []int64
+	Misses   []int64
+	MSHRHits []int64
+	// The three *Blocks counters count rejected attempts, and a stalled
+	// core retries only on cycles the simulation driver ticks it: they
+	// are diagnostic, depend on which idle cycles sim.System.runDetailed
+	// skipped (exact and sampled runs alike), and feed no figure.
 	QuotaBlocks  []int64 // read attempts rejected due to a thread quota
 	MSHRBlocks   []int64 // read attempts rejected because the file was full
 	QueueBlocks  []int64 // read attempts rejected because the MC queue was full

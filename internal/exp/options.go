@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -57,6 +58,26 @@ type OptionSpec struct {
 	Warmup int64
 	Detail int64
 	FF     int64
+}
+
+// Bind declares the sweep-shaping flags on fs, parsing into sp — the one
+// declaration bhsweep and bhserve share, so the two binaries cannot
+// drift. The preset is not among them: each binary spells it its own
+// way (-quick/-paper, -preset) and sets sp.Preset itself.
+func (sp *OptionSpec) Bind(fs *flag.FlagSet) {
+	fs.IntVar(&sp.Mixes, "mixes", 0, "workload mixes per group (0 = preset default; paper: 15)")
+	fs.IntVar(&sp.Channels, "channels", 0, "memory channels for every experiment point (power of two; 0 = preset default)")
+	fs.Int64Var(&sp.Insts, "insts", 0, "instructions per benign core (0 = preset default)")
+	fs.StringVar(&sp.NRHs, "nrhs", "", "comma-separated N_RH sweep (empty = preset default)")
+	fs.StringVar(&sp.Mechanisms, "mechs", "", "comma-separated mechanisms (empty = preset default)")
+	fs.StringVar(&sp.Traces, "traces", "", "comma-separated trace files; point-sweep figures replay them (one benign core per file) instead of the synthetic mixes (table3/sec5 stay synthetic)")
+	fs.StringVar(&sp.Strategies, "strategies", "", "comma-separated adaptive attacker strategies for the scenario grid (default hammer,probe,burst,decoy)")
+	fs.StringVar(&sp.Defenses, "defenses", "", "comma-separated composed defenses for the scenario grid, e.g. graphene+bh,prac+rfm+bh")
+	fs.BoolVar(&sp.Sample, "sample", false, "SMARTS interval sampling for every simulated point: metrics become estimates with 95% confidence bands, cached under keys distinct from exact runs; fleet workers inherit this through the hello handshake")
+	fs.Int64Var(&sp.Warmup, "warmup", 0, "with -sample: detailed-but-unmeasured warm-up cycles before each measured window (0 = default)")
+	fs.Int64Var(&sp.Detail, "detail", 0, "with -sample: measured detailed window length in cycles (0 = default)")
+	fs.Int64Var(&sp.FF, "ff", 0, "with -sample: functional fast-forward window length in cycles (0 = default)")
+	fs.BoolVar(&sp.ParallelChannels, "parallel-channels", false, "tick each simulation's memory channels on a worker pool (identical results and cache keys; pair with -jobs 1 on dedicated multi-core hosts)")
 }
 
 // Resolve expands the spec into concrete Options, validating the preset

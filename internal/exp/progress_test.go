@@ -3,6 +3,9 @@ package exp
 import (
 	"context"
 	"errors"
+	"flag"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -495,5 +498,76 @@ func TestOptionSpecResolve(t *testing.T) {
 		if _, err := bad.Resolve(); err == nil {
 			t.Errorf("spec %+v resolved without error", bad)
 		}
+	}
+}
+
+// TestOptionSpecBind drives the flag declarations bhsweep and bhserve
+// share from command lines through Resolve: every sweep flag lands in
+// its field, the caller-spelled preset composes with them, flag.Visit
+// names what was set (bhsweep's -worker reject-list relies on it), and
+// bad values fail at parse or resolve time.
+func TestOptionSpecBind(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		preset  string
+		args    []string
+		visited int
+		check   func(Options) bool
+		wantErr string
+	}{
+		{name: "no flags", check: func(o Options) bool {
+			return o.MixesPerGroup == DefaultOptions().MixesPerGroup && !o.Base.Sampling.Enabled
+		}},
+		{name: "overrides on quick", preset: "quick", visited: 5,
+			args: []string{"-mixes", "3", "-channels", "2", "-insts", "5000", "-nrhs", "512, 64", "-mechs", "rfm,para"},
+			check: func(o Options) bool {
+				return o.MixesPerGroup == 3 && o.Base.Channels == 2 && o.Base.TargetInsts == 5000 &&
+					len(o.NRHs) == 2 && o.NRHs[1] == 64 && len(o.Mechanisms) == 2 && o.Mechanisms[0] == "rfm"
+			}},
+		{name: "sampling windows", visited: 4,
+			args: []string{"-sample", "-warmup", "100", "-detail", "200", "-ff", "300"},
+			check: func(o Options) bool {
+				p := o.Base.Sampling
+				return p.Enabled && p.WarmupCycles == 100 && p.DetailCycles == 200 && p.FFCycles == 300
+			}},
+		{name: "scenario grid and execution strategy", visited: 4,
+			args: []string{"-strategies", "probe,decoy", "-defenses", "graphene+bh", "-traces", "a.trace", "-parallel-channels"},
+			check: func(o Options) bool {
+				return len(o.Strategies) == 2 && len(o.Defenses) == 1 && len(o.Traces) == 1 && o.Base.ParallelChannels
+			}},
+		{name: "window without -sample", args: []string{"-detail", "200"}, wantErr: "sampling"},
+		{name: "bad N_RH", args: []string{"-nrhs", "512,potato"}, wantErr: "potato"},
+		{name: "unknown preset", preset: "huge", wantErr: "huge"},
+		{name: "not a number", args: []string{"-mixes", "many"}, wantErr: "invalid value"},
+		{name: "preset is the caller's flag", args: []string{"-preset", "quick"}, wantErr: "not defined"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			spec := OptionSpec{Preset: tc.preset}
+			spec.Bind(fs)
+			err := fs.Parse(tc.args)
+			var o Options
+			if err == nil {
+				o, err = spec.Resolve()
+			}
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error = %v, want one mentioning %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			visited := 0
+			fs.Visit(func(*flag.Flag) { visited++ })
+			if visited != tc.visited {
+				t.Errorf("flag.Visit saw %d set flags, want %d", visited, tc.visited)
+			}
+			if !tc.check(o) {
+				t.Errorf("resolved options wrong: %+v", o)
+			}
+		})
 	}
 }

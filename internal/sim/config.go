@@ -37,10 +37,13 @@ type Config struct {
 	// one big multi-channel simulation at a time; see EXPERIMENTS.md.
 	ParallelChannels bool
 
-	// DisableSkipAhead forces the legacy every-cycle simulation loop
-	// instead of the event-batched skip-ahead scheduler. The two loops
-	// produce identical results; this exists for benchmarking the
-	// batching win and as a debugging escape hatch.
+	// DisableSkipAhead runs the one detailed driver (System.runDetailed)
+	// in lockstep: no core sleeps and no idle span is skipped, in exact
+	// runs and in a sampled run's warm-up and detail spans alike. It
+	// selects no second implementation and changes no result beyond the
+	// LLC's retry counters, so Fingerprint ignores it. It is kept as the
+	// differential oracle of TestSkipAheadMatchesEveryCycle and because
+	// the repository benchmark (bench/) times the skip-ahead win with it.
 	DisableSkipAhead bool
 
 	NRH         int    // RowHammer threshold

@@ -31,10 +31,13 @@ func canonicalJSON(v any) ([]byte, error) {
 // therefore cache — identically.
 func (c Config) normalizedForFingerprint() Config {
 	c.Channels = c.channels()
-	// Parallel ticking is an execution strategy, not a simulated system:
-	// serial and parallel runs are bit-identical, so they must share one
-	// fingerprint (and therefore one results-store key).
+	// Parallel ticking and lockstep execution are execution strategies,
+	// not simulated systems: serial and parallel runs are bit-identical,
+	// a lockstep run differs from a skip-ahead one only in the LLC's
+	// diagnostic retry counters, so they must share one fingerprint (and
+	// therefore one results-store key).
 	c.ParallelChannels = false
+	c.DisableSkipAhead = false
 	c.BHWindow = c.bhWindow()
 	if c.BHThreat == 0 {
 		c.BHThreat = 32

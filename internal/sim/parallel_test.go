@@ -70,7 +70,7 @@ func TestParallelChannelsDeterministic(t *testing.T) {
 }
 
 // TestParallelChannelsDeterministicEveryCycleLoop pins the contract
-// under the legacy loop too (BlockHammer forces it, and the ActGate runs
+// for a lockstep run too (BlockHammer forces one, and the ActGate runs
 // inside worker ticks there).
 func TestParallelChannelsDeterministicEveryCycleLoop(t *testing.T) {
 	serial := parallelTestConfig(4)
@@ -81,7 +81,7 @@ func TestParallelChannelsDeterministicEveryCycleLoop(t *testing.T) {
 	a := runOnce(t, serial, "HLMA")
 	b := runOnce(t, parallel, "HLMA")
 	if string(a) != string(b) {
-		t.Fatalf("parallel result diverged from serial under the every-cycle loop:\nserial:   %.400s\nparallel: %.400s", a, b)
+		t.Fatalf("parallel result diverged from serial in a lockstep run:\nserial:   %.400s\nparallel: %.400s", a, b)
 	}
 }
 
@@ -167,24 +167,33 @@ func TestCrossChannelEventOrderSerialVsParallel(t *testing.T) {
 }
 
 // TestFingerprintIgnoresParallelChannels pins the cache contract: the
-// execution strategy must not fork the results store.
+// execution strategy — parallel channel ticking, lockstep execution —
+// must fork neither the results store nor the alone-baseline cache.
 func TestFingerprintIgnoresParallelChannels(t *testing.T) {
 	mix, err := workload.ParseMix("HA", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := FastConfig()
-	parallel := serial
-	parallel.ParallelChannels = true
-	a, err := Fingerprint(serial, []workload.Mix{mix})
+	base := FastConfig()
+	want, err := Fingerprint(base, []workload.Mix{mix})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fingerprint(parallel, []workload.Mix{mix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("ParallelChannels changed the fingerprint:\n%s\n%s", a, b)
+	for name, set := range map[string]func(*Config){
+		"ParallelChannels": func(c *Config) { c.ParallelChannels = true },
+		"DisableSkipAhead": func(c *Config) { c.DisableSkipAhead = true },
+	} {
+		cfg := base
+		set(&cfg)
+		got, err := Fingerprint(cfg, []workload.Mix{mix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s changed the fingerprint:\n%s\n%s", name, want, got)
+		}
+		if a, b := aloneKey(base, mix.Specs[0]), aloneKey(cfg, mix.Specs[0]); a != b {
+			t.Errorf("%s changed the alone-baseline key:\n%s\n%s", name, a, b)
+		}
 	}
 }

@@ -35,6 +35,7 @@ func aloneKey(cfg Config, spec workload.Spec) string {
 	c.BHWindow, c.BHThreat, c.BHOutlier = 0, 0, 0
 	c.Seed = 0                     // the trace stream is seeded by spec.Seed, not cfg.Seed
 	c.ParallelChannels = false     // execution strategy; results are identical
+	c.DisableSkipAhead = false     // likewise
 	c.Sampling = sampling.Params{} // alone baselines always run exact (see AloneIPC)
 	return fmt.Sprintf("%+v|%+v", c, spec)
 }
@@ -116,9 +117,10 @@ func RunMix(cfg Config, mix workload.Mix) (MixResult, error) {
 
 // metricBands propagates the per-thread sampled IPC intervals into
 // weighted-speedup and unfairness bands. The alone baselines enter as
-// point values: when the configuration samples, the alone runs sampled
-// too, so their window noise partially cancels; the residual is part of
-// what exp.SamplingValidation quantifies.
+// point values: AloneIPC always runs them exact, even when the
+// configuration samples, so they carry no window noise of their own;
+// what the sampled numerators' bias does to the ratios is part of what
+// exp.SamplingValidation quantifies.
 func metricBands(sum *sampling.Summary, alone []float64, benign []bool, ws, unf float64) (wsBand, unfBand *sampling.Estimate) {
 	var wsLo, wsHi float64
 	unfLo, unfHi := 0.0, 0.0

@@ -15,7 +15,7 @@ import (
 //
 //	[ warm-up (detailed, unmeasured) ][ detail (measured) ][ fast-forward ] ...
 //
-// Detailed regimes run the ordinary cycle-accurate machinery (tickAll).
+// Detailed regimes run the ordinary cycle-accurate driver (runDetailed).
 // The fast-forward regime replays every core's instruction stream
 // functionally: the LLC is kept warm through timing-free lookups and
 // installs, DRAM row-buffer state lives in a per-channel shadow table
@@ -31,7 +31,7 @@ import (
 // exp.SamplingValidation.
 //
 // The per-interval feedback seam fires at exactly the same cycles as in
-// the exact loops: fast-forward steps never jump past a pending fbNext
+// an exact run: fast-forward steps never jump past a pending fbNext
 // deadline (nor a BreakHammer window boundary or a functional-refresh
 // deadline), so deliverFeedback runs at the identical cadence.
 
@@ -247,7 +247,7 @@ func (s *System) runSampled() Result {
 				}
 			}
 		case sampling.PhaseWarmup:
-			end := s.runDetailedSpan(cycle, next)
+			end := s.runDetailed(cycle, next)
 			ff.detailedCycles += end - cycle
 			cycle = end
 		case sampling.PhaseDetail:
@@ -257,7 +257,7 @@ func (s *System) runSampled() Result {
 				startACTs[i] = merged.DemandACTs[i]
 				startFinished[i] = c.Finished()
 			}
-			end := s.runDetailedSpan(cycle, next)
+			end := s.runDetailed(cycle, next)
 			ff.detailedCycles += end - cycle
 			// A window truncated by the finish line still contributes
 			// if at least half of it ran; shorter fragments would
@@ -339,24 +339,10 @@ func (s *System) coresDrained() bool {
 	return true
 }
 
-// runDetailedSpan ticks every cycle in [from, to) with the ordinary
-// detailed machinery, stopping early at a finish-check boundary once
-// every benign core is done.
-func (s *System) runDetailedSpan(from, to int64) int64 {
-	cycle := from
-	for ; cycle < to; cycle++ {
-		s.tickAll(cycle)
-		if cycle&finishCheckMask == 0 && s.benignFinished() {
-			return cycle
-		}
-	}
-	return cycle
-}
-
 // runFFSpan covers [from, to) functionally. Steps are bounded by every
 // cycle-stamped obligation — feedback deadlines, BreakHammer window
 // boundaries, functional refresh, the step quantum — so those all fire
-// at exactly the cycles the detailed loops would fire them at.
+// at exactly the cycles the detailed driver would fire them at.
 func (s *System) runFFSpan(ff *ffState, from, to int64) int64 {
 	// The detailed spans before this one performed real refreshes;
 	// resume the functional schedule at the next deadline.

@@ -14,14 +14,21 @@ import (
 // cycles, ACT counts or gated-ACT counts and fails here. Regenerate the
 // golden strings ONLY for an intentional, SchemaVersion-bumping
 // behavior change (see DESIGN.md "Memory-controller scheduling").
+//
+// The sampled case runs the same point at sampledTestConfig's scale
+// (warm-up and detail spans through System.runDetailed, fast-forward in
+// between); its string was recorded with every cycle of those spans
+// ticked, so it also pins that skipping idle cycles inside a sampled
+// span changes nothing.
 var schedGoldenCases = []struct {
-	name   string
-	mix    string
-	mech   string
-	bh     bool
-	nrh    int
-	chans  int
-	golden string // filled by TestSchedulerGoldenStats's formatter
+	name    string
+	mix     string
+	mech    string
+	bh      bool
+	nrh     int
+	chans   int
+	sampled bool
+	golden  string // filled by TestSchedulerGoldenStats's formatter
 }{
 	{name: "attack-graphene-bh", mix: "MLLA", mech: "graphene", bh: true, nrh: 256, chans: 1,
 		golden: "cycles=152576 acts=12346 hits=1091 reads=13075 writes=64 ref=32 vrr=408 rfm=0 mig=0 aux=0 gated=0 total=12346 backoff=0 actions=103"},
@@ -33,6 +40,8 @@ var schedGoldenCases = []struct {
 		golden: "cycles=93184 acts=6174 hits=1334 reads=7431 writes=65 ref=38 vrr=0 rfm=0 mig=0 aux=172 gated=0 total=6174 backoff=0 actions=172"},
 	{name: "attack-aqua-migrations", mix: "LA", mech: "aqua", bh: false, nrh: 64, chans: 1,
 		golden: "cycles=96256 acts=5640 hits=237 reads=5776 writes=0 ref=20 vrr=0 rfm=0 mig=132 aux=0 gated=0 total=5640 backoff=0 actions=132"},
+	{name: "sampled-graphene-bh", mix: "MLLA", mech: "graphene", bh: true, nrh: 256, chans: 1, sampled: true,
+		golden: "cycles=593776 acts=6792 hits=1653 reads=8316 writes=71 ref=24 vrr=156 rfm=0 mig=0 aux=0 gated=0 total=6792 backoff=0 actions=343 detailed=123197 ff=470579 windows=12"},
 }
 
 // schedGoldenFingerprint compresses a run's scheduler-observable outcome
@@ -45,10 +54,14 @@ func schedGoldenFingerprint(res MixResult) string {
 		hits += mc.RowHits[i]
 		reads += mc.ReadsDone[i]
 	}
-	return fmt.Sprintf("cycles=%d acts=%d hits=%d reads=%d writes=%d ref=%d vrr=%d rfm=%d mig=%d aux=%d gated=%d total=%d backoff=%d actions=%d",
+	fp := fmt.Sprintf("cycles=%d acts=%d hits=%d reads=%d writes=%d ref=%d vrr=%d rfm=%d mig=%d aux=%d gated=%d total=%d backoff=%d actions=%d",
 		res.Cycles, acts, hits, reads, mc.WritesDone, mc.Refreshes, mc.VRRs,
 		mc.RFMs, mc.Migrations, mc.AuxAccesses, mc.GatedACTs, mc.TotalACTs,
 		mc.BackoffCycles, res.Actions)
+	if sum := res.Sampling; sum != nil {
+		fp += fmt.Sprintf(" detailed=%d ff=%d windows=%d", sum.DetailedCycles, sum.FFCycles, sum.Windows)
+	}
+	return fp
 }
 
 func schedGoldenRun(t *testing.T, i int) MixResult {
@@ -62,6 +75,10 @@ func schedGoldenRun(t *testing.T, i int) MixResult {
 	cfg.BreakHammer = tc.bh
 	cfg.Channels = tc.chans
 	cfg.Seed = 11
+	if tc.sampled {
+		sc := sampledTestConfig(tc.chans)
+		cfg.TargetInsts, cfg.Sampling = sc.TargetInsts, sc.Sampling
+	}
 	mix, err := workload.ParseMix(tc.mix, 11)
 	if err != nil {
 		t.Fatal(err)

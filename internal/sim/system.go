@@ -23,11 +23,17 @@ type System struct {
 	mechs []mitigation.Mechanism // one instance per channel; empty for "none"
 	bh    *core.BreakHammer
 
-	// everyCycle forces the legacy per-cycle loop: set by
-	// Config.DisableSkipAhead, or automatically when an ActGate
-	// (BlockHammer) is installed — the gate's verdict changes with time
-	// outside the wake-signal set, so skipping could delay activations.
-	everyCycle bool
+	// lockstep makes runDetailed execute every cycle: no core ever sleeps
+	// and the next cycle is always cycle+1. Set by Config.DisableSkipAhead,
+	// or automatically when an ActGate (BlockHammer) is installed — the
+	// gate's verdict changes with time outside the wake-signal set, so
+	// skipping could delay activations.
+	lockstep bool
+
+	// runDetailed's per-core sleep set: asleep[i] marks a core whose last
+	// Tick made no progress, coreWake[i] its self-scheduled wake-up cycle.
+	asleep   []bool
+	coreWake []int64
 
 	benign    []bool
 	latencies []*stats.Histogram
@@ -35,8 +41,9 @@ type System struct {
 	// Adaptive-source feedback: fbObs[i] is non-nil when thread i's
 	// source implements workload.FeedbackObserver (a scenario strategy).
 	// Delivery happens at ticked cycles; fbNext participates in the
-	// skip-ahead wake set, so both simulation loops deliver at identical
-	// cycles and the feedback seam never forks the determinism contract.
+	// skip-ahead wake set, so delivery cycles do not depend on which
+	// cycles were skipped and the feedback seam never forks the
+	// determinism contract.
 	fbObs  []workload.FeedbackObserver
 	fbNext []int64
 	fbStep []int64
@@ -123,7 +130,7 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 	llc := cache.New(cfg.Cache, threads, mem)
 	mem.SetFillFunc(llc.Fill)
 
-	s := &System{cfg: cfg, mem: mem, llc: llc, everyCycle: cfg.DisableSkipAhead}
+	s := &System{cfg: cfg, mem: mem, llc: llc, lockstep: cfg.DisableSkipAhead}
 
 	s.latencies = make([]*stats.Histogram, threads)
 	for i := range s.latencies {
@@ -201,8 +208,8 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 	}
 	if len(blockers) > 0 {
 		// The gate's time-dependent verdict is invisible to the wake-signal
-		// set; fall back to the every-cycle loop for correctness.
-		s.everyCycle = true
+		// set; execute every cycle for correctness.
+		s.lockstep = true
 		providers := make([]cache.QuotaProvider, len(blockers))
 		for i, b := range blockers {
 			providers[i] = b
@@ -216,6 +223,8 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 	s.fbObs = make([]workload.FeedbackObserver, threads)
 	s.fbNext = make([]int64, threads)
 	s.fbStep = make([]int64, threads)
+	s.asleep = make([]bool, threads)
+	s.coreWake = make([]int64, threads)
 	for i, spec := range mix.Specs {
 		// NewSource hands trace-backed specs an independent replay cursor
 		// (shared records, private position), scenario specs their
@@ -245,10 +254,10 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 
 // deliverFeedback hands each adaptive source its per-thread signal bundle
 // when its cadence expires. It runs at ticked cycles, after the memory
-// side and before the cores, in both simulation loops; the skip-ahead
-// wake set includes every fbNext, so the loops deliver at the same
-// cycles. Delivery mutates only source-internal strategy state — it
-// cannot unblock a stalled core — so it does not count as progress.
+// side and before the cores; the skip-ahead wake set includes every
+// fbNext, so a deadline's cycle is always ticked. Delivery mutates only
+// source-internal strategy state — it cannot unblock a stalled core —
+// so it does not count as progress.
 func (s *System) deliverFeedback(cycle int64) {
 	if !s.hasFb {
 		return
@@ -304,10 +313,10 @@ func (s *System) Mechanism() mitigation.Mechanism {
 // Mechanisms exposes every channel's mitigation instance.
 func (s *System) Mechanisms() []mitigation.Mechanism { return s.mechs }
 
-// finishCheckMask sets the cadence of the benign-finished check: the run
-// loops test for completion on every (finishCheckMask+1)-cycle boundary.
-// Both loops and the skip-ahead boundary-landing computation must share
-// this constant, or the two loops would stop on different cycles.
+// finishCheckMask sets the cadence of the benign-finished check:
+// runDetailed tests for completion on every (finishCheckMask+1)-cycle
+// boundary, and its skip-ahead jump lands on that boundary, so a run
+// stops on the same cycle whether or not idle cycles were skipped.
 const finishCheckMask = 1023
 
 // Result holds the outcome of one simulation.
@@ -346,11 +355,9 @@ func (r Result) Sampled() bool { return r.Sampling != nil }
 
 // Run executes the simulation until every benign core retires the target
 // instruction count (attacker cores are not waited for, matching §7's
-// methodology) or MaxCycles elapses. The default loop is event-batched:
-// every component ticks on every cycle where anything can happen, and
-// globally idle spans (all cores stalled, every channel waiting out a
-// timing constraint) are skipped in one jump to the earliest wake-up
-// signal — the two loops produce identical simulations.
+// methodology) or MaxCycles elapses. An exact run is one detailed span
+// over the whole run; a sampled run alternates detailed spans with
+// functional fast-forward (sampled.go).
 func (s *System) Run() Result {
 	// Release the channel-tick workers (if ParallelChannels started any)
 	// once the simulation is over; rerunning a closed system falls back
@@ -359,53 +366,21 @@ func (s *System) Run() Result {
 	if s.cfg.Sampling.Enabled {
 		return s.runSampled()
 	}
-	if s.everyCycle {
-		return s.runEveryCycle()
-	}
-	return s.runSkipAhead()
+	return s.collect(s.runDetailed(0, s.cfg.MaxCycles))
 }
 
-// tickAll advances every component one cycle, in the fixed order memory
-// subsystem -> LLC -> cores -> BreakHammer, reporting whether anything
-// made progress.
-func (s *System) tickAll(cycle int64) bool {
-	progress := s.mem.Tick(cycle)
-	if s.llc.Tick() {
-		progress = true
-	}
-	s.deliverFeedback(cycle)
-	for _, c := range s.cores {
-		if c.Tick(cycle) {
-			progress = true
-		}
-	}
-	if s.bh != nil && s.bh.Tick(cycle) {
-		progress = true
-	}
-	return progress
-}
-
-// runEveryCycle is the legacy loop: one tick per simulated cycle.
-func (s *System) runEveryCycle() Result {
-	cycle := int64(0)
-	for ; cycle < s.cfg.MaxCycles; cycle++ {
-		s.tickAll(cycle)
-		if cycle&finishCheckMask == 0 && s.benignFinished() {
-			break
-		}
-	}
-	return s.collect(cycle)
-}
-
-// runSkipAhead is the event-batched loop. Three batching levels, all
-// exact:
+// runDetailed is the one cycle-accurate driver: it simulates [from, to)
+// in the fixed tick order memory subsystem -> LLC -> feedback -> cores ->
+// BreakHammer and returns the cycle it stopped at — to, or the finish-
+// check boundary at which every benign core was done. It is event-
+// batched at three levels, all exact:
 //
 // Per-core sleep: a core whose Tick made no progress is frozen — it can
 // only be unblocked by memory-side progress (a fill freeing an MSHR, a
 // queue draining, a quota restored at a BreakHammer window rotation) or
 // by its own head instruction's known completion time. Until one of
-// those fires, its Tick would be a pure no-op, so the loop stops calling
-// it. Cores cannot unblock each other directly: every inter-core
+// those fires, its Tick would be a pure no-op, so the driver stops
+// calling it. Cores cannot unblock each other directly: every inter-core
 // interaction (MSHR pool, queues, quotas) changes only through the
 // memory subsystem, the LLC or BreakHammer.
 //
@@ -413,27 +388,29 @@ func (s *System) runEveryCycle() Result {
 // legal knows the exact first cycle at which any command it could pick
 // becomes legal, and until then its Tick only delivers due read data
 // (memctrl.Controller.Tick). This level lives inside the controller, so
-// the every-cycle loop, the sampled loop's detailed spans and the
-// benchmark's shadow rig get it too.
+// lockstep runs and the benchmark's shadow rig get it too.
 //
 // Global skip: on a cycle where no component makes progress the whole
 // system is provably frozen until some wake-up signal fires (a read-data
 // arrival, the end of a controller's sleep — its next legal command or
 // refresh deadline —, a core's known completion time, a throttling window
-// boundary, a feedback delivery), so the loop jumps straight to the
-// earliest one.
+// boundary, a feedback delivery), so the driver jumps straight to the
+// earliest one, never past to.
 //
-// Cycles the loop never executes are exactly the cycles the every-cycle
-// loop would execute as no-ops, so both loops produce identical
-// simulations (only diagnostic stall counters, which count ticked
-// cycles, differ).
-func (s *System) runSkipAhead() Result {
-	asleep := make([]bool, len(s.cores))
-	coreWake := make([]int64, len(s.cores))
-	wakeAll := false // a BreakHammer rotation last cycle may have restored quotas
+// Under lockstep the first and third level are off: every core ticks on
+// every cycle. Cycles the driver never executes are exactly the cycles a
+// lockstep run executes as no-ops, so both produce identical simulations
+// (only the LLC's retry counters, which count attempts on ticked cycles,
+// differ).
+func (s *System) runDetailed(from, to int64) int64 {
+	// The sleep set is stale on entry: a fast-forward span has moved every
+	// core's stream since it was last valid. wakeAll also carries a
+	// BreakHammer rotation (which may have restored quotas) into the next
+	// cycle.
+	wakeAll := true
 
-	cycle := int64(0)
-	for cycle < s.cfg.MaxCycles {
+	cycle := from
+	for cycle < to {
 		memProgress := s.mem.Tick(cycle)
 		if s.llc.Tick() {
 			memProgress = true
@@ -441,32 +418,32 @@ func (s *System) runSkipAhead() Result {
 		s.deliverFeedback(cycle)
 		coreProgress := false
 		for i, c := range s.cores {
-			if asleep[i] {
-				if !memProgress && !wakeAll && cycle < coreWake[i] {
+			if s.asleep[i] {
+				if !memProgress && !wakeAll && cycle < s.coreWake[i] {
 					continue
 				}
-				asleep[i] = false
+				s.asleep[i] = false
 			}
 			if c.Tick(cycle) {
 				coreProgress = true
-			} else {
-				asleep[i] = true
-				coreWake[i] = c.NextWake(cycle)
+			} else if !s.lockstep {
+				s.asleep[i] = true
+				s.coreWake[i] = c.NextWake(cycle)
 			}
 		}
 		wakeAll = s.bh != nil && s.bh.Tick(cycle)
 
 		if cycle&finishCheckMask == 0 && s.benignFinished() {
-			return s.collect(cycle)
+			return cycle
 		}
-		if memProgress || coreProgress || wakeAll {
+		if s.lockstep || memProgress || coreProgress || wakeAll {
 			cycle++
 			continue
 		}
-		wake := s.nextWake(cycle, coreWake)
+		wake := s.nextWake(cycle)
 		if s.benignFinished() {
-			// The every-cycle loop stops at the first check boundary after
-			// the benign cores finish; land exactly there.
+			// Stop at the first check boundary after the benign cores
+			// finish, as a lockstep run does; land exactly there.
 			if nb := (cycle | finishCheckMask) + 1; nb < wake {
 				wake = nb
 			}
@@ -474,20 +451,20 @@ func (s *System) runSkipAhead() Result {
 		if wake <= cycle {
 			wake = cycle + 1
 		}
-		if wake > s.cfg.MaxCycles {
-			wake = s.cfg.MaxCycles
+		if wake > to {
+			wake = to
 		}
 		cycle = wake
 	}
-	return s.collect(cycle)
+	return cycle
 }
 
 // nextWake gathers the earliest wake-up signal across all components.
 // It is called only when every core just failed to progress, so
 // coreWake[i] holds each core's self-scheduled wake-up.
-func (s *System) nextWake(now int64, coreWake []int64) int64 {
+func (s *System) nextWake(now int64) int64 {
 	wake := s.mem.NextWake(now)
-	for _, w := range coreWake {
+	for _, w := range s.coreWake {
 		if w < wake {
 			wake = w
 		}
