@@ -75,13 +75,6 @@ type Stats struct {
 	FillsDropped int64 // fills for lines nobody waits on (should stay 0)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
-}
-
 type mshr struct {
 	line     uint64
 	thread   int // allocating thread (owns the quota slot)
@@ -95,11 +88,19 @@ type LLC struct {
 	backend Backend
 	quota   QuotaProvider
 
-	sets    [][]line
+	// The sets as flat parallel arrays indexed set*ways+way, so a lookup
+	// scans one contiguous run of tags. tags holds line+1; 0 is invalid.
+	tags    []uint64
+	lru     []uint64
+	dirty   []bool
 	setMask uint64
 	lruTick uint64
 
-	mshrs     map[uint64]*mshr
+	// The MSHR file: an open-addressed table (a power of two >= 4 x MSHRs,
+	// so it is never more than a quarter full) probed linearly from a
+	// multiplicative hash of the line; Fill deletes by backward shift.
+	mshrs     []*mshr
+	mshrShift uint    // 64 - log2(len(mshrs))
 	freeMSHRs []*mshr // released registers, reused with their waiter storage
 	inUse     []int   // per-thread MSHR occupancy
 	totalUsed int
@@ -117,17 +118,20 @@ type LLC struct {
 func New(cfg Config, threads int, backend Backend) *LLC {
 	sets := cfg.Sets()
 	l := &LLC{
-		cfg:     cfg,
-		backend: backend,
-		sets:    make([][]line, sets),
-		setMask: uint64(sets - 1),
-		mshrs:   make(map[uint64]*mshr),
-		inUse:   make([]int, threads),
+		cfg:       cfg,
+		backend:   backend,
+		tags:      make([]uint64, sets*cfg.Ways),
+		lru:       make([]uint64, sets*cfg.Ways),
+		dirty:     make([]bool, sets*cfg.Ways),
+		setMask:   uint64(sets - 1),
+		mshrShift: 64,
+		inUse:     make([]int, threads),
 	}
-	lines := make([]line, sets*cfg.Ways) // one backing array, not one per set
-	for i := range l.sets {
-		l.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways]
+	size := 1
+	for ; size < 4*cfg.MSHRs; size *= 2 {
+		l.mshrShift--
 	}
+	l.mshrs = make([]*mshr, size)
 	l.stats = Stats{
 		Hits:        make([]int64, threads),
 		Misses:      make([]int64, threads),
@@ -153,16 +157,50 @@ func (l *LLC) InFlight() int { return l.totalUsed }
 // InFlightByThread reports the number of MSHRs held by one thread.
 func (l *LLC) InFlightByThread(t int) int { return l.inUse[t] }
 
-func (l *LLC) setOf(lineAddr uint64) []line { return l.sets[lineAddr&l.setMask] }
-
-func (l *LLC) lookup(lineAddr uint64) *line {
-	set := l.setOf(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return &set[i]
+// lookup returns the index of a cached line in the flat arrays, or -1.
+func (l *LLC) lookup(lineAddr uint64) int {
+	base := int(lineAddr&l.setMask) * l.cfg.Ways
+	for i, tag := range l.tags[base : base+l.cfg.Ways] {
+		if tag == lineAddr+1 {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// touch makes way i the most recently used of its set.
+func (l *LLC) touch(i int) {
+	l.lruTick++
+	l.lru[i] = l.lruTick
+}
+
+// mshrHome is the slot a line's probe sequence starts from.
+func (l *LLC) mshrHome(lineAddr uint64) int {
+	return int(lineAddr * 0x9E3779B97F4A7C15 >> l.mshrShift)
+}
+
+// findMSHR returns the in-flight register for a line (nil if none) and its
+// slot, or the empty slot where the line's register would go.
+func (l *LLC) findMSHR(lineAddr uint64) (int, *mshr) {
+	for i := l.mshrHome(lineAddr); ; i = (i + 1) & (len(l.mshrs) - 1) {
+		if m := l.mshrs[i]; m == nil || m.line == lineAddr {
+			return i, m
+		}
+	}
+}
+
+// removeMSHR empties slot i and shifts the registers probing past it back
+// over the hole, so no probe sequence is ever cut by an empty slot.
+func (l *LLC) removeMSHR(i int) {
+	mask := len(l.mshrs) - 1
+	for j := (i + 1) & mask; l.mshrs[j] != nil; j = (j + 1) & mask {
+		// The register at j may move to i only if its home is not in (i, j].
+		if (j-l.mshrHome(l.mshrs[j].line))&mask >= (j-i)&mask {
+			l.mshrs[i] = l.mshrs[j]
+			i = j
+		}
+	}
+	l.mshrs[i] = nil
 }
 
 // quotaFor returns the MSHR quota of a thread.
@@ -182,13 +220,13 @@ func (l *LLC) quotaFor(thread int) int {
 // caller should treat the data as ready HitLatency cycles later; on
 // ReadBlocked the caller must retry.
 func (l *LLC) Read(lineAddr uint64, thread int, done func()) ReadOutcome {
-	if ln := l.lookup(lineAddr); ln != nil {
-		l.lruTick++
-		ln.lru = l.lruTick
+	if i := l.lookup(lineAddr); i >= 0 {
+		l.touch(i)
 		l.stats.Hits[thread]++
 		return ReadHit
 	}
-	if m, ok := l.mshrs[lineAddr]; ok {
+	slot, m := l.findMSHR(lineAddr)
+	if m != nil {
 		m.waiters = append(m.waiters, done)
 		l.stats.MSHRHits[thread]++
 		return ReadMSHRHit
@@ -207,7 +245,7 @@ func (l *LLC) Read(lineAddr uint64, thread int, done func()) ReadOutcome {
 		l.stats.QueueBlocks[thread]++
 		return ReadBlocked
 	}
-	m := l.allocMSHR(lineAddr, thread, false)
+	m = l.allocMSHR(slot, lineAddr, thread, false)
 	m.waiters = append(m.waiters, done)
 	l.stats.Misses[thread]++
 	return ReadMiss
@@ -218,14 +256,14 @@ func (l *LLC) Read(lineAddr uint64, thread int, done func()) ReadOutcome {
 // like a read (write-allocate) and marks the line dirty when it fills.
 // It returns false when the store could not be accepted (retry).
 func (l *LLC) Write(lineAddr uint64, thread int) bool {
-	if ln := l.lookup(lineAddr); ln != nil {
-		l.lruTick++
-		ln.lru = l.lruTick
-		ln.dirty = true
+	if i := l.lookup(lineAddr); i >= 0 {
+		l.touch(i)
+		l.dirty[i] = true
 		l.stats.WriteHits[thread]++
 		return true
 	}
-	if m, ok := l.mshrs[lineAddr]; ok {
+	slot, m := l.findMSHR(lineAddr)
+	if m != nil {
 		m.wantFill = true
 		l.stats.WriteHits[thread]++ // merged; counts as hit-in-flight
 		return true
@@ -242,14 +280,15 @@ func (l *LLC) Write(lineAddr uint64, thread int) bool {
 		l.stats.QueueBlocks[thread]++
 		return false
 	}
-	l.allocMSHR(lineAddr, thread, true)
+	l.allocMSHR(slot, lineAddr, thread, true)
 	l.stats.WriteMisses[thread]++
 	return true
 }
 
 // allocMSHR claims a register for a missing line on behalf of thread,
-// recycling a released one (and its waiter slice) when there is one.
-func (l *LLC) allocMSHR(lineAddr uint64, thread int, wantFill bool) *mshr {
+// recycling a released one (and its waiter slice) when there is one, and
+// files it in the empty slot findMSHR returned for the line.
+func (l *LLC) allocMSHR(slot int, lineAddr uint64, thread int, wantFill bool) *mshr {
 	var m *mshr
 	if n := len(l.freeMSHRs); n > 0 {
 		m = l.freeMSHRs[n-1]
@@ -258,7 +297,7 @@ func (l *LLC) allocMSHR(lineAddr uint64, thread int, wantFill bool) *mshr {
 		m = &mshr{}
 	}
 	m.line, m.thread, m.wantFill = lineAddr, thread, wantFill
-	l.mshrs[lineAddr] = m
+	l.mshrs[slot] = m
 	l.inUse[thread]++
 	l.totalUsed++
 	return m
@@ -274,11 +313,10 @@ func (l *LLC) allocMSHR(lineAddr uint64, thread int, wantFill bool) *mshr {
 // the same counters as the detailed path. The caller guarantees no
 // MSHRs are in flight (the mode-switch drain).
 func (l *LLC) AccessFunctional(lineAddr uint64, thread int, write bool) (hit bool, victim uint64, victimDirty bool) {
-	if ln := l.lookup(lineAddr); ln != nil {
-		l.lruTick++
-		ln.lru = l.lruTick
+	if i := l.lookup(lineAddr); i >= 0 {
+		l.touch(i)
 		if write {
-			ln.dirty = true
+			l.dirty[i] = true
 			l.stats.WriteHits[thread]++
 		} else {
 			l.stats.Hits[thread]++
@@ -290,40 +328,27 @@ func (l *LLC) AccessFunctional(lineAddr uint64, thread int, write bool) (hit boo
 	} else {
 		l.stats.Misses[thread]++
 	}
-	set := l.setOf(lineAddr)
-	victimIdx := 0
-	for i := range set {
-		if !set[i].valid {
-			victimIdx = i
-			break
-		}
-		if set[i].lru < set[victimIdx].lru {
-			victimIdx = i
-		}
-	}
-	v := &set[victimIdx]
-	if v.valid && v.dirty {
-		victim, victimDirty = v.tag, true
+	if victim, victimDirty = l.place(lineAddr, write); victimDirty {
 		l.stats.Writebacks++
 	}
-	l.lruTick++
-	*v = line{tag: lineAddr, valid: true, dirty: write, lru: l.lruTick}
 	return false, victim, victimDirty
 }
 
 // Fill delivers a line from memory: it releases the MSHR, installs the
 // line (possibly evicting a dirty victim), and wakes all waiters.
 func (l *LLC) Fill(lineAddr uint64) {
-	m, ok := l.mshrs[lineAddr]
-	if !ok {
+	slot, m := l.findMSHR(lineAddr)
+	if m == nil {
 		l.stats.FillsDropped++
 		return
 	}
-	delete(l.mshrs, lineAddr)
+	l.removeMSHR(slot)
 	l.inUse[m.thread]--
 	l.totalUsed--
 
-	l.install(lineAddr, m.wantFill)
+	if victim, dirty := l.place(lineAddr, m.wantFill); dirty {
+		l.writeback(victim)
+	}
 	for _, w := range m.waiters {
 		if w != nil {
 			w()
@@ -335,25 +360,27 @@ func (l *LLC) Fill(lineAddr uint64) {
 	l.freeMSHRs = append(l.freeMSHRs, m)
 }
 
-// install places a line into its set, evicting the LRU way.
-func (l *LLC) install(lineAddr uint64, dirty bool) {
-	set := l.setOf(lineAddr)
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
+// place puts a line into its set over the first invalid way, else the
+// least recently used one, and reports the line it evicted if that was
+// dirty: the caller owns the writeback.
+func (l *LLC) place(lineAddr uint64, dirty bool) (victim uint64, victimDirty bool) {
+	base := int(lineAddr&l.setMask) * l.cfg.Ways
+	v := base
+	for i := base; i < base+l.cfg.Ways; i++ {
+		if l.tags[i] == 0 {
+			v = i
 			break
 		}
-		if set[i].lru < set[victim].lru {
-			victim = i
+		if l.lru[i] < l.lru[v] {
+			v = i
 		}
 	}
-	v := &set[victim]
-	if v.valid && v.dirty {
-		l.writeback(v.tag)
+	if l.dirty[v] { // only a valid way is ever dirty
+		victim, victimDirty = l.tags[v]-1, true
 	}
-	l.lruTick++
-	*v = line{tag: lineAddr, valid: true, dirty: dirty, lru: l.lruTick}
+	l.tags[v], l.dirty[v] = lineAddr+1, dirty
+	l.touch(v)
+	return victim, victimDirty
 }
 
 func (l *LLC) writeback(lineAddr uint64) {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -327,5 +328,187 @@ func TestPendingWritebacksDrainInOrderWithoutGrowing(t *testing.T) {
 	round()
 	if avg := testing.AllocsPerRun(100, round); avg != 0 {
 		t.Errorf("a fill-and-drain round allocates %.2f objects, want 0", avg)
+	}
+}
+
+// collidingLines returns n lines whose MSHR probe sequence starts at home.
+func collidingLines(l *LLC, home, n int) []uint64 {
+	var lines []uint64
+	for a := uint64(1); len(lines) < n; a++ {
+		if l.mshrHome(a) == home {
+			lines = append(lines, a)
+		}
+	}
+	return lines
+}
+
+// TestMSHRFileMatchesMapModel drives random reads, writes and fills over
+// lines chosen to collide — three home slots, two of them at the table's
+// end so probe runs wrap — and holds the open-addressed file against a Go
+// map after every operation: same outcomes, same occupancy per thread,
+// every in-flight line still reachable through its probe sequence after
+// backward-shift deletions, every other line absent.
+func TestMSHRFileMatchesMapModel(t *testing.T) {
+	type reg struct{ thread, waiters int }
+	cfg := Config{SizeBytes: 2048, Ways: 2, LineBytes: 64, MSHRs: 8, HitLatency: 10}
+	for seed := int64(1); seed <= 5; seed++ {
+		be := &fakeBackend{}
+		l := New(cfg, 3, be)
+		size := len(l.mshrs)
+		if size != 32 {
+			t.Fatalf("table size = %d, want 32 (4 x MSHRs)", size)
+		}
+		var pool []uint64
+		for _, home := range []int{size - 2, size - 1, 5} {
+			pool = append(pool, collidingLines(l, home, 12)...)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		model := map[uint64]*reg{}
+		dropped, fired, wrapped := int64(0), 0, false
+
+		for op := 0; op < 4000; op++ {
+			line := pool[rng.Intn(len(pool))]
+			thread := rng.Intn(3)
+			cached := l.lookup(line) >= 0
+			r, inFlight := model[line]
+			switch p := rng.Intn(10); {
+			case p < 5:
+				be.rejectRead = rng.Intn(8) == 0
+				want := ReadMiss
+				switch {
+				case cached:
+					want = ReadHit
+				case inFlight:
+					want = ReadMSHRHit
+					r.waiters++
+				case len(model) >= cfg.MSHRs || be.rejectRead:
+					want = ReadBlocked
+				default:
+					model[line] = &reg{thread: thread, waiters: 1}
+				}
+				if got := l.Read(line, thread, func() { fired++ }); got != want {
+					t.Fatalf("seed %d op %d: Read(%#x) = %v, want %v", seed, op, line, got, want)
+				}
+			case p < 7:
+				be.rejectRead = false
+				want := cached || inFlight || len(model) < cfg.MSHRs
+				if want && !cached && !inFlight {
+					model[line] = &reg{thread: thread}
+				}
+				if got := l.Write(line, thread); got != want {
+					t.Fatalf("seed %d op %d: Write(%#x) = %v, want %v", seed, op, line, got, want)
+				}
+			default:
+				fired = 0
+				l.Fill(line)
+				if inFlight {
+					if fired != r.waiters {
+						t.Fatalf("seed %d op %d: Fill(%#x) woke %d waiters, want %d", seed, op, line, fired, r.waiters)
+					}
+					delete(model, line)
+				} else {
+					dropped++
+				}
+			}
+
+			if l.InFlight() != len(model) || l.Stats().FillsDropped != dropped {
+				t.Fatalf("seed %d op %d: InFlight %d FillsDropped %d, model %d / %d",
+					seed, op, l.InFlight(), l.Stats().FillsDropped, len(model), dropped)
+			}
+			perThread := make([]int, 3)
+			for _, r := range model {
+				perThread[r.thread]++
+			}
+			for th, n := range perThread {
+				if l.InFlightByThread(th) != n {
+					t.Fatalf("seed %d op %d: InFlightByThread(%d) = %d, model %d", seed, op, th, l.InFlightByThread(th), n)
+				}
+			}
+			for _, line := range pool {
+				slot, m := l.findMSHR(line)
+				if _, ok := model[line]; ok != (m != nil) {
+					t.Fatalf("seed %d op %d: line %#x in flight = %v, file says %v", seed, op, line, ok, m != nil)
+				}
+				if m != nil && slot < l.mshrHome(line) {
+					wrapped = true
+				}
+			}
+			occupied := 0
+			for _, m := range l.mshrs {
+				if m != nil {
+					occupied++
+				}
+			}
+			if occupied != len(model) {
+				t.Fatalf("seed %d op %d: %d slots occupied, %d lines in flight", seed, op, occupied, len(model))
+			}
+		}
+		if !wrapped || dropped == 0 {
+			t.Errorf("seed %d: vacuous run (wrapped %v, dropped %d)", seed, wrapped, dropped)
+		}
+	}
+}
+
+// TestWaiterReenteringReadGetsFreshRegister: a register goes back to the
+// free list only after its waiters ran, so a waiter that misses on another
+// line from inside Fill cannot be handed the register being released — and
+// finds the slot the fill just vacated usable.
+func TestWaiterReenteringReadGetsFreshRegister(t *testing.T) {
+	be := &fakeBackend{}
+	l := New(smallConfig(), 1, be)
+	lines := collidingLines(l, len(l.mshrs)-1, 2)
+	a, b := lines[0], lines[1]
+	woken := false
+	l.Read(a, 0, func() {
+		if out := l.Read(b, 0, func() { woken = true }); out != ReadMiss {
+			t.Errorf("re-entrant read = %v, want ReadMiss", out)
+		}
+	})
+	_, regA := l.findMSHR(a)
+	l.Fill(a)
+	slot, regB := l.findMSHR(b)
+	if regB == nil || regB == regA {
+		t.Fatalf("re-entrant miss got register %p, the one being released is %p", regB, regA)
+	}
+	if slot != len(l.mshrs)-1 || len(regB.waiters) != 1 || regB.waiters[0] == nil {
+		t.Fatalf("re-entrant miss filed at slot %d with waiters %v", slot, regB.waiters)
+	}
+	l.Fill(b)
+	if !woken || l.InFlight() != 0 {
+		t.Errorf("woken = %v, InFlight = %d after both fills", woken, l.InFlight())
+	}
+}
+
+// TestMissFillRoundTripDoesNotAllocate pins the map-free hot path: once
+// the registers and their waiter slices exist, a miss, a merge, a write
+// merge and the fill allocate nothing — on lines that all probe from one
+// home slot, in a cache too small to keep any of them until its next turn.
+func TestMissFillRoundTripDoesNotAllocate(t *testing.T) {
+	be := &fakeBackend{}
+	l := New(Config{SizeBytes: 256, Ways: 2, LineBytes: 64, MSHRs: 4, HitLatency: 10}, 2, be)
+	lines := collidingLines(l, 3, 12)
+	done := func() {}
+	group := 0
+	round := func() {
+		be.reads, be.writes = be.reads[:0], be.writes[:0]
+		batch := lines[group*3 : group*3+3]
+		group = (group + 1) % 4
+		for _, ln := range batch {
+			l.Read(ln, 0, done)
+			l.Read(ln, 1, done)
+			l.Write(ln, 1)
+		}
+		for _, ln := range batch {
+			l.Fill(ln)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("a warm miss → fill round trip allocates %.2f objects, want 0", avg)
+	}
+	if s := l.Stats(); l.InFlight() != 0 || s.Hits[0] != 0 || s.Misses[0] == 0 || s.MSHRHits[1] == 0 || s.Writebacks == 0 {
+		t.Fatalf("vacuous run: %+v", *s)
 	}
 }

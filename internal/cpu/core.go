@@ -1,7 +1,9 @@
 // Package cpu implements a trace-driven out-of-order core model in the
 // style of Ramulator 2.0's SimpleO3 core: a fixed-size instruction window,
 // in-order retire, loads that occupy a window slot until data returns, and
-// fire-and-forget stores. The model is clocked at the memory-controller
+// fire-and-forget stores. The window is stored run-length (see load): only
+// loads own an entry, ready instructions are counted, which models the same
+// machine cycle for cycle. The model is clocked at the memory-controller
 // clock; the issue width is pre-scaled by the CPU/MC frequency ratio
 // (Table 1: 4.2 GHz 4-wide core over a 2.4 GHz DDR5 command bus → 7
 // instructions per memory cycle).
@@ -47,19 +49,26 @@ type LoadQuota interface {
 	MSHRQuota(thread int) int // maximum unresolved loads for the thread
 }
 
-type slot struct {
+// load is one window entry. Only loads need one: bubbles and stores enter
+// the window already complete, so the window keeps them as counts — before
+// on the load they precede, Core.tail behind the last load. That is exact
+// because retire is in-order and width-limited per cycle: a ready
+// instruction's only observable property is its position.
+type load struct {
+	before  int // ready instructions between the previous load and this one
 	ready   bool
 	readyAt int64 // -1 when completion is callback-driven
 
-	// complete is the load-completion callback handed to Memory.Read for a
-	// load in this slot. It is built once in New: a slot is not reused
-	// until it retires, which a callback-driven load only does after the
-	// callback fired, so one func per slot serves every load it ever holds.
+	// complete is the load-completion callback handed to Memory.Read for
+	// the load in this entry. It is built once in New: an entry is not
+	// reused until its load retires, which a callback-driven load only does
+	// after the callback fired, so one func per entry serves every load it
+	// ever holds.
 	complete func()
 }
 
-func (s *slot) done(now int64) bool {
-	return s.ready || (s.readyAt >= 0 && now >= s.readyAt)
+func (l *load) done(now int64) bool {
+	return l.ready || (l.readyAt >= 0 && now >= l.readyAt)
 }
 
 type memOp struct {
@@ -85,8 +94,13 @@ type Core struct {
 	trace Trace
 	mem   Memory
 
-	window []slot
+	// The run-length window: a ring of the loads in flight (oldest at
+	// head), each counting the ready instructions before it, plus the ready
+	// instructions behind the youngest load. count is the total occupancy.
+	loads  []load
 	head   int
+	nloads int
+	tail   int
 	count  int
 
 	// The fetched-but-unissued trace record: bubbles instructions, then
@@ -107,11 +121,11 @@ type Core struct {
 // executing to preserve memory contention, as in the paper's methodology).
 func New(id int, cfg Config, trace Trace, mem Memory, target int64) *Core {
 	c := &Core{id: id, cfg: cfg, trace: trace, mem: mem, target: target}
-	c.window = make([]slot, cfg.WindowSize)
-	for i := range c.window {
-		s := &c.window[i]
-		s.complete = func() {
-			s.ready = true
+	c.loads = make([]load, cfg.WindowSize)
+	for i := range c.loads {
+		l := &c.loads[i]
+		l.complete = func() {
+			l.ready = true
 			c.outstanding--
 		}
 	}
@@ -183,8 +197,9 @@ func (c *Core) NextWake(now int64) int64 {
 	if c.count == 0 {
 		return now + 1 // empty window: the core will try to issue next cycle
 	}
-	if at := c.window[c.head].readyAt; at > now {
-		return at
+	// Only a load at the very head can have a completion time still ahead.
+	if l := &c.loads[c.head]; c.nloads > 0 && l.before == 0 && l.readyAt > now {
+		return l.readyAt
 	}
 	return int64(1) << 62
 }
@@ -229,14 +244,35 @@ func (c *Core) DrainTick(now int64) bool {
 // mode-switch drain is complete when every core reaches zero.
 func (c *Core) WindowOccupied() int { return c.count }
 
+// retire removes up to IssueWidth completed instructions from the window
+// head, in order: whole runs of ready instructions at a time, stopping at
+// the first load whose data has not arrived.
 func (c *Core) retire(now int64) {
-	for n := 0; n < c.cfg.IssueWidth && c.count > 0; n++ {
-		if !c.window[c.head].done(now) {
-			return
+	budget := min(c.cfg.IssueWidth, c.count)
+	left := budget
+	for left > 0 {
+		if c.nloads == 0 {
+			n := min(left, c.tail)
+			c.tail -= n
+			left -= n
+			break
 		}
-		c.head = (c.head + 1) % len(c.window)
-		c.count--
-		c.stats.Retired++
+		l := &c.loads[c.head]
+		n := min(left, l.before)
+		l.before -= n
+		left -= n
+		if left == 0 || !l.done(now) {
+			break
+		}
+		if c.head++; c.head == len(c.loads) {
+			c.head = 0
+		}
+		c.nloads--
+		left--
+	}
+	if n := budget - left; n > 0 {
+		c.count -= n
+		c.stats.Retired += int64(n)
 		if c.stats.FinishedAt < 0 && c.stats.Retired >= c.target {
 			c.stats.FinishedAt = now
 		}
@@ -251,15 +287,21 @@ func (c *Core) issue(now int64) {
 			c.pending, c.hasPending = memOp{line: line, write: wr}, true
 		}
 		if c.bubbles > 0 {
-			if !c.push(now, 0) {
+			// A run of bubbles enters in one step, as far as the issue
+			// width and the window allow.
+			k := int(min(c.bubbles, int64(min(c.cfg.IssueWidth-n, len(c.loads)-c.count))))
+			if k == 0 {
 				c.stats.WindowStalls++
 				return
 			}
-			c.bubbles--
+			c.tail += k
+			c.count += k
+			c.bubbles -= int64(k)
+			n += k - 1
 			continue
 		}
 		// Every instruction occupies a window slot; bail if full.
-		if c.count >= len(c.window) {
+		if c.count >= len(c.loads) {
 			c.stats.WindowStalls++
 			return
 		}
@@ -270,42 +312,37 @@ func (c *Core) issue(now int64) {
 				return
 			}
 			c.stats.Stores++
-			c.push(now, 0)
+			c.tail++
+			c.count++
 			c.hasPending = false
 			continue
 		}
-		// Load: enforce the §4.4 LSU quota, claim a window slot, then ask
-		// the cache.
+		// Load: enforce the §4.4 LSU quota, then ask the cache. The entry
+		// joins the window (taking the ready run behind the previous load
+		// as its own) only once the read is accepted.
 		if c.quota != nil && c.outstanding >= c.quota.MSHRQuota(c.id) {
 			c.stats.QuotaStalls++
 			return
 		}
-		tail := (c.head + c.count) % len(c.window)
-		s := &c.window[tail]
-		s.ready, s.readyAt = false, -1
-		res := c.mem.Read(op.line, c.id, now, s.complete)
+		i := c.head + c.nloads
+		if i >= len(c.loads) {
+			i -= len(c.loads)
+		}
+		l := &c.loads[i]
+		l.ready = false // before Read: the callback may set it
+		res := c.mem.Read(op.line, c.id, now, l.complete)
 		if !res.OK {
 			c.stats.BlockedStalls++
 			return
 		}
-		if res.ReadyAt >= 0 {
-			s.readyAt = res.ReadyAt
-		} else {
+		l.before, l.readyAt = c.tail, res.ReadyAt
+		if res.ReadyAt < 0 {
 			c.outstanding++ // unresolved until the completion callback fires
 		}
+		c.tail = 0
+		c.nloads++
 		c.count++
 		c.stats.Loads++
 		c.hasPending = false
 	}
-}
-
-func (c *Core) push(now int64, _ int) bool {
-	if c.count >= len(c.window) {
-		return false
-	}
-	tail := (c.head + c.count) % len(c.window)
-	s := &c.window[tail]
-	s.ready, s.readyAt = true, now
-	c.count++
-	return true
 }
