@@ -7,7 +7,6 @@
 package breakhammer_test
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -380,108 +379,3 @@ func BenchmarkChannels1(b *testing.B) { benchChannels(b, 1) }
 func BenchmarkChannels2(b *testing.B) { benchChannels(b, 2) }
 func BenchmarkChannels4(b *testing.B) { benchChannels(b, 4) }
 func BenchmarkChannels8(b *testing.B) { benchChannels(b, 8) }
-
-// --- Serial vs parallel channel ticking (the memsys worker pool) ---
-
-// benchChannelTick times one simulation of an 8-core attack mix on an
-// N-channel paper-scale system: Table 1 geometry and controller
-// configuration (sim.DefaultConfig), Graphene + BreakHammer, with the
-// instruction horizon trimmed so a benchmark iteration finishes in
-// seconds (the full 100M-instruction horizon is hours; per-cycle tick
-// cost, which is what serial-vs-parallel compares, does not depend on
-// the horizon). Only the simulation is timed — alone-mode baselines and
-// table assembly are out of the loop — and the serial and parallel
-// variants run bit-identical simulations (asserted by
-// sim.TestParallelChannelsDeterministic), so ns/op is directly
-// comparable within a channel count. cmd/benchjson turns the output of
-// `go test -bench ParallelTicking` into BENCH_parallel.json.
-func benchChannelTick(b *testing.B, channels int, parallel bool) {
-	b.Helper()
-	cfg := sim.DefaultConfig()
-	cfg.TargetInsts = 150_000
-	cfg.BHWindow = 400_000
-	cfg.MaxCycles = 60_000_000
-	cfg.Mechanism = "graphene"
-	cfg.NRH = 512
-	cfg.BreakHammer = true
-	cfg.Channels = channels
-	cfg.ParallelChannels = parallel
-	mix, err := workload.ParseMix("HHMMLLLA", 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		sys, err := sim.NewSystem(cfg, mix)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := sys.Run()
-		b.ReportMetric(float64(res.Cycles), "cycles")
-	}
-}
-
-// BenchmarkParallelTicking is the serial-vs-parallel grid the CI bench
-// job and EXPERIMENTS.md's recorded baselines are built from.
-func BenchmarkParallelTicking(b *testing.B) {
-	for _, channels := range []int{1, 2, 4, 8} {
-		channels := channels
-		b.Run(fmt.Sprintf("serial-%dch", channels), func(b *testing.B) {
-			benchChannelTick(b, channels, false)
-		})
-		b.Run(fmt.Sprintf("parallel-%dch", channels), func(b *testing.B) {
-			benchChannelTick(b, channels, true)
-		})
-	}
-}
-
-// benchSampledTick times one simulation of the benchChannelTick mix and
-// geometry, exact or under SMARTS interval sampling with the validation
-// harness's window shape (4K warm-up / 12K detail / 134K fast-forward —
-// the shape exp.SamplingValidation and the CI sampling-smoke job use).
-// The exact/sampled ns/op ratio is the sampled-mode speedup; it tracks
-// the duty cycle (detailed cycles per period) because fast-forward
-// replay is nearly free next to detailed ticking. The windows metric
-// counts measured detailed windows — the N behind the 95% confidence
-// bands — so a shape change that silently starves the estimator of
-// windows shows up in the trajectory. cmd/benchjson turns the output of
-// `go test -bench Sampling` into BENCH_sampling.json.
-func benchSampledTick(b *testing.B, sampled bool) {
-	b.Helper()
-	cfg := sim.DefaultConfig()
-	cfg.TargetInsts = 150_000
-	cfg.BHWindow = 400_000
-	cfg.MaxCycles = 60_000_000
-	cfg.Mechanism = "graphene"
-	cfg.NRH = 512
-	cfg.BreakHammer = true
-	if sampled {
-		cfg.Sampling = breakhammer.SamplingParams{
-			Enabled:      true,
-			WarmupCycles: 4_000,
-			DetailCycles: 12_000,
-			FFCycles:     134_000,
-		}
-	}
-	mix, err := workload.ParseMix("HHMMLLLA", 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		sys, err := sim.NewSystem(cfg, mix)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := sys.Run()
-		b.ReportMetric(float64(res.Cycles), "cycles")
-		if res.Sampling != nil {
-			b.ReportMetric(float64(res.Sampling.Windows), "windows")
-		}
-	}
-}
-
-// BenchmarkSampling is the exact-vs-sampled pair the CI bench job and
-// BENCH_sampling.json record; the ns/op ratio is the sampling speedup.
-func BenchmarkSampling(b *testing.B) {
-	b.Run("exact", func(b *testing.B) { benchSampledTick(b, false) })
-	b.Run("sampled", func(b *testing.B) { benchSampledTick(b, true) })
-}

@@ -51,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"breakhammer"
 	"breakhammer/internal/exp"
 	"breakhammer/internal/fleet"
 	"breakhammer/internal/prof"
@@ -243,7 +242,6 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-	_ = breakhammer.Mechanisms() // façade linkage sanity
 
 	for _, e := range all {
 		if !selected[e.Name] {

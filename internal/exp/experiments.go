@@ -9,44 +9,54 @@ import (
 
 // Experiment is one named, runnable entry of the paper's evaluation —
 // the catalogue bhsweep's -figs flag and bhserve's /api/figures both
-// dispatch through.
+// dispatch through, and the only place that says what an experiment
+// reads: PointsFor enumerates a point-sweep experiment by rendering Run
+// against a recording runner, and Raw is what makes one instrumented.
 type Experiment struct {
 	Name   string // bhsweep -figs name: "2".."19", "table1".."table3", "sec5", "sec6"
 	Title  string // one-line display title
 	Static bool   // computed from closed-form models only; no simulation behind it
 	Run    func(*Runner) (Table, error)
+
+	// Raw is set on the instrumented experiments (Table 3, Section 5),
+	// whose runs hook the system and so cannot be stored as point
+	// results: Run caches its one rendered table in the store's raw
+	// namespace under the label Name and the configuration Raw returns,
+	// and that table is what coverage counts.
+	Raw func(*Runner) sim.Config
 }
 
 // Experiments returns the full catalogue in presentation order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", "Table 1: simulated system configuration", true,
-			func(r *Runner) (Table, error) { return Table1(r.opts.Base), nil }},
-		{"table2", "Table 2: BreakHammer configuration", true,
-			func(r *Runner) (Table, error) { return Table2(r.opts.Base), nil }},
-		{"table3", "Table 3: workload characterisation", false, (*Runner).Table3},
-		{"2", "Figure 2: mitigation overhead on benign workloads vs N_RH (no attacker)", false, (*Runner).Figure2},
-		{"5", "Figure 5: max undetected attacker score vs attacker thread share", true,
-			func(*Runner) (Table, error) { return Figure5(), nil }},
-		{"6", "Figure 6: normalized weighted speedup of benign applications (attacker present)", false, (*Runner).Figure6},
-		{"7", "Figure 7: normalized unfairness on benign applications (attacker present)", false, (*Runner).Figure7},
-		{"8", "Figure 8: weighted speedup of benign applications vs N_RH (attacker present)", false, (*Runner).Figure8},
-		{"9", "Figure 9: unfairness on benign applications vs N_RH (attacker present)", false, (*Runner).Figure9},
-		{"10", "Figure 10: RowHammer-preventive actions vs N_RH (attacker present)", false, (*Runner).Figure10},
-		{"11", "Figure 11: benign memory latency percentiles (ns), attacker present", false, (*Runner).Figure11},
-		{"12", "Figure 12: DRAM energy vs N_RH (attacker present)", false, (*Runner).Figure12},
-		{"13", "Figure 13: normalized weighted speedup (no attacker)", false, (*Runner).Figure13},
-		{"14", "Figure 14: normalized unfairness (no attacker)", false, (*Runner).Figure14},
-		{"15", "Figure 15: weighted speedup of mech+BH vs bare mech (no attacker) by N_RH", false, (*Runner).Figure15},
-		{"16", "Figure 16: unfairness of mech+BH vs bare mech (no attacker) by N_RH", false, (*Runner).Figure16},
-		{"17", "Figure 17: benign memory latency percentiles (ns), no attacker", false, (*Runner).Figure17},
-		{"18", "Figure 18: BreakHammer-paired mechanisms vs BlockHammer (attacker present)", false, (*Runner).Figure18},
-		{"19", "Figure 19: sensitivity to TH_threat (graphene+BH)", false, (*Runner).Figure19},
-		{"sec5", "Section 5: multi-threaded attack scenarios (graphene+BH)", false, (*Runner).Section5},
-		{"scenarios", "Adversarial scenarios: adaptive strategies vs composed defenses (security/performance frontier)", false, (*Runner).Scenarios},
-		{"sampling", "Sampling validation: sampled vs exact metrics on a pinned mini-grid (error bands, wall-clock speedup)", false, (*Runner).SamplingValidation},
-		{"sec6", "Section 6: hardware complexity", true,
-			func(*Runner) (Table, error) { return Section6(), nil }},
+		{Name: "table1", Title: "Table 1: simulated system configuration", Static: true,
+			Run: func(r *Runner) (Table, error) { return Table1(r.opts.Base), nil }},
+		{Name: "table2", Title: "Table 2: BreakHammer configuration", Static: true,
+			Run: func(r *Runner) (Table, error) { return Table2(r.opts.Base), nil }},
+		{Name: "table3", Title: "Table 3: workload characterisation", Run: (*Runner).Table3,
+			Raw: func(r *Runner) sim.Config { return r.opts.Base }},
+		{Name: "2", Title: "Figure 2: mitigation overhead on benign workloads vs N_RH (no attacker)", Run: (*Runner).Figure2},
+		{Name: "5", Title: "Figure 5: max undetected attacker score vs attacker thread share", Static: true,
+			Run: func(*Runner) (Table, error) { return Figure5(), nil }},
+		{Name: "6", Title: "Figure 6: normalized weighted speedup of benign applications (attacker present)", Run: (*Runner).Figure6},
+		{Name: "7", Title: "Figure 7: normalized unfairness on benign applications (attacker present)", Run: (*Runner).Figure7},
+		{Name: "8", Title: "Figure 8: weighted speedup of benign applications vs N_RH (attacker present)", Run: (*Runner).Figure8},
+		{Name: "9", Title: "Figure 9: unfairness on benign applications vs N_RH (attacker present)", Run: (*Runner).Figure9},
+		{Name: "10", Title: "Figure 10: RowHammer-preventive actions vs N_RH (attacker present)", Run: (*Runner).Figure10},
+		{Name: "11", Title: "Figure 11: benign memory latency percentiles (ns), attacker present", Run: (*Runner).Figure11},
+		{Name: "12", Title: "Figure 12: DRAM energy vs N_RH (attacker present)", Run: (*Runner).Figure12},
+		{Name: "13", Title: "Figure 13: normalized weighted speedup (no attacker)", Run: (*Runner).Figure13},
+		{Name: "14", Title: "Figure 14: normalized unfairness (no attacker)", Run: (*Runner).Figure14},
+		{Name: "15", Title: "Figure 15: weighted speedup of mech+BH vs bare mech (no attacker) by N_RH", Run: (*Runner).Figure15},
+		{Name: "16", Title: "Figure 16: unfairness of mech+BH vs bare mech (no attacker) by N_RH", Run: (*Runner).Figure16},
+		{Name: "17", Title: "Figure 17: benign memory latency percentiles (ns), no attacker", Run: (*Runner).Figure17},
+		{Name: "18", Title: "Figure 18: BreakHammer-paired mechanisms vs BlockHammer (attacker present)", Run: (*Runner).Figure18},
+		{Name: "19", Title: "Figure 19: sensitivity to TH_threat (graphene+BH)", Run: (*Runner).Figure19},
+		{Name: "sec5", Title: "Section 5: multi-threaded attack scenarios (graphene+BH)", Run: (*Runner).Section5, Raw: (*Runner).section5Config},
+		{Name: "scenarios", Title: "Adversarial scenarios: adaptive strategies vs composed defenses (security/performance frontier)", Run: (*Runner).Scenarios},
+		{Name: "sampling", Title: "Sampling validation: sampled vs exact metrics on a pinned mini-grid (error bands, wall-clock speedup)", Run: (*Runner).SamplingValidation},
+		{Name: "sec6", Title: "Section 6: hardware complexity", Static: true,
+			Run: func(*Runner) (Table, error) { return Section6(), nil }},
 	}
 }
 
@@ -68,11 +78,15 @@ func ExperimentByName(name string) (Experiment, bool) {
 // experiment whose cached count equals its total renders without
 // simulating anything.
 func (r *Runner) Coverage(name string) (cached, total int, err error) {
-	switch name {
-	case "table3":
-		return r.rawCoverage("table3", r.opts.Base)
-	case "sec5":
-		return r.rawCoverage("sec5", r.section5Config())
+	if e, ok := ExperimentByName(name); ok && e.Raw != nil {
+		_, held, err := r.rawTable(e)
+		if err != nil {
+			return 0, 0, err
+		}
+		if held {
+			cached = 1
+		}
+		return cached, 1, nil
 	}
 	keyed, err := r.experimentKeys(name)
 	if err != nil {
@@ -137,36 +151,30 @@ func (r *Runner) refreshKeyEpochLocked() error {
 	return nil
 }
 
-// rawCoverage is Coverage for the instrumented experiments stored as one
-// rendered table in the raw namespace; the key is memoized like the
-// point keys.
-func (r *Runner) rawCoverage(label string, cfg sim.Config) (cached, total int, err error) {
+// rawTable locates the instrumented experiment e's one rendered table:
+// its key in the store's raw namespace — exactly what e.Run's cachedTable
+// call derives — and whether the store holds it. The key is memoized like
+// the point keys.
+func (r *Runner) rawTable(e Experiment) (key string, held bool, err error) {
 	r.keyMu.Lock()
-	if err := r.refreshKeyEpochLocked(); err != nil {
-		r.keyMu.Unlock()
-		return 0, 0, err
-	}
-	key, ok := r.rawKeys[label]
-	if !ok {
-		key, err = rawTableKey(label, cfg)
-		if err != nil {
-			r.keyMu.Unlock()
-			return 0, 0, err
+	err = r.refreshKeyEpochLocked()
+	base, ok := r.rawKeys[e.Name]
+	if err == nil && !ok {
+		if base, err = rawTableKey(e.Name, e.Raw(r)); err == nil {
+			r.rawKeys[e.Name] = base
 		}
-		r.rawKeys[label] = key
 	}
 	r.keyMu.Unlock()
+	if err != nil {
+		return "", false, err
+	}
 	// The memoized key is the generation-independent base; the store's
 	// current generation is applied at query time so coverage tracks
 	// invalidations without dropping the memo.
-	gen, err := r.store.Generation(r.cacheTTL)
-	if err != nil {
-		return 0, 0, err
+	if key, err = r.atGeneration(base); err != nil {
+		return "", false, err
 	}
-	if r.store.HasRaw(genKey(key, gen)) {
-		return 1, 1, nil
-	}
-	return 0, 1, nil
+	return key, r.store.HasRaw(key), nil
 }
 
 // PointCoverage is one entry of the per-point coverage listing behind
@@ -187,11 +195,12 @@ type PointCoverage struct {
 // goes through the store's key index, so a large catalogue page costs
 // one index lookup per row.
 func (r *Runner) PointCoverageFor(name string) ([]PointCoverage, error) {
-	switch name {
-	case "table3":
-		return r.rawPointCoverage("table3", r.opts.Base)
-	case "sec5":
-		return r.rawPointCoverage("sec5", r.section5Config())
+	if e, ok := ExperimentByName(name); ok && e.Raw != nil {
+		key, held, err := r.rawTable(e)
+		if err != nil {
+			return nil, err
+		}
+		return []PointCoverage{{Label: name, Key: key, Cached: held}}, nil
 	}
 	keyed, err := r.experimentKeys(name)
 	if err != nil {
@@ -202,14 +211,4 @@ func (r *Runner) PointCoverageFor(name string) ([]PointCoverage, error) {
 		out = append(out, PointCoverage{Label: keyed.points[i].String(), Key: key, Cached: r.store.Has(key)})
 	}
 	return out, nil
-}
-
-// rawPointCoverage is PointCoverageFor for the single-table
-// instrumented experiments.
-func (r *Runner) rawPointCoverage(label string, cfg sim.Config) ([]PointCoverage, error) {
-	key, err := r.tableKey(label, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return []PointCoverage{{Label: label, Key: key, Cached: r.store.HasRaw(key)}}, nil
 }

@@ -13,6 +13,15 @@ func unfairnessOf(r sim.MixResult) float64 { return r.Unfairness }
 func actionsOf(r sim.MixResult) float64    { return float64(r.Actions) }
 func energyOf(r sim.MixResult) float64     { return r.EnergyNJ }
 
+// meanOf averages a metric over a point's mixes.
+func meanOf(rs []sim.MixResult, metric func(sim.MixResult) float64) float64 {
+	var sum float64
+	for _, res := range rs {
+		sum += metric(res)
+	}
+	return sum / float64(len(rs))
+}
+
 // Figure6 — BreakHammer's impact on benign weighted speedup per workload
 // mix with an attacker present, at the N_RH closest to the paper's 1K.
 // Values are WS(mechanism+BH) / WS(mechanism): above 1.0 means
@@ -86,7 +95,7 @@ func (r *Runner) Figure8() (Table, error) {
 	return r.nrhSweepFigure(
 		"Figure 8: weighted speedup of benign applications vs N_RH (attacker present)",
 		"normalized to no-mitigation baseline; pairs of columns: mech, mech+BH",
-		true, true, wsOf)
+		wsOf, baselineColumns(r.opts.Mechanisms, true, true, true))
 }
 
 // Figure9 — unfairness normalized to the no-mitigation baseline vs N_RH
@@ -95,39 +104,70 @@ func (r *Runner) Figure9() (Table, error) {
 	return r.nrhSweepFigure(
 		"Figure 9: unfairness on benign applications vs N_RH (attacker present)",
 		"mech+BH normalized to no-mitigation baseline; <1 means fairer than baseline",
-		true, false, unfairnessOf)
+		unfairnessOf, baselineColumns(r.opts.Mechanisms, true, false, true))
 }
 
-// nrhSweepFigure builds the N_RH sweep tables (Figs. 8, 9, 12, 15, 16).
-// withBare adds the non-BreakHammer column per mechanism.
-func (r *Runner) nrhSweepFigure(title, note string, attack, withBare bool, metric func(sim.MixResult) float64) (Table, error) {
-	t := Table{Title: title, Note: note}
-	t.Header = []string{"NRH"}
-	for _, mech := range r.opts.Mechanisms {
-		if withBare {
-			t.Header = append(t.Header, mech)
+// sweepColumn is one column of an N_RH sweep table: the geometric mean
+// over mixes of metric(with)/metric(base). A point whose NRH is zero is
+// read at each row's threshold; the no-mitigation baseline carries its
+// own.
+type sweepColumn struct {
+	header     string
+	with, base Point
+}
+
+// baselinePoint is the no-mitigation run of a mix family. N_RH is
+// irrelevant without a mechanism, so one point serves every sweep row.
+func baselinePoint(attack bool) Point { return Point{Mech: "none", NRH: 1024, Attack: attack} }
+
+// baselineColumns are sweep columns normalized to the family's
+// no-mitigation baseline: per mechanism the bare mechanism (bare) and/or
+// its BreakHammer pairing (bh).
+func baselineColumns(mechs []string, attack, bare, bh bool) []sweepColumn {
+	var cols []sweepColumn
+	for _, mech := range mechs {
+		if bare {
+			cols = append(cols, sweepColumn{mech, Point{Mech: mech, Attack: attack}, baselinePoint(attack)})
 		}
-		t.Header = append(t.Header, mech+"+BH")
+		if bh {
+			cols = append(cols, sweepColumn{mech + "+BH", Point{Mech: mech, BH: true, Attack: attack}, baselinePoint(attack)})
+		}
 	}
-	base, err := r.baseline(attack)
-	if err != nil {
-		return Table{}, err
+	return cols
+}
+
+// nrhSweepFigure builds the N_RH sweep tables (Figs. 2, 8, 9, 12, 15, 16,
+// 18): one row per threshold, one cell per column.
+func (r *Runner) nrhSweepFigure(title, note string, metric func(sim.MixResult) float64, cols []sweepColumn) (Table, error) {
+	t := Table{Title: title, Note: note, Header: []string{"NRH"}}
+	for _, c := range cols {
+		t.Header = append(t.Header, c.header)
+	}
+	// Each distinct point is read once, the shared baseline included.
+	got := map[Point][]sim.MixResult{}
+	read := func(p Point, nrh int) ([]sim.MixResult, error) {
+		if p.NRH == 0 {
+			p.NRH = nrh
+		}
+		if rs, ok := got[p]; ok {
+			return rs, nil
+		}
+		rs, err := r.point(p)
+		got[p] = rs
+		return rs, err
 	}
 	for _, nrh := range r.opts.NRHs {
 		row := []string{fmt.Sprint(nrh)}
-		for _, mech := range r.opts.Mechanisms {
-			if withBare {
-				rs, err := r.results(mech, nrh, false, attack)
-				if err != nil {
-					return Table{}, err
-				}
-				row = append(row, f3(ratioGeomean(rs, base, metric)))
-			}
-			rs, err := r.results(mech, nrh, true, attack)
+		for _, c := range cols {
+			base, err := read(c.base, nrh)
 			if err != nil {
 				return Table{}, err
 			}
-			row = append(row, f3(ratioGeomean(rs, base, metric)))
+			with, err := read(c.with, nrh)
+			if err != nil {
+				return Table{}, err
+			}
+			row = append(row, f3(ratioGeomean(with, base, metric)))
 		}
 		t.AddRow(row...)
 	}
@@ -167,11 +207,7 @@ func (r *Runner) Figure10() (Table, error) {
 			if err != nil {
 				return Table{}, err
 			}
-			var sum float64
-			for _, res := range rs {
-				sum += float64(res.Actions)
-			}
-			if avg := sum / float64(len(rs)); avg > 0 {
+			if avg := meanOf(rs, actionsOf); avg > 0 {
 				norm[mech] = avg
 				break
 			}
@@ -185,11 +221,7 @@ func (r *Runner) Figure10() (Table, error) {
 				if err != nil {
 					return Table{}, err
 				}
-				var sum float64
-				for _, res := range rs {
-					sum += float64(res.Actions)
-				}
-				avg := sum / float64(len(rs))
+				avg := meanOf(rs, actionsOf)
 				if norm[mech] > 0 {
 					row = append(row, f2(avg/norm[mech]))
 				} else {
@@ -237,7 +269,7 @@ func (r *Runner) latencyFigure(title string, attack bool) (Table, error) {
 		t.AddRow(row...)
 	}
 
-	base, err := r.baseline(attack)
+	base, err := r.point(baselinePoint(attack))
 	if err != nil {
 		return Table{}, err
 	}
@@ -263,42 +295,16 @@ func (r *Runner) Figure12() (Table, error) {
 	return r.nrhSweepFigure(
 		"Figure 12: DRAM energy vs N_RH (attacker present)",
 		"normalized to no-mitigation baseline; pairs of columns: mech, mech+BH",
-		true, true, energyOf)
+		energyOf, baselineColumns(r.opts.Mechanisms, true, true, true))
 }
 
 // Figure18 — BreakHammer-paired mechanisms vs BlockHammer (the
 // state-of-the-art throttling-based mitigation) as N_RH decreases, benign
 // weighted speedup normalized to the no-mitigation baseline.
 func (r *Runner) Figure18() (Table, error) {
-	t := Table{
-		Title: "Figure 18: BreakHammer-paired mechanisms vs BlockHammer (attacker present)",
-		Note:  "weighted speedup normalized to no-mitigation baseline",
-	}
-	t.Header = []string{"NRH"}
-	for _, mech := range r.opts.Mechanisms {
-		t.Header = append(t.Header, mech+"+BH")
-	}
-	t.Header = append(t.Header, "blockhammer")
-
-	base, err := r.baseline(true)
-	if err != nil {
-		return Table{}, err
-	}
-	for _, nrh := range r.opts.NRHs {
-		row := []string{fmt.Sprint(nrh)}
-		for _, mech := range r.opts.Mechanisms {
-			rs, err := r.results(mech, nrh, true, true)
-			if err != nil {
-				return Table{}, err
-			}
-			row = append(row, f3(ratioGeomean(rs, base, wsOf)))
-		}
-		rs, err := r.results("blockhammer", nrh, false, true)
-		if err != nil {
-			return Table{}, err
-		}
-		row = append(row, f3(ratioGeomean(rs, base, wsOf)))
-		t.AddRow(row...)
-	}
-	return t, nil
+	return r.nrhSweepFigure(
+		"Figure 18: BreakHammer-paired mechanisms vs BlockHammer (attacker present)",
+		"weighted speedup normalized to no-mitigation baseline",
+		wsOf, append(baselineColumns(r.opts.Mechanisms, true, false, true),
+			baselineColumns([]string{"blockhammer"}, true, true, false)...))
 }

@@ -8,28 +8,10 @@ import "fmt"
 // all mechanisms degrade as N_RH shrinks; Hydra degrades least, AQUA and
 // PARA most.
 func (r *Runner) Figure2() (Table, error) {
-	t := Table{
-		Title: "Figure 2: mitigation overhead on benign workloads vs N_RH (no attacker)",
-		Note:  "weighted speedup normalized to no-mitigation baseline; lower = more overhead",
-	}
-	t.Header = []string{"NRH"}
-	t.Header = append(t.Header, r.opts.Fig2Mechs...)
-	base, err := r.baseline(false)
-	if err != nil {
-		return Table{}, err
-	}
-	for _, nrh := range r.opts.NRHs {
-		row := []string{fmt.Sprint(nrh)}
-		for _, mech := range r.opts.Fig2Mechs {
-			rs, err := r.results(mech, nrh, false, false)
-			if err != nil {
-				return Table{}, err
-			}
-			row = append(row, f3(ratioGeomean(rs, base, wsOf)))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return r.nrhSweepFigure(
+		"Figure 2: mitigation overhead on benign workloads vs N_RH (no attacker)",
+		"weighted speedup normalized to no-mitigation baseline; lower = more overhead",
+		wsOf, baselineColumns(r.opts.Fig2Mechs, false, true, false))
 }
 
 // Figure13 — BreakHammer's impact on weighted speedup per mix group with
@@ -54,59 +36,30 @@ func (r *Runner) Figure14() (Table, error) {
 // Figure15 — weighted speedup of mech+BH normalized to the bare mechanism
 // on all-benign workloads as N_RH decreases.
 func (r *Runner) Figure15() (Table, error) {
-	t := Table{
-		Title: "Figure 15: weighted speedup of mech+BH vs bare mech (no attacker) by N_RH",
-		Note:  "≈1 everywhere means BreakHammer never hurts benign-only workloads",
-	}
-	t.Header = []string{"NRH"}
-	for _, mech := range r.opts.Mechanisms {
-		t.Header = append(t.Header, mech+"+BH")
-	}
-	for _, nrh := range r.opts.NRHs {
-		row := []string{fmt.Sprint(nrh)}
-		for _, mech := range r.opts.Mechanisms {
-			base, err := r.results(mech, nrh, false, false)
-			if err != nil {
-				return Table{}, err
-			}
-			with, err := r.results(mech, nrh, true, false)
-			if err != nil {
-				return Table{}, err
-			}
-			row = append(row, f3(ratioGeomean(with, base, wsOf)))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return r.nrhSweepFigure(
+		"Figure 15: weighted speedup of mech+BH vs bare mech (no attacker) by N_RH",
+		"≈1 everywhere means BreakHammer never hurts benign-only workloads",
+		wsOf, r.bhOverBareColumns())
 }
 
 // Figure16 — unfairness of mech+BH normalized to the bare mechanism on
 // all-benign workloads as N_RH decreases.
 func (r *Runner) Figure16() (Table, error) {
-	t := Table{
-		Title: "Figure 16: unfairness of mech+BH vs bare mech (no attacker) by N_RH",
-		Note:  "paper: +0.9% average; small deviations in both directions",
-	}
-	t.Header = []string{"NRH"}
+	return r.nrhSweepFigure(
+		"Figure 16: unfairness of mech+BH vs bare mech (no attacker) by N_RH",
+		"paper: +0.9% average; small deviations in both directions",
+		unfairnessOf, r.bhOverBareColumns())
+}
+
+// bhOverBareColumns are the benign-only sweep columns of Figs. 15 and 16:
+// each mechanism's BreakHammer pairing over the bare mechanism at the same
+// N_RH.
+func (r *Runner) bhOverBareColumns() []sweepColumn {
+	var cols []sweepColumn
 	for _, mech := range r.opts.Mechanisms {
-		t.Header = append(t.Header, mech+"+BH")
+		cols = append(cols, sweepColumn{mech + "+BH", Point{Mech: mech, BH: true}, Point{Mech: mech}})
 	}
-	for _, nrh := range r.opts.NRHs {
-		row := []string{fmt.Sprint(nrh)}
-		for _, mech := range r.opts.Mechanisms {
-			base, err := r.results(mech, nrh, false, false)
-			if err != nil {
-				return Table{}, err
-			}
-			with, err := r.results(mech, nrh, true, false)
-			if err != nil {
-				return Table{}, err
-			}
-			row = append(row, f3(ratioGeomean(with, base, unfairnessOf)))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return cols
 }
 
 // Figure17 — memory-latency percentiles with no attacker at the lowest

@@ -60,131 +60,34 @@ func (r *Runner) configFor(p Point) sim.Config {
 	return cfg
 }
 
-// PointsFor enumerates the configuration points needed to build the named
-// experiments ("2", "6", ..., "19"; table and section names contribute
-// none), deduplicated across figures: Figs. 8, 9, 10, 12 and 18 share one
-// attacker sweep, and every attacker figure shares the no-mitigation
-// baseline. Feeding the result to Prefetch warms the store so the figure
-// builders run without simulating.
+// PointsFor enumerates the configuration points the named experiments
+// read, deduplicated across figures in first-read order: Figs. 8, 9, 10,
+// 12 and 18 share one attacker sweep, and every attacker figure shares the
+// no-mitigation baseline. Static and instrumented experiments (and unknown
+// names) contribute none. Feeding the result to Prefetch warms the store so
+// the figure builders run without simulating.
+//
+// Nothing here knows what a figure reads: each experiment's renderer runs
+// against a recording runner (see Runner.point) and its table is thrown
+// away. That holds as long as every store read of a renderer goes through
+// Runner.point and the set of reads never shrinks on zero-valued results.
 func (r *Runner) PointsFor(names []string) []Point {
-	seen := map[Point]bool{}
-	var out []Point
-	add := func(ps ...Point) {
-		for _, p := range ps {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
+	var reads []Point
+	rec := &Runner{opts: r.opts, store: r.store, reads: &reads}
+	for _, name := range names {
+		if e, ok := ExperimentByName(name); ok {
+			// The only error a recording run can return is a point whose
+			// mixes cannot be built; the point is logged all the same and
+			// fails with that error when the sweep keys it.
+			_, _ = e.Run(rec)
 		}
 	}
-	baseline := func(attack bool) Point { return Point{Mech: "none", NRH: 1024, Attack: attack} }
-	o := r.opts
-	for _, name := range names {
-		switch name {
-		case "2":
-			add(baseline(false))
-			for _, nrh := range o.NRHs {
-				for _, mech := range o.Fig2Mechs {
-					add(Point{Mech: mech, NRH: nrh})
-				}
-			}
-		case "6", "7":
-			for _, mech := range o.Mechanisms {
-				add(Point{Mech: mech, NRH: o.midNRH(), Attack: true},
-					Point{Mech: mech, NRH: o.midNRH(), BH: true, Attack: true})
-			}
-		case "8", "12":
-			add(baseline(true))
-			for _, nrh := range o.NRHs {
-				for _, mech := range o.Mechanisms {
-					add(Point{Mech: mech, NRH: nrh, Attack: true},
-						Point{Mech: mech, NRH: nrh, BH: true, Attack: true})
-				}
-			}
-		case "9":
-			add(baseline(true))
-			for _, nrh := range o.NRHs {
-				for _, mech := range o.Mechanisms {
-					add(Point{Mech: mech, NRH: nrh, BH: true, Attack: true})
-				}
-			}
-		case "10":
-			for _, nrh := range o.NRHs {
-				for _, mech := range o.Mechanisms {
-					if mech == "rega" {
-						continue
-					}
-					add(Point{Mech: mech, NRH: nrh, Attack: true},
-						Point{Mech: mech, NRH: nrh, BH: true, Attack: true})
-				}
-			}
-		case "11":
-			add(baseline(true))
-			for _, mech := range o.Mechanisms {
-				add(Point{Mech: mech, NRH: o.minNRH(), Attack: true},
-					Point{Mech: mech, NRH: o.minNRH(), BH: true, Attack: true})
-			}
-		case "13":
-			for _, mech := range o.Mechanisms {
-				add(Point{Mech: mech, NRH: o.minNRH()},
-					Point{Mech: mech, NRH: o.minNRH(), BH: true})
-			}
-		case "14":
-			for _, mech := range o.Mechanisms {
-				add(Point{Mech: mech, NRH: o.midNRH()},
-					Point{Mech: mech, NRH: o.midNRH(), BH: true})
-			}
-		case "15", "16":
-			for _, nrh := range o.NRHs {
-				for _, mech := range o.Mechanisms {
-					add(Point{Mech: mech, NRH: nrh},
-						Point{Mech: mech, NRH: nrh, BH: true})
-				}
-			}
-		case "17":
-			add(baseline(false))
-			for _, mech := range o.Mechanisms {
-				add(Point{Mech: mech, NRH: o.minNRH()},
-					Point{Mech: mech, NRH: o.minNRH(), BH: true})
-			}
-		case "18":
-			add(baseline(true))
-			for _, nrh := range o.NRHs {
-				for _, mech := range o.Mechanisms {
-					add(Point{Mech: mech, NRH: nrh, BH: true, Attack: true})
-				}
-				add(Point{Mech: "blockhammer", NRH: nrh, Attack: true})
-			}
-		case "19":
-			for _, attack := range []bool{true, false} {
-				for _, nrh := range o.NRHs {
-					for _, th := range o.THthreats {
-						add(Point{Mech: "graphene", NRH: nrh, BH: true, Attack: attack, BHThreat: th})
-					}
-				}
-			}
-		case "sampling":
-			// Only the exact half of the validation pairs is expressible
-			// as Points (the sampled spelling differs only in
-			// Config.Sampling, which the tuple cannot carry); prefetching
-			// it warms the store records the harness compares against.
-			mechs := o.Mechanisms
-			if len(mechs) > 2 { // the harness caps itself at two mechanisms
-				mechs = mechs[:2]
-			}
-			for _, mech := range mechs {
-				add(Point{Mech: mech, NRH: o.midNRH(), BH: true, Attack: true})
-			}
-		case "scenarios":
-			// The frontier runs at the sweep's lowest (most vulnerable)
-			// threshold: preventive-action dynamics are liveliest there,
-			// and the decoy's prime-to-threshold cost stays affordable
-			// within a scaled-down run.
-			for _, d := range o.Defenses {
-				for _, strat := range o.Strategies {
-					add(Point{Mech: d.Mechanism, NRH: o.minNRH(), BH: d.BH, Scenario: strat})
-				}
-			}
+	seen := make(map[Point]bool, len(reads))
+	out := reads[:0]
+	for _, p := range reads {
+		if !seen[p] {
+			seen[p] = true
+			out = append(out, p)
 		}
 	}
 	return out

@@ -441,7 +441,7 @@ func TestExperimentsCatalogue(t *testing.T) {
 			t.Errorf("experiment %q missing title or runner", e.Name)
 		}
 		points := r.PointsFor([]string{e.Name})
-		isRaw := e.Name == "table3" || e.Name == "sec5"
+		isRaw := e.Raw != nil
 		if e.Static && (len(points) > 0 || isRaw) {
 			t.Errorf("static experiment %q needs simulations", e.Name)
 		}

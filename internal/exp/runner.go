@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +42,7 @@ type Options struct {
 
 	// Strategies and Defenses span the adversarial scenario grid (the
 	// "scenarios" experiment): every (strategy, defense) pair becomes one
-	// frontier point at the mid N_RH. Strategies name entries of the
+	// frontier point at the lowest N_RH. Strategies name entries of the
 	// scenario-strategy registry; Defenses are parsed compositions
 	// ("graphene+bh", "prac+rfm+bh").
 	Strategies []string
@@ -75,44 +77,13 @@ func QuickOptions() Options {
 }
 
 // minNRH returns the smallest (most vulnerable) threshold in the sweep.
-func (o Options) minNRH() int {
-	m := o.NRHs[0]
-	for _, v := range o.NRHs {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
+func (o Options) minNRH() int { return slices.Min(o.NRHs) }
 
-// maxNRH returns the largest threshold in the sweep.
-func (o Options) maxNRH() int {
-	m := o.NRHs[0]
-	for _, v := range o.NRHs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// midNRH returns the threshold closest to the paper's 1K operating point.
+// midNRH returns the threshold closest to the paper's 1K operating point
+// (the first listed, on a tie).
 func (o Options) midNRH() int {
-	best := o.NRHs[0]
-	for _, v := range o.NRHs {
-		d := v - 1024
-		if d < 0 {
-			d = -d
-		}
-		b := best - 1024
-		if b < 0 {
-			b = -b
-		}
-		if d < b {
-			best = v
-		}
-	}
-	return best
+	dist := func(v int) int { return max(v-1024, 1024-v) }
+	return slices.MinFunc(o.NRHs, func(a, b int) int { return dist(a) - dist(b) })
 }
 
 // Runner is the sweep orchestrator: it executes simulations shared across
@@ -128,6 +99,11 @@ type Runner struct {
 	progress ProgressFunc
 	cacheTTL time.Duration // 0 = raw tables never expire; >0 TTLs the cache generation
 	executed int64         // simulation points actually run (not served from the store)
+
+	// reads is non-nil only on the recording runner PointsFor renders
+	// against (enumeration mode): point logs what it was asked for here
+	// instead of touching the store.
+	reads *[]Point
 
 	// keyMu guards the memoized keyed-point lists behind Coverage. Keys
 	// are pure functions of the immutable Options — plus, for
@@ -247,7 +223,17 @@ func (r *Runner) results(mech string, nrh int, bh, attack bool) ([]sim.MixResult
 // without prefetching still takes the point's claim and concurrent
 // sweeps (other goroutines sharing this store, other processes sharing
 // the cache directory) run it exactly once between them.
+//
+// It is the one place a renderer reads the store, which is what lets
+// PointsFor enumerate by rendering: on a recording runner it logs p and
+// hands back zero-valued results, one per mix, so the renderer's loops
+// run their full course over data that reads as "nothing happened".
 func (r *Runner) point(p Point) ([]sim.MixResult, error) {
+	if r.reads != nil {
+		*r.reads = append(*r.reads, p)
+		mixes, err := r.mixesFor(p)
+		return make([]sim.MixResult, len(mixes)), err
+	}
 	key, err := r.PointKey(p)
 	if err != nil {
 		return nil, err
@@ -365,9 +351,16 @@ func (r *Runner) getOrSimulate(ctx context.Context, cfg sim.Config, mixes []work
 // namespace: the rendered Table is keyed by the experiment label plus the
 // content address of its configuration, so a warm cache replays even
 // these without simulating. An unparseable stored table falls through to
-// a rebuild that supersedes it.
+// a rebuild that supersedes it. A recording runner (see point) gets an
+// empty table: an instrumented experiment reads no points.
 func (r *Runner) cachedTable(label string, cfg sim.Config, build func() (Table, error)) (Table, error) {
-	key, err := r.tableKey(label, cfg)
+	if r.reads != nil {
+		return Table{}, nil
+	}
+	key, err := rawTableKey(label, cfg)
+	if err == nil {
+		key, err = r.atGeneration(key)
+	}
 	if err != nil {
 		return Table{}, err
 	}
@@ -394,7 +387,7 @@ func (r *Runner) cachedTable(label string, cfg sim.Config, build func() (Table, 
 // rawTableKey addresses an instrumented experiment's rendered table in
 // the store's raw namespace: the content address of its configuration
 // plus the experiment label. It is the generation-independent base;
-// tableKey applies the store's cache generation on top.
+// atGeneration applies the store's cache generation on top.
 func rawTableKey(label string, cfg sim.Config) (string, error) {
 	key, err := results.Key(cfg, nil)
 	if err != nil {
@@ -403,30 +396,18 @@ func rawTableKey(label string, cfg sim.Config) (string, error) {
 	return key + "-" + label, nil
 }
 
-// tableKey is rawTableKey with the store's current cache generation
-// joined in. Generation zero — a store that has never been invalidated
-// and runs without a TTL — keeps the historical un-suffixed key, so
-// caches warmed before generations existed stay warm. Any later
+// atGeneration joins the store's current cache generation into a
+// raw-table base key. Generation zero — a store that has never been
+// invalidated and runs without a TTL — keeps the historical un-suffixed
+// key, so caches warmed before generations existed stay warm. Any later
 // generation suffixes the key, orphaning every table of the previous
 // generation at once; the orphans recompute lazily on next use.
-func (r *Runner) tableKey(label string, cfg sim.Config) (string, error) {
-	base, err := rawTableKey(label, cfg)
-	if err != nil {
-		return "", err
-	}
+func (r *Runner) atGeneration(base string) (string, error) {
 	gen, err := r.store.Generation(r.cacheTTL)
-	if err != nil {
-		return "", err
+	if err != nil || gen == 0 {
+		return base, err
 	}
-	return genKey(base, gen), nil
-}
-
-// genKey suffixes a raw-table base key with a non-zero generation.
-func genKey(base string, gen uint64) string {
-	if gen == 0 {
-		return base
-	}
-	return fmt.Sprintf("%s-gen%d", base, gen)
+	return fmt.Sprintf("%s-gen%d", base, gen), nil
 }
 
 // Table3 is the orchestrated form of the package-level Table3: identical
@@ -435,12 +416,6 @@ func (r *Runner) Table3() (Table, error) {
 	return r.cachedTable("table3", r.opts.Base, func() (Table, error) {
 		return Table3(r.opts.Base)
 	})
-}
-
-// baseline returns the no-mitigation runs for a mix family. N_RH is
-// irrelevant without a mechanism, so one set serves every sweep point.
-func (r *Runner) baseline(attack bool) ([]sim.MixResult, error) {
-	return r.results("none", 1024, false, attack)
 }
 
 // ratioGeomean returns the geometric mean over mixes of metric(with)/
@@ -454,7 +429,7 @@ func ratioGeomean(with, base []sim.MixResult, metric func(sim.MixResult) float64
 		}
 		ratios = append(ratios, metric(with[i])/b)
 	}
-	return geoMean(ratios)
+	return stats.GeoMean(ratios)
 }
 
 // groupRatioGeomean splits mixes by group name (prefix before '-') and
@@ -478,18 +453,13 @@ func groupRatioGeomean(with, base []sim.MixResult, metric func(sim.MixResult) fl
 	}
 	for _, g := range order {
 		groups = append(groups, g)
-		values = append(values, geoMean(byGroup[g]))
+		values = append(values, stats.GeoMean(byGroup[g]))
 	}
-	return groups, values, geoMean(all)
+	return groups, values, stats.GeoMean(all)
 }
 
+// groupOf returns a mix's group: the name's prefix before '-'.
 func groupOf(mixName string) string {
-	for i := 0; i < len(mixName); i++ {
-		if mixName[i] == '-' {
-			return mixName[:i]
-		}
-	}
-	return mixName
+	group, _, _ := strings.Cut(mixName, "-")
+	return group
 }
-
-func geoMean(xs []float64) float64 { return stats.GeoMean(xs) }

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"breakhammer/internal/sampling"
 )
@@ -35,7 +36,7 @@ func (r *Runner) validationParams() sampling.Params {
 // is in band when it deviates from the exact value by no more than the
 // confidence half-width or the relative-tolerance floor.
 func samplingVerdict(exact, sampled float64, band *sampling.Estimate) (half string, verdict string) {
-	tol := samplingRelTolerance * abs(exact)
+	tol := samplingRelTolerance * math.Abs(exact)
 	half = "-"
 	if band != nil {
 		h := band.HalfWidth()
@@ -44,17 +45,10 @@ func samplingVerdict(exact, sampled float64, band *sampling.Estimate) (half stri
 			tol = h
 		}
 	}
-	if abs(sampled-exact) <= tol {
+	if math.Abs(sampled-exact) <= tol {
 		return half, "ok"
 	}
 	return half, "OUT"
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // SamplingValidation quantifies the accuracy and speedup of interval
@@ -82,6 +76,16 @@ func (r *Runner) SamplingValidation() (Table, error) {
 	}
 	for _, mech := range mechs {
 		p := Point{Mech: mech, NRH: o.midNRH(), BH: true, Attack: true}
+		if r.reads != nil {
+			// Enumeration: only the exact half is expressible as a Point
+			// (the sampled spelling differs only in Config.Sampling, which
+			// the tuple cannot carry); prefetching it warms the store
+			// record the harness compares against.
+			if _, err := r.point(p); err != nil {
+				return Table{}, err
+			}
+			continue
+		}
 		mixes, err := r.resolvedMixes(p)
 		if err != nil {
 			return Table{}, err
@@ -110,7 +114,7 @@ func (r *Runner) SamplingValidation() (Table, error) {
 			addMetric := func(name string, ev, sv float64, band *sampling.Estimate) {
 				rel := "-"
 				if ev != 0 {
-					rel = fmt.Sprintf("%.1f%%", 100*abs(sv-ev)/abs(ev))
+					rel = fmt.Sprintf("%.1f%%", 100*math.Abs(sv-ev)/math.Abs(ev))
 				}
 				half, verdict := samplingVerdict(ev, sv, band)
 				t.AddRow(label, mix, name, f3(ev), f3(sv), half, rel, verdict)

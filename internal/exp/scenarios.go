@@ -7,13 +7,15 @@ import (
 )
 
 // Scenarios builds the adversarial security/performance frontier: the
-// (strategy x defense) grid at the mid RowHammer threshold. Each row
-// reports how the benign victims fared (weighted speedup, unfairness),
-// what the defense spent (preventive actions), and where BreakHammer's
-// suspicion landed (suspect windows and the cumulative blame share on
-// benign threads) — the frontier the adaptive strategies try to bend:
-// the probe trades activation rate for a clean record, the decoy trades
-// its own damage for benign blame.
+// (strategy x defense) grid at the sweep's lowest (most vulnerable)
+// RowHammer threshold — preventive-action dynamics are liveliest there,
+// and the decoy's prime-to-threshold cost stays affordable within a
+// scaled-down run. Each row reports how the benign victims fared
+// (weighted speedup, unfairness), what the defense spent (preventive
+// actions), and where BreakHammer's suspicion landed (suspect windows and
+// the cumulative blame share on benign threads) — the frontier the
+// adaptive strategies try to bend: the probe trades activation rate for a
+// clean record, the decoy trades its own damage for benign blame.
 func (r *Runner) Scenarios() (Table, error) {
 	t := Table{
 		Title: fmt.Sprintf("Adversarial scenarios: strategy x defense frontier (NRH=%d)", r.opts.minNRH()),

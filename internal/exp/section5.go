@@ -117,7 +117,6 @@ func (r *Runner) section5(cfg sim.Config) (Table, error) {
 		events := fmt.Sprint(bh.Stats().SuspectEvents)
 		topOwner, _ := tracker.TopOwner()
 		t.AddRow(sc.name, f3(ws), events, fmt.Sprint(topOwner == sc.attackOwner))
-		_ = res
 	}
 	return t, nil
 }

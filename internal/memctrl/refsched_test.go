@@ -6,10 +6,8 @@ package memctrl
 // differential tests in scheduler_test.go drive the production
 // Controller and this reference side by side with identical request
 // streams and assert byte-identical command streams, callbacks and
-// stats; BenchmarkScheduler benchmarks the two against each other so
-// BENCH_sched.json records the rework's speedup against the exact
-// algorithm it replaced. Do not "fix" or optimise this copy: its value
-// is that it never changes.
+// stats. Do not "fix" or optimise this copy: its value is that it never
+// changes.
 
 import "breakhammer/internal/dram"
 

@@ -1,13 +1,12 @@
 // Package memsys implements the multi-channel memory subsystem: N
-// memctrl.Controller + dram.Device pairs behind one MemorySystem
-// interface. The cache hierarchy talks to the MemorySystem as a single
-// backend; the subsystem decodes each line address once with a
-// channel-aware mapper and routes the request to the owning channel.
-// Activate hooks, latency sinks and LLC fills from every channel are
-// fanned back through the same interface, so thread-attribution layers
-// (BreakHammer, the mitigation mechanisms) see a coherent cross-channel
-// event stream, and per-channel controller statistics are lifted into
-// merged system-level stats.
+// memctrl.Controller + dram.Device pairs behind one type, Interleaved.
+// The cache hierarchy talks to it as a single backend; the subsystem
+// decodes each line address once with a channel-aware mapper and routes
+// the request to the owning channel. Activate hooks, latency sinks and
+// LLC fills from every channel are fanned back through the same type, so
+// thread-attribution layers (BreakHammer, the mitigation mechanisms) see
+// a coherent cross-channel event stream, and per-channel controller
+// statistics are lifted into merged system-level stats.
 package memsys
 
 import (
@@ -20,52 +19,6 @@ import (
 // ChannelActivateHook observes demand row activations anywhere in the
 // memory system, with the originating channel made explicit.
 type ChannelActivateHook func(channel, bank, row, thread int, now int64)
-
-// MemorySystem is the cache hierarchy's view of main memory: a request
-// sink (cache.Backend), a clocked component with skip-ahead support, and
-// an observation surface for mitigation and throttling mechanisms.
-type MemorySystem interface {
-	// EnqueueRead and EnqueueWrite implement cache.Backend: they decode
-	// the line address and route to the owning channel, returning false
-	// when that channel's queue is full.
-	EnqueueRead(line uint64, thread int) bool
-	EnqueueWrite(line uint64, thread int) bool
-
-	// Tick advances every channel one command-bus cycle and reports
-	// whether any channel made progress. Multi-channel systems tick as a
-	// cycle batch: every channel advances with cross-channel side effects
-	// (LLC fills, latency reports, activate hooks) buffered, then the
-	// buffers drain in channel-index order — the same observable event
-	// order whether the batch ran serially or on the worker pool.
-	Tick(now int64) bool
-	// NextWake returns the next cycle any channel could make progress,
-	// assuming the preceding Tick made none.
-	NextWake(now int64) int64
-	// Close releases the channel-tick worker pool, if one was started.
-	// It must be called once ticking is over; Tick after Close falls back
-	// to the serial batch.
-	Close()
-
-	// Channels reports the channel count; Channel returns one channel's
-	// controller (per-channel mechanism wiring, tests, characterisation).
-	Channels() int
-	Channel(i int) *memctrl.Controller
-	// Mapper returns the system-level channel-aware address mapper.
-	Mapper() memctrl.AddressMapper
-
-	// SetFillFunc, SetLatencySink and AddActivateHook fan the per-channel
-	// observation surfaces out across every controller.
-	SetFillFunc(fill func(line uint64))
-	SetLatencySink(sink memctrl.LatencySink)
-	AddActivateHook(h ChannelActivateHook)
-
-	// Stats merges every channel's controller counters; ChannelStats
-	// exposes one channel's own counters.
-	Stats() memctrl.Stats
-	ChannelStats(i int) *memctrl.Stats
-	// EnergyNJ sums DRAM energy across all channel devices.
-	EnergyNJ(durationNs float64) float64
-}
 
 // Config describes the memory subsystem: the per-channel topology and
 // timing, the controller configuration shared by all channels, and the
@@ -104,8 +57,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Interleaved is the concrete MemorySystem: N identical channels with a
-// channel-interleaved address layout.
+// Interleaved is the cache hierarchy's view of main memory: N identical
+// channels with a channel-interleaved address layout, acting as a request
+// sink (cache.Backend), a clocked component with skip-ahead support, and
+// an observation surface for mitigation and throttling mechanisms.
 type Interleaved struct {
 	cfg    Config
 	mapper memctrl.AddressMapper
@@ -121,8 +76,6 @@ type Interleaved struct {
 	pool   *tickPool // lazily started when cfg.Parallel and Channels > 1
 	closed bool
 }
-
-var _ MemorySystem = (*Interleaved)(nil)
 
 // New builds the memory subsystem. threads is the hardware thread count
 // for per-thread accounting in every channel controller.
@@ -167,16 +120,17 @@ func New(cfg Config, threads int) (*Interleaved, error) {
 	return m, nil
 }
 
-// Channels implements MemorySystem.
+// Channels reports the channel count.
 func (m *Interleaved) Channels() int { return len(m.ctrls) }
 
-// Channel implements MemorySystem.
+// Channel returns one channel's controller (per-channel mechanism
+// wiring, tests, characterisation).
 func (m *Interleaved) Channel(i int) *memctrl.Controller { return m.ctrls[i] }
 
 // Device returns one channel's DRAM device.
 func (m *Interleaved) Device(i int) *dram.Device { return m.devs[i] }
 
-// Mapper implements MemorySystem.
+// Mapper returns the system-level channel-aware address mapper.
 func (m *Interleaved) Mapper() memctrl.AddressMapper { return m.mapper }
 
 // EnqueueRead implements cache.Backend: the line decodes to exactly one
@@ -192,23 +146,23 @@ func (m *Interleaved) EnqueueWrite(line uint64, thread int) bool {
 	return m.ctrls[addr.Channel].EnqueueWriteAddr(line, thread, addr)
 }
 
-// SetFillFunc implements MemorySystem: every channel delivers read data
-// into the same LLC fill path.
+// SetFillFunc makes every channel deliver read data into the same LLC
+// fill path.
 func (m *Interleaved) SetFillFunc(fill func(line uint64)) {
 	for _, c := range m.ctrls {
 		c.SetFillFunc(fill)
 	}
 }
 
-// SetLatencySink implements MemorySystem: read latencies from every
-// channel feed one per-thread recorder.
+// SetLatencySink makes read latencies from every channel feed one
+// per-thread recorder.
 func (m *Interleaved) SetLatencySink(sink memctrl.LatencySink) {
 	for _, c := range m.ctrls {
 		c.SetLatencySink(sink)
 	}
 }
 
-// AddActivateHook implements MemorySystem: the hook observes demand
+// AddActivateHook installs a hook that observes demand
 // activations on every channel, tagged with the channel index, so
 // cross-channel attribution (BreakHammer's per-thread scores) sees the
 // full activation stream.
@@ -221,8 +175,8 @@ func (m *Interleaved) AddActivateHook(h ChannelActivateHook) {
 	}
 }
 
-// Tick implements MemorySystem. All channels tick every cycle; progress
-// on any channel counts. With more than one channel the cycle is a
+// Tick advances every channel one command-bus cycle and reports whether
+// any channel made progress. With more than one channel the cycle is a
 // batch: channels tick with cross-component side effects buffered
 // (serially, or concurrently on the worker pool when Config.Parallel is
 // set), a barrier ends the batch, and the buffers drain in channel-index
@@ -249,7 +203,8 @@ func (m *Interleaved) Tick(now int64) bool {
 	return progress
 }
 
-// NextWake implements MemorySystem: the minimum of the per-channel
+// NextWake returns the next cycle any channel could make progress,
+// assuming the preceding Tick made none: the minimum of the per-channel
 // bounds. Each is a field read (memctrl.Controller.NextWake), so the
 // worker pool is not involved.
 func (m *Interleaved) NextWake(now int64) int64 {
@@ -272,9 +227,10 @@ func (m *Interleaved) tickPool() *tickPool {
 	return m.pool
 }
 
-// Close implements MemorySystem: it stops the channel-tick workers (if
-// parallel ticking ever started) and pins the system to the serial
-// batch. Close is idempotent; results are unaffected.
+// Close stops the channel-tick workers (if parallel ticking ever
+// started); it must be called once ticking is over. A Tick after Close
+// falls back to the serial batch. Close is idempotent; results are
+// unaffected.
 func (m *Interleaved) Close() {
 	m.closed = true
 	if m.pool != nil {
@@ -283,7 +239,7 @@ func (m *Interleaved) Close() {
 	}
 }
 
-// Stats implements MemorySystem: per-channel counters summed into one
+// Stats merges every channel's controller counters into one
 // system-level view.
 func (m *Interleaved) Stats() memctrl.Stats {
 	var agg memctrl.Stats
@@ -293,10 +249,10 @@ func (m *Interleaved) Stats() memctrl.Stats {
 	return agg
 }
 
-// ChannelStats implements MemorySystem.
+// ChannelStats exposes one channel's own counters.
 func (m *Interleaved) ChannelStats(i int) *memctrl.Stats { return m.ctrls[i].Stats() }
 
-// EnergyNJ implements MemorySystem: DRAM energy summed over channels
+// EnergyNJ returns the DRAM energy summed over channels
 // (each channel contributes its own background power).
 func (m *Interleaved) EnergyNJ(durationNs float64) float64 {
 	var total float64

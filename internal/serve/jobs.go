@@ -159,6 +159,8 @@ func (m *Manager) Ensure(key string, ex exp.Experiment, runner *exp.Runner) *Job
 		return j
 	}
 	m.nextID++
+	// PointsFor records what ex.Run itself reads, so the queue and the
+	// render that follows it cannot disagree about the figure's points.
 	// The lease TTL is the claim files' default, as for any local sweep.
 	queue, err := exp.NewQueue(runner, runner.PointsFor([]string{ex.Name}), results.DefaultClaimTTL, nil)
 	if err != nil {

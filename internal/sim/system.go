@@ -290,7 +290,7 @@ func (s *System) deliverFeedback(cycle int64) {
 }
 
 // Memory exposes the multi-channel memory subsystem.
-func (s *System) Memory() memsys.MemorySystem { return s.mem }
+func (s *System) Memory() *memsys.Interleaved { return s.mem }
 
 // Controller exposes channel 0's memory controller (tests,
 // characterisation; single-channel systems have only this one).
