@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"breakhammer/internal/results"
+	"breakhammer/internal/workload"
 )
 
 // LeaseSource is a consumer's view of a point queue: *Queue in process,
@@ -77,21 +78,24 @@ func (r *Runner) Consume(ctx context.Context, src LeaseSource, worker string, lo
 
 // consumeOne processes one granted lease end to end.
 func (r *Runner) consumeOne(ctx context.Context, src LeaseSource, l Lease, sum *ConsumerSummary, logf func(string, ...any)) error {
-	// Derive the point's key independently before simulating anything,
-	// with trace hashes pinned and the very same resolved mixes then
-	// simulated: a mismatch means this consumer would compute something
-	// the queue cannot accept (diverged options, code revision, or trace
-	// content edited mid-lease), and one wasted simulation per
-	// divergence is one too many.
-	cfg := r.configFor(l.Point)
-	mixes, err := r.resolvedMixes(l.Point)
-	key := ""
-	if err == nil {
-		key, err = results.Key(cfg, mixes)
-	}
+	// Check the point's key against this consumer's own derivation (the
+	// memoized one, revalidated against the trace files' current content)
+	// before simulating anything: a mismatch means this consumer would
+	// compute something the queue cannot accept (diverged options, code
+	// revision, or trace content edited since the point was queued), and
+	// one wasted simulation per divergence is one too many.
+	key, err := r.PointKey(l.Point)
 	if err == nil && key != l.Key {
 		err = fmt.Errorf("store key mismatch for %v: this consumer derives %.12s, the queue leased %.12s (diverged options, code revision, or trace content)",
 			l.Point, key, l.Key)
+	}
+	// The mixes are resolved — trace hashes pinned — once more for the
+	// run, and getOrSimulate keys the run by exactly them: should a trace
+	// change between the check above and here, the results land under the
+	// new content's key and the completion, carrying that key, is refused.
+	var mixes []workload.Mix
+	if err == nil {
+		mixes, err = r.resolvedMixes(l.Point)
 	}
 	if err != nil {
 		sum.Failed++
@@ -100,7 +104,7 @@ func (r *Runner) consumeOne(ctx context.Context, src LeaseSource, l Lease, sum *
 
 	logf("leased %v", l.Point)
 	stop := keepAlive(ctx, src, l)
-	ep, err := r.getOrSimulate(ctx, cfg, mixes)
+	ep, err := r.getOrSimulate(ctx, r.configFor(l.Point), mixes)
 	stop()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -116,7 +120,7 @@ func (r *Runner) consumeOne(ctx context.Context, src LeaseSource, l Lease, sum *
 	// Ctrl-C wastes the most expensive thing a consumer has.
 	subCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Minute)
 	defer cancel()
-	err = src.Complete(subCtx, l.Token, Completion{Key: key, Schema: results.SchemaVersion,
+	err = src.Complete(subCtx, l.Token, Completion{Key: ep.Key, Schema: results.SchemaVersion,
 		Cached: ep.Cached, ElapsedNS: ep.Elapsed.Nanoseconds(), Results: ep.Results})
 	switch {
 	case errors.Is(err, ErrLeaseLost):

@@ -97,27 +97,35 @@ func (r *Runner) Coverage(name string) (cached, total int, err error) {
 
 // experimentKeys returns the memoized keyed points of the named
 // experiment. Keys are pure functions of the runner's immutable Options
-// and (for trace-backed options) the trace files' contents, so they are
+// and (for trace-backed options) the trace files' contents, so the list is
 // derived once per trace epoch; a server listing its catalogue on every
-// page poll must not re-fingerprint the whole sweep each time.
+// page poll must not re-enumerate and re-key the whole sweep each time.
+//
+// keyMu is released while the list is built: building it keys every point
+// through PointKey, which takes keyMu itself. Two callers missing at once
+// both build — from the same memoized point keys, so to the same list.
 func (r *Runner) experimentKeys(name string) (keyedPoints, error) {
 	r.keyMu.Lock()
-	defer r.keyMu.Unlock()
-	if err := r.refreshKeyEpochLocked(); err != nil {
-		return keyedPoints{}, err
+	err := r.refreshKeyEpochLocked()
+	keyed, ok := r.pointKeys[name]
+	epoch := r.keyEpoch
+	r.keyMu.Unlock()
+	if err != nil || ok {
+		return keyed, err
 	}
-	if keyed, ok := r.pointKeys[name]; ok {
-		return keyed, nil
-	}
-	keyed, err := r.keyPoints(r.PointsFor([]string{name}))
+	keyed, err = r.keyPoints(r.PointsFor([]string{name}))
 	if err != nil {
 		return keyedPoints{}, err
 	}
-	r.pointKeys[name] = keyed
+	r.keyMu.Lock()
+	if r.keyEpoch == epoch { // else a trace changed meanwhile: the list may straddle the edit
+		r.pointKeys[name] = keyed
+	}
+	r.keyMu.Unlock()
 	return keyed, nil
 }
 
-// refreshKeyEpochLocked drops the memoized key lists when the trace
+// refreshKeyEpochLocked drops every memoized key when the trace
 // files backing the options have changed content since they were
 // derived. Synthetic-only options have a constant empty epoch and never
 // invalidate. A trace path that becomes unreadable after an epoch was
@@ -145,6 +153,7 @@ func (r *Runner) refreshKeyEpochLocked() error {
 	}
 	if e := epoch.String(); e != r.keyEpoch {
 		r.keyEpoch = e
+		r.keys = make(map[Point]string)
 		r.pointKeys = make(map[string]keyedPoints)
 		r.rawKeys = make(map[string]string)
 	}

@@ -105,19 +105,24 @@ type Runner struct {
 	// instead of touching the store.
 	reads *[]Point
 
-	// keyMu guards the memoized keyed-point lists behind Coverage. Keys
-	// are pure functions of the immutable Options — plus, for
-	// trace-backed options, of the trace files' contents — but deriving
-	// one means fingerprinting the full config + mixes and hashing it:
-	// too much to redo for every catalogue listing a server renders.
-	// keyEpoch concatenates the resolved trace content hashes; when a
-	// trace file is edited in place the epoch changes and the memoized
-	// keys are dropped, so a long-running server's coverage reports
-	// never go stale against the store.
-	keyMu     sync.Mutex
-	keyEpoch  string
-	pointKeys map[string]keyedPoints // experiment name -> deduplicated points with store keys
-	rawKeys   map[string]string      // raw-table label -> raw store key
+	// keyMu guards the memoized store keys: each point's (PointKey), each
+	// experiment's keyed-point list (Coverage) and each instrumented
+	// experiment's raw-table key. Keys are pure functions of the immutable
+	// Options — plus, for trace-backed options, of the trace files'
+	// contents — but deriving one means fingerprinting the full config +
+	// mixes and hashing it: about a millisecond, which a sweep pass that
+	// keys every point when queueing it and again when rendering each
+	// figure that reads it, or a server rendering a catalogue listing,
+	// must not pay per use. keyEpoch concatenates the resolved trace
+	// content hashes; when a trace file is edited in place the epoch
+	// changes and every memoized key is dropped, so a long-running
+	// server never keys a point by content the file no longer has.
+	keyMu       sync.Mutex
+	keyEpoch    string
+	keys        map[Point]string       // point -> store key
+	pointKeys   map[string]keyedPoints // experiment name -> deduplicated points with store keys
+	rawKeys     map[string]string      // raw-table label -> raw store key
+	derivations int                    // point keys derived, not recalled (tests pin it)
 }
 
 // NewRunner builds a Runner memoizing into process memory only —
@@ -135,6 +140,7 @@ func NewRunnerWithStore(opts Options, store *results.Store) *Runner {
 	return &Runner{
 		opts:      opts,
 		store:     store,
+		keys:      make(map[Point]string),
 		pointKeys: make(map[string]keyedPoints),
 		rawKeys:   make(map[string]string),
 	}
@@ -270,12 +276,30 @@ func (r *Runner) resolvedMixes(p Point) ([]workload.Mix, error) {
 // validates completions against it, so a consumer whose derivation
 // disagrees (diverged options, code, or trace content) is rejected
 // instead of poisoning the store.
+//
+// The key is derived once per point per trace epoch and recalled after
+// that (see keyMu). Derivations run under keyMu, one at a time: the lock
+// is what makes "once" hold between concurrent sweeps.
 func (r *Runner) PointKey(p Point) (string, error) {
+	r.keyMu.Lock()
+	defer r.keyMu.Unlock()
+	if err := r.refreshKeyEpochLocked(); err != nil {
+		return "", err
+	}
+	if key, ok := r.keys[p]; ok {
+		return key, nil
+	}
 	mixes, err := r.resolvedMixes(p)
 	if err != nil {
 		return "", err
 	}
-	return results.Key(r.configFor(p), mixes)
+	key, err := results.Key(r.configFor(p), mixes)
+	if err != nil {
+		return "", err
+	}
+	r.derivations++
+	r.keys[p] = key
+	return key, nil
 }
 
 // keyedPoints is a point list with its store keys, parallel slices
@@ -308,6 +332,7 @@ func (r *Runner) keyPoints(points []Point) (keyedPoints, error) {
 
 // executedPoint is the outcome of getOrSimulate.
 type executedPoint struct {
+	Key     string          // the store key, derived from the very config and mixes that ran
 	Results []sim.MixResult // one result per workload mix
 	Cached  bool            // served from the store without simulating
 	Elapsed time.Duration   // simulation wall-clock (the recorded timing when cached)
@@ -325,7 +350,7 @@ func (r *Runner) getOrSimulate(ctx context.Context, cfg sim.Config, mixes []work
 	}
 	if rs, ok := r.store.Get(key); ok {
 		d, _ := r.store.Elapsed(key)
-		return executedPoint{Results: rs, Cached: true, Elapsed: d}, nil
+		return executedPoint{Key: key, Results: rs, Cached: true, Elapsed: d}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return executedPoint{}, err
@@ -343,7 +368,7 @@ func (r *Runner) getOrSimulate(ctx context.Context, cfg sim.Config, mixes []work
 	if err := r.store.RecordElapsed(key, elapsed); err != nil {
 		return executedPoint{}, err
 	}
-	return executedPoint{Results: rs, Elapsed: elapsed}, nil
+	return executedPoint{Key: key, Results: rs, Elapsed: elapsed}, nil
 }
 
 // cachedTable serves experiments whose output is not a plain point sweep

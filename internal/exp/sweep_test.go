@@ -88,6 +88,11 @@ func TestSweepSecondRunSimulatesNothing(t *testing.T) {
 	if got := r2.Executed(); got != 0 {
 		t.Errorf("warm sweep executed %d simulations, want 0", got)
 	}
+	// Queueing keyed every point and each figure's render keyed the ones
+	// it read again; only the first use of a point derives its key.
+	if got, want := r2.derivations, len(r2.PointsFor(names)); got != want {
+		t.Errorf("warm sweep derived %d point keys for %d points", got, want)
+	}
 	st := store2.Stats()
 	if st.Misses != 0 {
 		t.Errorf("warm sweep missed the cache %d times, want 0", st.Misses)

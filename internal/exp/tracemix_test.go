@@ -174,6 +174,16 @@ func TestCoverageTracksTraceEdits(t *testing.T) {
 	if cached != total || total == 0 {
 		t.Fatalf("warm coverage = %d/%d, want full", cached, total)
 	}
+	p := r.PointsFor([]string{"13"})[0]
+	keyBefore, err := r.PointKey(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived := r.derivations
+	if again, err := r.PointKey(p); err != nil || again != keyBefore || r.derivations != derived {
+		t.Fatalf("PointKey on an unchanged trace: key %.12s then %.12s (err %v), %d re-derivations",
+			keyBefore, again, err, r.derivations-derived)
+	}
 
 	// Edit the trace in place (content and size change; nudge mtime for
 	// coarse filesystem clocks) on the SAME runner: coverage must drop.
@@ -186,6 +196,12 @@ func TestCoverageTracksTraceEdits(t *testing.T) {
 	}
 	if cached != 0 {
 		t.Errorf("coverage after trace edit = %d/%d, want 0 cached (memoized keys went stale)", cached, total)
+	}
+	if keyAfter, err := r.PointKey(p); err != nil || keyAfter == keyBefore {
+		t.Errorf("PointKey after trace edit = %.12s (err %v), the pre-edit key: the memo outlived its epoch", keyAfter, err)
+	}
+	if r.derivations == derived {
+		t.Error("no point key was re-derived after the trace edit")
 	}
 
 	// A trace file vanishing under a live runner must not take down

@@ -26,7 +26,7 @@ func NewMisraGries(capacity int) *MisraGries {
 	}
 	return &MisraGries{
 		capacity: capacity,
-		index:    make(map[int]int, capacity),
+		index:    make(map[int]int),
 	}
 }
 
@@ -78,7 +78,7 @@ func (m *MisraGries) ResetKey(key int) {
 // Reset clears the whole table (per-window reset).
 func (m *MisraGries) Reset() {
 	m.entries = m.entries[:0]
-	m.index = make(map[int]int, m.capacity)
+	clear(m.index)
 }
 
 // mgHeap adapts MisraGries to container/heap (min-heap by count).

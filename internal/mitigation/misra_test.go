@@ -144,3 +144,29 @@ func TestCountingBloomExactWhenSparse(t *testing.T) {
 		t.Errorf("sparse estimate = %d, want exactly 10", got)
 	}
 }
+
+// TestMisraGriesResetDoesNotAllocate pins the per-window reset: it runs
+// every tREFW on every bank, so it reuses the warm table's storage — index
+// map included — and a refilled table behaves like a fresh one.
+func TestMisraGriesResetDoesNotAllocate(t *testing.T) {
+	m := NewMisraGries(64)
+	fill := func() {
+		for i := 0; i < 200; i++ {
+			m.Observe(i % 80)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(50, func() {
+		m.Reset()
+		fill()
+	}); allocs != 0 {
+		t.Errorf("Reset plus a refill of a warm table allocates %.0f times", allocs)
+	}
+	m.Reset()
+	if m.Len() != 0 || m.Count(3) != 0 {
+		t.Errorf("after Reset: Len %d, Count(3) %d", m.Len(), m.Count(3))
+	}
+	if got := m.Observe(3); got != 1 {
+		t.Errorf("first Observe after Reset = %d, want 1", got)
+	}
+}

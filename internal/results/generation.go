@@ -83,7 +83,11 @@ func (s *Store) putGenerationLocked(rec generationRecord) error {
 	}
 	s.rawMem[GenerationKey] = raw
 	s.idxRaw[GenerationKey] = struct{}{}
-	return s.appendLocked(record{Schema: SchemaVersion, Key: GenerationKey, Raw: raw})
+	line, err := s.encode(record{Schema: SchemaVersion, Key: GenerationKey, Raw: raw})
+	if err != nil {
+		return err
+	}
+	return s.appendLocked(GenerationKey, line)
 }
 
 // SetClock overrides the store's wall clock. Tests use it to drive

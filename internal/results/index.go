@@ -102,7 +102,9 @@ func scanShardFrom(path string, off int64, fn func(line []byte)) (int64, os.File
 			return off, ident, err
 		}
 	}
-	r := bufio.NewReaderSize(f, 1<<20)
+	// Buffer what is left of the file, up to 1 MiB: a store has up to 256
+	// shards and most hold a few records.
+	r := bufio.NewReaderSize(f, int(min(ident.Size()-off, 1<<20)))
 	for {
 		line, err := r.ReadBytes('\n')
 		if err == nil {

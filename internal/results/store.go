@@ -347,12 +347,16 @@ func (s *Store) Put(key string, rs []sim.MixResult) error {
 	if key == "" || len(rs) == 0 {
 		return fmt.Errorf("results: refusing to store empty key or empty results")
 	}
+	line, err := s.encode(record{Schema: SchemaVersion, Key: key, Results: rs,
+		Sampled: sampledResults(rs)})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mem[key] = rs
 	s.idxPoints[key] = struct{}{}
-	return s.appendLocked(record{Schema: SchemaVersion, Key: key, Results: rs,
-		Sampled: sampledResults(rs)})
+	if err != nil {
+		return err
+	}
+	return s.appendLocked(key, line)
 }
 
 // GetRaw returns the raw record stored under key, if any. Raw records
@@ -377,28 +381,45 @@ func (s *Store) PutRaw(key string, raw json.RawMessage) error {
 	if key == "" || len(raw) == 0 {
 		return fmt.Errorf("results: refusing to store empty key or empty raw record")
 	}
+	line, err := s.encode(record{Schema: SchemaVersion, Key: key, Raw: raw})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rawMem[key] = raw
 	s.idxRaw[key] = struct{}{}
-	return s.appendLocked(record{Schema: SchemaVersion, Key: key, Raw: raw})
+	if err != nil {
+		return err
+	}
+	return s.appendLocked(key, line)
 }
 
-// appendLocked persists one record; the caller holds s.mu.
-func (s *Store) appendLocked(rec record) error {
+// encode renders rec as its shard line, newline included (nil on a
+// memory-only store, which persists nothing). It needs no lock, and Put
+// and PutRaw call it before taking s.mu: a point's record takes
+// milliseconds to marshal, and every Has, Get and Coverage of a concurrent
+// sweep or server would otherwise wait behind it.
+func (s *Store) encode(rec record) ([]byte, error) {
 	if s.dir == "" {
-		return nil
+		return nil, nil
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("results: %w", err)
+		return nil, fmt.Errorf("results: %w", err)
 	}
-	f, err := os.OpenFile(s.shardPath(rec.Key), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return append(line, '\n'), nil
+}
+
+// appendLocked persists one encoded record line to key's shard in a single
+// write; the caller holds s.mu.
+func (s *Store) appendLocked(key string, line []byte) error {
+	if s.dir == "" {
+		return nil
+	}
+	f, err := os.OpenFile(s.shardPath(key), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
 	defer f.Close()
-	if _, err := f.Write(append(line, '\n')); err != nil {
+	if _, err := f.Write(line); err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
 	s.written++

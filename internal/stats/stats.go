@@ -5,11 +5,9 @@
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 )
 
 // WeightedSpeedup returns Σ IPC_shared[i] / IPC_alone[i] over the threads
@@ -121,9 +119,17 @@ func MinMax(xs []float64) (lo, hi float64) {
 // Histogram is a fixed-width bucket histogram for memory latencies in
 // nanoseconds, with an overflow bucket. It answers percentile queries with
 // bucket-granularity accuracy, which is all Figs. 11/17 need.
+//
+// The shape is nominal: size buckets of width ns each. The buckets slice
+// holds only as many as the highest bucket ever touched needs — every
+// index from len(buckets) up to size reads as zero — so a latency
+// histogram costs what its largest sample implies, not its 16 µs ceiling
+// (a store holds one per thread per mix per point; see histogram_json.go
+// for the wire form).
 type Histogram struct {
 	width    float64
-	buckets  []int64
+	size     int     // nominal bucket count: the histogram covers [0, width*size) ns
+	buckets  []int64 // the first len(buckets) of them; the rest are zero
 	overflow int64
 	count    int64
 	sum      float64
@@ -135,12 +141,17 @@ func NewHistogram(width float64, buckets int) *Histogram {
 	if width <= 0 || buckets <= 0 {
 		panic(fmt.Sprintf("stats: bad histogram shape %gx%d", width, buckets))
 	}
-	return &Histogram{width: width, buckets: make([]int64, buckets)}
+	return &Histogram{width: width, size: buckets}
 }
 
 // NewLatencyHistogram returns the default memory-latency histogram:
 // 1 ns buckets up to 16 µs (AQUA's migrations produce multi-µs latencies).
 func NewLatencyHistogram() *Histogram { return NewHistogram(1, 16384) }
+
+// grow extends the held buckets to n (at most size) of them.
+func (h *Histogram) grow(n int) {
+	h.buckets = append(h.buckets, make([]int64, n-len(h.buckets))...)
+}
 
 // Add records one sample.
 func (h *Histogram) Add(ns float64) {
@@ -154,16 +165,22 @@ func (h *Histogram) Add(ns float64) {
 		idx = 0
 	}
 	if idx >= len(h.buckets) {
-		h.overflow++
-		return
+		if idx >= h.size {
+			h.overflow++
+			return
+		}
+		h.grow(idx + 1)
 	}
 	h.buckets[idx]++
 }
 
 // AddHistogram merges another histogram with the same shape.
 func (h *Histogram) AddHistogram(o *Histogram) {
-	if len(o.buckets) != len(h.buckets) || o.width != h.width {
+	if o.size != h.size || o.width != h.width {
 		panic("stats: merging histograms of different shapes")
+	}
+	if len(o.buckets) > len(h.buckets) {
+		h.grow(len(o.buckets))
 	}
 	for i, v := range o.buckets {
 		h.buckets[i] += v
@@ -213,67 +230,7 @@ func (h *Histogram) Percentile(p float64) float64 {
 			return (float64(i) + 0.5) * h.width
 		}
 	}
-	return float64(len(h.buckets)) * h.width
-}
-
-// histogramJSON is the wire form of a Histogram: the fixed shape plus a
-// sparse bucket map, since latency histograms are overwhelmingly zeros.
-// It exists so simulation results survive a JSON round-trip through the
-// persistent experiment store (internal/results).
-type histogramJSON struct {
-	Width    float64          `json:"width"`
-	Buckets  int              `json:"buckets"`
-	Counts   map[string]int64 `json:"counts,omitempty"`
-	Overflow int64            `json:"overflow,omitempty"`
-	Count    int64            `json:"count"`
-	Sum      float64          `json:"sum"`
-	Max      float64          `json:"max"`
-}
-
-// MarshalJSON encodes the histogram in a sparse, shape-preserving form.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	w := histogramJSON{
-		Width:    h.width,
-		Buckets:  len(h.buckets),
-		Overflow: h.overflow,
-		Count:    h.count,
-		Sum:      h.sum,
-		Max:      h.max,
-	}
-	for i, v := range h.buckets {
-		if v != 0 {
-			if w.Counts == nil {
-				w.Counts = make(map[string]int64)
-			}
-			w.Counts[strconv.Itoa(i)] = v
-		}
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON restores a histogram written by MarshalJSON.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	var w histogramJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if w.Width <= 0 || w.Buckets <= 0 {
-		return fmt.Errorf("stats: bad histogram shape %gx%d in JSON", w.Width, w.Buckets)
-	}
-	h.width = w.Width
-	h.buckets = make([]int64, w.Buckets)
-	h.overflow = w.Overflow
-	h.count = w.Count
-	h.sum = w.Sum
-	h.max = w.Max
-	for k, v := range w.Counts {
-		i, err := strconv.Atoi(k)
-		if err != nil || i < 0 || i >= len(h.buckets) {
-			return fmt.Errorf("stats: bad histogram bucket index %q", k)
-		}
-		h.buckets[i] = v
-	}
-	return nil
+	return float64(h.size) * h.width
 }
 
 // ConfidenceInterval returns the full min-max band around the mean, which
