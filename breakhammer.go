@@ -26,6 +26,7 @@ package breakhammer
 import (
 	"breakhammer/internal/core"
 	"breakhammer/internal/exp"
+	"breakhammer/internal/mitigation"
 	"breakhammer/internal/sampling"
 	"breakhammer/internal/security"
 	"breakhammer/internal/sim"
@@ -100,9 +101,7 @@ func RunAll(cfg Config, mixes []Mix) ([]MixResult, error) { return sim.RunMixes(
 // Mechanisms lists the eight mitigation mechanisms BreakHammer pairs
 // with, in the paper's order. "blockhammer" (the standalone baseline) and
 // "none" are also accepted by Config.Mechanism.
-func Mechanisms() []string {
-	return []string{"para", "graphene", "hydra", "twice", "aqua", "rega", "rfm", "prac"}
-}
+func Mechanisms() []string { return mitigation.Names() }
 
 // NewExperiments builds the figure/table regeneration harness.
 func NewExperiments(opts ExperimentOptions) *Experiments { return exp.NewRunner(opts) }

@@ -201,8 +201,8 @@ type PointCoverage struct {
 // raw-table experiments (Table 3, Section 5) report their single
 // rendered table; static experiments report an empty list. The keys
 // are memoized exactly like Coverage's, and the cache-status probe
-// goes through the store's key index, so a large catalogue page costs
-// one index lookup per row.
+// reads the store's in-memory table, so a large catalogue page costs
+// one map lookup per row.
 func (r *Runner) PointCoverageFor(name string) ([]PointCoverage, error) {
 	if e, ok := ExperimentByName(name); ok && e.Raw != nil {
 		key, held, err := r.rawTable(e)

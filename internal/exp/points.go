@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"breakhammer/internal/results"
+	"breakhammer/internal/sampling"
 	"breakhammer/internal/sim"
 )
 
@@ -25,6 +26,12 @@ type Point struct {
 	// (see mixesFor) instead of the Attack-selected family, and Mech/BH
 	// spell the composed defense it runs against.
 	Scenario string `json:"scenario,omitempty"`
+
+	// Sampling pins the point's simulation mode for the sampling
+	// validation's twins: "exact" simulates every cycle and "sampled"
+	// runs the validation windows (Runner.validationParams), whatever the
+	// sweep's base configuration says; "" is the sweep's own mode.
+	Sampling string `json:"sampling,omitempty"`
 }
 
 // String renders the point for progress lines and errors.
@@ -45,6 +52,9 @@ func (p Point) String() string {
 	if p.BHThreat != 0 {
 		s += fmt.Sprintf(" TH_threat=%g", p.BHThreat)
 	}
+	if p.Sampling != "" {
+		s += " " + p.Sampling
+	}
 	return s
 }
 
@@ -56,6 +66,12 @@ func (r *Runner) configFor(p Point) sim.Config {
 	cfg.BreakHammer = p.BH
 	if p.BHThreat != 0 {
 		cfg.BHThreat = p.BHThreat
+	}
+	switch p.Sampling {
+	case "exact":
+		cfg.Sampling = sampling.Params{}
+	case "sampled":
+		cfg.Sampling = r.validationParams()
 	}
 	return cfg
 }

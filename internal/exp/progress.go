@@ -42,8 +42,9 @@ type Event struct {
 	// Done — the sweep presses on and reports the aggregate at the end.
 	Error string `json:"error,omitempty"`
 	// Sampled reports that the point simulates under interval sampling
-	// (the sweep's base configuration has sim.Config.Sampling enabled):
-	// its metrics are estimates with confidence bands, not exact values.
+	// (the sweep's base configuration has sim.Config.Sampling enabled, or
+	// the point is a sampling-validation twin pinned to it): its metrics
+	// are estimates with confidence bands, not exact values.
 	Sampled bool `json:"sampled,omitempty"`
 }
 

@@ -223,38 +223,51 @@ func TestPrefetchCollectsPointFailures(t *testing.T) {
 }
 
 // TestConcurrentPrefetchSharesSimulations: two runners on one cache
-// directory (two workers of a fleet) racing over the same points must
-// simulate each point exactly once between them — the in-flight claim
-// files make the loser wait and read the winner's record from disk.
+// directory (two workers of a fleet) racing to prefetch and render the
+// same figure must simulate each point exactly once between them — the
+// in-flight claim files make the loser wait and read the winner's record
+// from disk. "sampling" is the figure whose sampled twins once bypassed
+// the queue: both runners simulated each of them, unclaimed, at render.
 func TestConcurrentPrefetchSharesSimulations(t *testing.T) {
-	dir := t.TempDir()
-	opts := tinyOptions()
-	mk := func() *Runner {
-		store, err := results.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewRunnerWithStore(opts, store)
-	}
-	r1, r2 := mk(), mk()
-	points := r1.PointsFor([]string{"13"})
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i, r := range []*Runner{r1, r2} {
-		wg.Add(1)
-		go func(i int, r *Runner) {
-			defer wg.Done()
-			errs[i] = r.Prefetch(points)
-		}(i, r)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("runner %d: %v", i, err)
-		}
-	}
-	if got, want := r1.Executed()+r2.Executed(), int64(len(points)); got != want {
-		t.Errorf("two racing sweeps simulated %d points, want %d (claims failed to dedup)", got, want)
+	for _, name := range []string{"13", "sampling"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := tinyOptions()
+			mk := func() *Runner {
+				store, err := results.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return NewRunnerWithStore(opts, store)
+			}
+			r1, r2 := mk(), mk()
+			e, _ := ExperimentByName(name)
+			points := r1.PointsFor([]string{name})
+			keyed, err := r1.keyPoints(points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for i, r := range []*Runner{r1, r2} {
+				wg.Add(1)
+				go func(i int, r *Runner) {
+					defer wg.Done()
+					if errs[i] = r.Prefetch(points); errs[i] == nil {
+						_, errs[i] = e.Run(r)
+					}
+				}(i, r)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("runner %d: %v", i, err)
+				}
+			}
+			if got, want := r1.Executed()+r2.Executed(), int64(len(keyed.keys)); got != want {
+				t.Errorf("two racing sweeps simulated %d points, want %d (claims failed to dedup)", got, want)
+			}
+		})
 	}
 }
 

@@ -129,13 +129,13 @@ type Queue struct {
 }
 
 // NewQueue keys the points through the runner (deduplicating by store
-// key), finishes those the store already holds as cached — from the key
-// index alone: no shard read, no claim file — and seeds the ETA from
-// recorded timings, so a resumed sweep projects before its first
-// simulation ends. ttl is how long a consumer may stay silent before its
-// point is re-issued. progress, when non-nil, observes every event in
-// order under the queue's lock, so it must be cheap. An unreadable trace
-// fails construction loudly.
+// key), finishes those the store already holds as cached — from its
+// in-memory table alone: no shard read, no claim file — and seeds the
+// ETA from recorded timings, so a resumed sweep projects before its
+// first simulation ends. ttl is how long a consumer may stay silent
+// before its point is re-issued. progress, when non-nil, observes every
+// event in order under the queue's lock, so it must be cheap. An
+// unreadable trace fails construction loudly.
 func NewQueue(r *Runner, points []Point, ttl time.Duration, progress ProgressFunc) (*Queue, error) {
 	keyed, err := r.keyPoints(points)
 	if err != nil {
@@ -199,10 +199,10 @@ func (q *Queue) Lease(_ context.Context, worker string) (Lease, error) {
 	now := q.expireLocked()
 	ws := q.touchLocked(worker, now)
 	store := q.runner.store
-	// One incremental index sync observes what other processes appended
-	// since the last call (unchanged shards cost a stat and zero reads),
-	// so the per-point check is an index lookup. Best-effort: a sync
-	// error degrades to the re-probe under the claim.
+	// One incremental sync observes what other processes appended since
+	// the last call (unchanged shards cost a stat and zero reads), so the
+	// per-point check is a map lookup. Best-effort: a sync error degrades
+	// to the re-probe under the claim.
 	_ = store.SyncIndex()
 	for _, it := range q.items {
 		if it.finished || it.lease != nil {
@@ -217,12 +217,12 @@ func (q *Queue) Lease(_ context.Context, worker string) (Lease, error) {
 			return Lease{}, err
 		}
 		if claim == nil {
-			// Someone else is computing it: leave it pending (the index
-			// sync collects it once their record lands), offer the next.
+			// Someone else is computing it: leave it pending (the sync
+			// collects it once their record lands), offer the next.
 			retry = min(retry, claimPoll)
 			continue
 		}
-		// The claim was granted after the index missed, but the previous
+		// The claim was granted after the lookup missed, but the previous
 		// holder may have released between the two; one disk re-probe
 		// keeps the point from simulating twice.
 		if _, ok := store.Reload(it.key); ok {
@@ -481,7 +481,7 @@ func (q *Queue) etaLocked(par int) int64 {
 // dropping subscribers too slow to drain.
 func (q *Queue) emitLocked(e Event) {
 	e.Done, e.Total = q.finished, len(q.items)
-	e.Sampled = q.runner.opts.Base.Sampling.Enabled
+	e.Sampled = q.runner.configFor(e.Point).Sampling.Enabled
 	q.events = append(q.events, e)
 	if q.progress != nil {
 		q.progress(e)

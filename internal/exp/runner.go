@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"breakhammer/internal/mitigation"
 	"breakhammer/internal/results"
 	"breakhammer/internal/scenario"
 	"breakhammer/internal/sim"
@@ -55,7 +56,7 @@ func DefaultOptions() Options {
 		Base:          sim.FastConfig(),
 		MixesPerGroup: 1,
 		NRHs:          []int{4096, 1024, 256, 64},
-		Mechanisms:    []string{"para", "graphene", "hydra", "twice", "aqua", "rega", "rfm", "prac"},
+		Mechanisms:    mitigation.Names(),
 		Fig2Mechs:     []string{"hydra", "rfm", "para", "aqua"},
 		Percentiles:   []float64{50, 90, 99, 99.9},
 		THthreats:     []float64{32, 512, 4096},
@@ -340,9 +341,9 @@ type executedPoint struct {
 
 // getOrSimulate serves one explicit configuration from the store or
 // simulates and persists it, recording the simulation's wall-clock in
-// the store's raw namespace for ETA estimation. Every simulation the
-// harness runs goes through here. It takes no claim: exclusivity is the
-// caller's lease on the point.
+// the store's raw namespace for ETA estimation. Every point simulation
+// the harness runs goes through here, from consumeOne alone. It takes no
+// claim: exclusivity is the caller's lease on the point.
 func (r *Runner) getOrSimulate(ctx context.Context, cfg sim.Config, mixes []workload.Mix) (executedPoint, error) {
 	key, err := results.Key(cfg, mixes)
 	if err != nil {

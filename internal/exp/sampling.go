@@ -1,9 +1,9 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"breakhammer/internal/sampling"
 )
@@ -51,16 +51,33 @@ func samplingVerdict(exact, sampled float64, band *sampling.Estimate) (half stri
 	return half, "OUT"
 }
 
+// recordedElapsed returns the wall-clock the store holds for p's
+// simulation, recorded by whichever process ran it; zero when there is
+// none (a store that lost the timing record, or a recording runner, which
+// keys nothing — see Runner.point).
+func (r *Runner) recordedElapsed(p Point) time.Duration {
+	if r.reads != nil {
+		return 0
+	}
+	key, err := r.PointKey(p)
+	if err != nil {
+		return 0
+	}
+	d, _ := r.store.Elapsed(key)
+	return d
+}
+
 // SamplingValidation quantifies the accuracy and speedup of interval
 // sampling on a pinned mini-grid: up to two mechanisms (each paired with
 // BreakHammer) at the mid N_RH against the attacker mixes, each point
 // simulated exactly and sampled. Every row compares one benign metric
 // (weighted speedup or unfairness) per mix: exact value, sampled
 // estimate with its 95% confidence half-width, relative error and an
-// in-band verdict; per-point "speedup" rows compare wall-clock. Both
-// sides warm the shared results store — the exact points are the same
-// records the regular figures read — so a warm rerun validates without
-// simulating anything.
+// in-band verdict; per-point "speedup" rows compare the wall-clock
+// recorded when each side was simulated. Both sides are points like any
+// other (Point.Sampling pins the mode), so sweeps prefetch, lease and
+// count them; the exact ones are the same records the regular figures
+// read whenever the sweep itself runs exact.
 func (r *Runner) SamplingValidation() (Table, error) {
 	o := r.opts
 	mechs := o.Mechanisms
@@ -76,38 +93,17 @@ func (r *Runner) SamplingValidation() (Table, error) {
 	}
 	for _, mech := range mechs {
 		p := Point{Mech: mech, NRH: o.midNRH(), BH: true, Attack: true}
-		if r.reads != nil {
-			// Enumeration: only the exact half is expressible as a Point
-			// (the sampled spelling differs only in Config.Sampling, which
-			// the tuple cannot carry); prefetching it warms the store
-			// record the harness compares against.
-			if _, err := r.point(p); err != nil {
-				return Table{}, err
-			}
-			continue
-		}
-		mixes, err := r.resolvedMixes(p)
+		exactP, sampledP := p, p
+		exactP.Sampling, sampledP.Sampling = "exact", "sampled"
+		exact, err := r.point(exactP)
 		if err != nil {
 			return Table{}, err
 		}
-		exactCfg := r.configFor(p)
-		exactCfg.Sampling = sampling.Params{}
-		sampledCfg := exactCfg
-		sampledCfg.Sampling = params
-
-		// Both spellings of the point go straight to getOrSimulate: the
-		// Point tuple cannot carry Config.Sampling, so no queue can lease
-		// the sampled twin.
-		exactRun, err := r.getOrSimulate(context.Background(), exactCfg, mixes)
+		sampled, err := r.point(sampledP)
 		if err != nil {
 			return Table{}, err
 		}
-		sampledRun, err := r.getOrSimulate(context.Background(), sampledCfg, mixes)
-		if err != nil {
-			return Table{}, err
-		}
-		exact, exactD := exactRun.Results, exactRun.Elapsed
-		sampled, sampledD := sampledRun.Results, sampledRun.Elapsed
+		exactD, sampledD := r.recordedElapsed(exactP), r.recordedElapsed(sampledP)
 		label := p.String()
 		for i := range exact {
 			mix := exact[i].MixName

@@ -96,7 +96,9 @@ func TestOptionSpecSampling(t *testing.T) {
 }
 
 // TestPrefetchEventsSampled checks that progress events from a sampled
-// sweep carry the marker and an exact sweep's do not.
+// sweep carry the marker and an exact sweep's do not, and that a
+// sampling-validation twin's events say what the twin runs, whatever the
+// sweep does.
 func TestPrefetchEventsSampled(t *testing.T) {
 	for _, sampledSweep := range []bool{false, true} {
 		o := samplingTestOptions()
@@ -104,7 +106,9 @@ func TestPrefetchEventsSampled(t *testing.T) {
 			o.Base.Sampling = sampling.Params{Enabled: true, WarmupCycles: 2_000, DetailCycles: 8_000, FFCycles: 40_000}
 		}
 		r := NewRunner(o)
-		points := []Point{{Mech: "graphene", NRH: 1024, Attack: true}}
+		points := []Point{{Mech: "graphene", NRH: 1024, Attack: true},
+			{Mech: "graphene", NRH: 1024, BH: true, Attack: true, Sampling: "exact"},
+			{Mech: "graphene", NRH: 1024, BH: true, Attack: true, Sampling: "sampled"}}
 		var events []Event
 		if err := r.PrefetchContext(t.Context(), points, func(e Event) { events = append(events, e) }); err != nil {
 			t.Fatal(err)
@@ -113,7 +117,11 @@ func TestPrefetchEventsSampled(t *testing.T) {
 			t.Fatal("no progress events")
 		}
 		for _, e := range events {
-			if e.Sampled != sampledSweep {
+			want := sampledSweep
+			if e.Point.Sampling != "" {
+				want = e.Point.Sampling == "sampled"
+			}
+			if e.Sampled != want {
 				t.Fatalf("sampledSweep=%v: event %+v has Sampled=%v", sampledSweep, e, e.Sampled)
 			}
 		}

@@ -12,7 +12,12 @@ import (
 // fleet mixing binaries from before and after a protocol change fails
 // loudly at connect instead of corrupting leases mid-sweep. Bump it
 // when a wire type below changes incompatibly.
-const ProtocolVersion = 1
+//
+//	2: exp.Point (inside exp.Lease) gained Sampling; a version-1 worker
+//	   would drop the field and simulate a sampling-validation twin in
+//	   the sweep's own mode.
+//	1: initial protocol.
+const ProtocolVersion = 2
 
 // DefaultLeaseTTL is how long a granted lease survives without a
 // heartbeat before the coordinator steals the point and re-issues it.

@@ -82,7 +82,6 @@ func (s *Store) putGenerationLocked(rec generationRecord) error {
 		return err
 	}
 	s.rawMem[GenerationKey] = raw
-	s.idxRaw[GenerationKey] = struct{}{}
 	line, err := s.encode(record{Schema: SchemaVersion, Key: GenerationKey, Raw: raw})
 	if err != nil {
 		return err

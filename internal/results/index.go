@@ -3,40 +3,43 @@ package results
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 )
 
-// This file implements the store's in-memory key index: a compact set of
-// the keys present in each namespace (simulation points and raw records)
-// plus a per-shard high-water mark of how many bytes have already been
-// indexed. Membership queries — Has, HasRaw, Coverage — read only the
-// index, and observing records appended by other processes costs a stat
-// per shard plus a read of the appended tail, never a rescan of bytes
-// already seen. The index is derived state: it never participates in a
-// record's key or fingerprint, so SchemaVersion is unaffected.
+// This file implements the store's one shard reader. The store keeps one
+// in-memory table per namespace (s.mem for simulation points, s.rawMem
+// for raw records); membership queries — Has, HasRaw, Coverage — read
+// only those tables. What this file adds is how the tables follow the
+// disk: a per-shard high-water mark of how many bytes have already been
+// read, so that observing records appended by other processes costs a
+// stat per shard plus a read of the appended tail, never a rescan of
+// bytes already seen. Open is the same reader started from nothing. The
+// marks are derived state: they never participate in a record's key or
+// fingerprint, so SchemaVersion is unaffected.
 //
 // Invariants (all under s.mu):
 //
-//   - idxPoints = keys(s.mem) and idxRaw = keys(s.rawMem): every loaded,
-//     put or synced record registers its key; Reset clears both.
 //   - shardOff[path] counts bytes of complete (newline-terminated) lines
-//     already indexed from path. A torn trailing line is left unconsumed
+//     already read from path. A torn trailing line is left unconsumed
 //     and re-read on the next sync, after its writer finishes it.
 //   - shardIdent[path] is the file identity (os.SameFile) observed when
 //     shardOff[path] was recorded. Compaction replaces a shard via temp
 //     file + rename, so a rewrite by any process changes the identity;
 //     a sync that sees a different file at the same path resets the
-//     offset to zero and re-reads the shard in full — re-indexing is
+//     offset to zero and re-reads the shard in full — re-reading is
 //     idempotent. Byte offsets alone cannot detect this: a rewritten
 //     shard can be longer than a handle's offset while holding entirely
 //     different bytes below it.
+//   - compactEpoch is the compaction marker's content when the offsets
+//     were recorded (see compactEpochFile).
 //
 // After Reset the store has explicitly invalidated everything on disk,
-// so syncs are disabled (s.reset) and the index reflects only records
-// put since.
+// so syncs are disabled (s.reset) and the tables hold only records put
+// since.
 
 // compactEpochFile is a marker in the cache directory whose content
 // changes on every compaction. File identity (inode) alone cannot prove
@@ -67,16 +70,6 @@ func (s *Store) checkEpochLocked() {
 	s.shardOff = make(map[string]int64)
 	s.shardIdent = make(map[string]os.FileInfo)
 	s.compactEpoch = epoch
-}
-
-// indexLocked registers one record's key. The caller holds s.mu.
-func (s *Store) indexLocked(rec record) {
-	switch {
-	case rec.Raw != nil:
-		s.idxRaw[rec.Key] = struct{}{}
-	case rec.Results != nil:
-		s.idxPoints[rec.Key] = struct{}{}
-	}
 }
 
 // scanShardFrom reads path from byte offset off, invoking fn for every
@@ -119,17 +112,16 @@ func scanShardFrom(path string, off int64, fn func(line []byte)) (int64, os.File
 	}
 }
 
-// syncShardLocked brings the index (and the in-memory record cache) up to
-// date with one shard file, reading only bytes appended since the shard
-// was last indexed. Records already present in memory are NOT overwritten:
-// once this store has loaded or computed a record, its own copy is
-// authoritative for its lifetime (the same contract Get and Reload have
-// always had). The caller holds s.mu.
+// syncShardLocked is the one shard reader: it brings the in-memory tables
+// up to date with one shard file, reading only bytes appended since the
+// shard was last read (all of it the first time, which is how Open
+// loads). Several new records for one key keep shard last-wins semantics
+// among themselves; records already present in memory are NOT
+// overwritten: once this store has loaded or computed a record, its own
+// copy is authoritative for its lifetime (the same contract Get and
+// Reload have always had). The caller holds s.mu and has called
+// checkEpochLocked.
 func (s *Store) syncShardLocked(path string) error {
-	if s.dir == "" || s.reset {
-		return nil
-	}
-	s.checkEpochLocked()
 	st, err := os.Stat(path)
 	if os.IsNotExist(err) {
 		delete(s.shardOff, path)
@@ -137,12 +129,12 @@ func (s *Store) syncShardLocked(path string) error {
 		return nil
 	}
 	if err != nil {
-		return err
+		return fmt.Errorf("results: %w", err)
 	}
 	off := s.shardOff[path]
 	// A compaction (by any process) replaces the shard via rename: the
 	// path now names a different file whose bytes below our offset are
-	// not the ones we indexed. Detect it by identity, not size — a
+	// not the ones we read. Detect it by identity, not size — a
 	// rewritten shard can be longer than our offset.
 	if prev, ok := s.shardIdent[path]; ok && !os.SameFile(prev, st) {
 		off = 0
@@ -152,27 +144,24 @@ func (s *Store) syncShardLocked(path string) error {
 	}
 	if st.Size() == off {
 		s.shardIdent[path] = st
-		return nil // fully indexed: zero reads
+		return nil // nothing new: zero reads
 	}
 	s.shardReads++
-	// Collect the tail first so that several new records for one key keep
-	// shard last-wins semantics among themselves before the fill-if-absent
-	// merge into memory.
-	fresh := make(map[string]record)
+	fresh := make(map[string]record) // last-wins within this read, merged fill-if-absent below
 	newOff, ident, err := scanShardFrom(path, off, func(line []byte) {
 		var rec record
-		if json.Unmarshal(line, &rec) != nil || rec.Schema != SchemaVersion || rec.Key == "" {
+		if json.Unmarshal(line, &rec) != nil || rec.Schema != SchemaVersion || rec.Key == "" ||
+			rec.Raw == nil && rec.Results == nil {
+			s.skipped++
 			return
 		}
-		if rec.Raw == nil && rec.Results == nil {
-			return
-		}
+		s.loaded++
 		fresh[rec.Key] = rec
 	})
 	if err != nil {
-		return err
+		return fmt.Errorf("results: reading %s: %w", path, err)
 	}
-	if !os.SameFile(ident, st) {
+	if off > 0 && !os.SameFile(ident, st) {
 		// The shard was replaced between the stat and the open: the scan
 		// ran against the new file from an offset computed for the old
 		// one. Discard it and start over from zero next sync.
@@ -180,30 +169,29 @@ func (s *Store) syncShardLocked(path string) error {
 		delete(s.shardIdent, path)
 		return nil
 	}
+	if newOff < ident.Size() {
+		s.skipped++ // unterminated trailing line: torn write, truncation or an append in flight
+	}
 	s.shardOff[path] = newOff
 	s.shardIdent[path] = ident
 	for key, rec := range fresh {
-		switch {
-		case rec.Raw != nil:
+		if rec.Raw != nil {
 			if _, ok := s.rawMem[key]; !ok {
 				s.rawMem[key] = rec.Raw
 			}
-		case rec.Results != nil:
-			if _, ok := s.mem[key]; !ok {
-				s.mem[key] = rec.Results
-			}
+		} else if _, ok := s.mem[key]; !ok {
+			s.mem[key] = rec.Results
 		}
-		s.indexLocked(rec)
 	}
 	return nil
 }
 
-// SyncIndex brings the index up to date with every shard on disk in one
+// SyncIndex brings the store up to date with every shard on disk in one
 // pass, picking up records appended by other processes sharing the cache
-// directory. Shards that have not grown since they were last indexed
-// cost a stat each and zero reads, so polling SyncIndex on a quiescent
-// store is cheap at any store size. Memory-only and Reset stores are
-// no-ops (Reset explicitly invalidated the disk for this store).
+// directory. Shards that have not grown since they were last read cost a
+// stat each and zero reads, so polling SyncIndex on a quiescent store is
+// cheap at any store size. Memory-only and Reset stores are no-ops
+// (Reset explicitly invalidated the disk for this store).
 func (s *Store) SyncIndex() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -212,9 +200,10 @@ func (s *Store) SyncIndex() error {
 	}
 	shards, err := filepath.Glob(filepath.Join(s.dir, "shard-*.jsonl"))
 	if err != nil {
-		return err
+		return fmt.Errorf("results: %w", err)
 	}
 	sort.Strings(shards)
+	s.checkEpochLocked()
 	for _, shard := range shards {
 		if err := s.syncShardLocked(shard); err != nil {
 			return err
@@ -230,7 +219,7 @@ func (s *Store) RawKeys(prefix string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var keys []string
-	for k := range s.idxRaw {
+	for k := range s.rawMem {
 		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
 			keys = append(keys, k)
 		}

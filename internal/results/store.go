@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -76,35 +75,41 @@ type Stats struct {
 	Hits    int64 // Get calls answered from the store
 	Misses  int64 // Get calls that found nothing
 	Written int64 // records persisted by Put
-	Loaded  int64 // records recovered from disk at Open
-	Skipped int64 // corrupt or stale-schema lines ignored at Open
+	// Loaded counts the current-schema record lines read from the shards,
+	// by Open and by every later Reload or SyncIndex that found new bytes
+	// — superseded duplicates and lines re-read after a compaction
+	// included. Reset zeroes it.
+	Loaded int64
+	// Skipped counts what those same reads ignored: corrupt or
+	// stale-schema lines, plus one per read that stopped before an
+	// unterminated trailing line (a torn write, or an append in flight
+	// that a later read picks up whole).
+	Skipped int64
 	// ShardReads counts shard-content reads performed after Open: tail
 	// reads by Reload and SyncIndex when a shard grew (or was rewritten)
-	// since it was last indexed. A warm store answering membership
-	// queries — Has, HasRaw, Coverage — performs zero; the regression
-	// tests pin that.
+	// since it was last read. A warm store answering membership queries
+	// — Has, HasRaw, Coverage — performs zero; the regression tests pin
+	// that.
 	ShardReads int64
 }
 
-// Store is a write-through results cache: an in-memory map in front of
-// JSON-lines shards on disk, fronted by a compact key index (see
-// index.go) so membership queries never touch the shards. The zero value
-// is not usable; construct with Open or NewMemory. All methods are safe
-// for concurrent use.
+// Store is a write-through results cache: one in-memory table per
+// namespace in front of JSON-lines shards on disk, kept current by one
+// incremental shard reader (see index.go), so membership queries never
+// touch the shards. The zero value is not usable; construct with Open or
+// NewMemory. All methods are safe for concurrent use.
 type Store struct {
 	dir string // "" = memory-only
 
 	mu           sync.Mutex
-	mem          map[string][]sim.MixResult
-	rawMem       map[string]json.RawMessage
-	idxPoints    map[string]struct{}    // key index, simulation-point namespace
-	idxRaw       map[string]struct{}    // key index, raw namespace
-	shardOff     map[string]int64       // shard path -> bytes already indexed
-	shardIdent   map[string]os.FileInfo // shard path -> file identity when shardOff was recorded
-	compactEpoch string                 // content of the compact-epoch marker when offsets were recorded
-	inflight     map[string]bool        // keys claimed by TryClaim and not yet released
-	reset        bool                   // Reset was called: records on disk are invalidated
-	now          func() time.Time       // injectable clock for generation TTLs
+	mem          map[string][]sim.MixResult // simulation-point namespace
+	rawMem       map[string]json.RawMessage // raw namespace
+	shardOff     map[string]int64           // shard path -> bytes already read
+	shardIdent   map[string]os.FileInfo     // shard path -> file identity when shardOff was recorded
+	compactEpoch string                     // content of the compact-epoch marker when offsets were recorded
+	inflight     map[string]bool            // keys claimed by TryClaim and not yet released
+	reset        bool                       // Reset was called: records on disk are invalidated
+	now          func() time.Time           // injectable clock for generation TTLs
 	hits         int64
 	misses       int64
 	written      int64
@@ -143,15 +148,12 @@ func sampledResults(rs []sim.MixResult) bool {
 	return false
 }
 
-// NewMemory returns a store with no backing directory: it behaves exactly
-// like the persistent store minus durability, and is what the experiment
-// runner uses when no cache directory is configured.
-func NewMemory() *Store {
+// newStore returns an empty store over dir ("" = memory-only).
+func newStore(dir string) *Store {
 	return &Store{
+		dir:        dir,
 		mem:        make(map[string][]sim.MixResult),
 		rawMem:     make(map[string]json.RawMessage),
-		idxPoints:  make(map[string]struct{}),
-		idxRaw:     make(map[string]struct{}),
 		shardOff:   make(map[string]int64),
 		shardIdent: make(map[string]os.FileInfo),
 		inflight:   make(map[string]bool),
@@ -159,82 +161,34 @@ func NewMemory() *Store {
 	}
 }
 
-// Open creates dir if needed, loads every parseable record with the
-// current schema version from its shards, and returns the write-through
-// store. Corrupt lines (torn writes, truncation, garbage) and records
+// NewMemory returns a store with no backing directory: it behaves exactly
+// like the persistent store minus durability, and is what the experiment
+// runner uses when no cache directory is configured.
+func NewMemory() *Store { return newStore("") }
+
+// Open creates dir if needed and returns the write-through store over it,
+// holding every parseable record with the current schema version its
+// shards hold: an empty store brought up to date by the same reader that
+// keeps it current afterwards (SyncIndex), from offset zero. Later records
+// win over earlier ones with the same key, so recomputed points (e.g.
+// after a -resume=false run) supersede their predecessors without
+// compaction. Corrupt lines (torn writes, truncation, garbage) and records
 // from other schema versions are counted in Stats.Skipped and otherwise
 // ignored — a damaged shard degrades to recomputing its points, never to
 // an error.
 func Open(dir string) (*Store, error) {
+	s := newStore(dir)
 	if dir == "" {
-		return NewMemory(), nil
+		return s, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
-	s := &Store{
-		dir:        dir,
-		mem:        make(map[string][]sim.MixResult),
-		rawMem:     make(map[string]json.RawMessage),
-		idxPoints:  make(map[string]struct{}),
-		idxRaw:     make(map[string]struct{}),
-		shardOff:   make(map[string]int64),
-		shardIdent: make(map[string]os.FileInfo),
-		inflight:   make(map[string]bool),
-		now:        time.Now,
+	if err := s.SyncIndex(); err != nil {
+		return nil, err
 	}
-	shards, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
-	if err != nil {
-		return nil, fmt.Errorf("results: %w", err)
-	}
-	sort.Strings(shards)
-	// Record the compaction epoch before reading the shards: if a
-	// compaction lands in between, the epoch appears changed on the next
-	// sync and the shards are re-read — erring toward re-reading.
-	s.compactEpoch = readCompactEpoch(dir)
-	for _, shard := range shards {
-		if err := s.loadShard(shard); err != nil {
-			return nil, err
-		}
-	}
+	s.shardReads = 0 // Stats.ShardReads counts reads after Open
 	return s, nil
-}
-
-// loadShard replays one shard file into memory and the key index,
-// recording how far the file was indexed so later syncs read only
-// appended bytes. Later records win over earlier ones with the same key,
-// so recomputed points (e.g. after a -resume=false run) supersede their
-// predecessors without compaction. A torn trailing line (a concurrent
-// writer mid-append) is tolerated here exactly as in syncShardLocked:
-// the offset stops before it and the next sync re-reads it whole.
-func (s *Store) loadShard(path string) error {
-	off, ident, err := scanShardFrom(path, 0, func(line []byte) {
-		var rec record
-		jsonErr := json.Unmarshal(line, &rec)
-		switch {
-		case jsonErr != nil || rec.Schema != SchemaVersion || rec.Key == "":
-			s.skipped++
-		case rec.Raw != nil:
-			s.rawMem[rec.Key] = rec.Raw
-			s.indexLocked(rec)
-			s.loaded++
-		case rec.Results != nil:
-			s.mem[rec.Key] = rec.Results
-			s.indexLocked(rec)
-			s.loaded++
-		default:
-			s.skipped++
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("results: reading %s: %w", path, err)
-	}
-	if off < ident.Size() {
-		s.skipped++ // unterminated trailing line: torn write or truncation
-	}
-	s.shardOff[path] = off
-	s.shardIdent[path] = ident
-	return nil
 }
 
 // Dir returns the backing directory ("" for a memory-only store).
@@ -257,34 +211,34 @@ func (s *Store) Stats() Stats {
 }
 
 // Has reports whether key is present in the simulation-point namespace.
-// It reads only the key index — never the shards — and, unlike Get, does
-// not count toward the hit/miss statistics, so coverage queries (which
+// It reads only memory — never the shards — and, unlike Get, does not
+// count toward the hit/miss statistics, so coverage queries (which
 // figures are fully cached?) do not skew the traffic counters.
 func (s *Store) Has(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.idxPoints[key]
+	_, ok := s.mem[key]
 	return ok
 }
 
-// HasRaw reports whether key is present in the raw namespace, again via
-// the key index only and without touching the hit/miss counters.
+// HasRaw reports whether key is present in the raw namespace, again from
+// memory only and without touching the hit/miss counters.
 func (s *Store) HasRaw(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.idxRaw[key]
+	_, ok := s.rawMem[key]
 	return ok
 }
 
 // Coverage reports how many of the given simulation-point keys are
 // already stored. It is the store-level primitive behind "n cached / n
-// total" figure listings, and costs one index lookup per key — O(1)
+// total" figure listings, and costs one map lookup per key — O(1)
 // regardless of how many records the shards hold.
 func (s *Store) Coverage(keys []string) (cached int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, k := range keys {
-		if _, ok := s.idxPoints[k]; ok {
+		if _, ok := s.mem[k]; ok {
 			cached++
 		}
 	}
@@ -295,9 +249,9 @@ func (s *Store) Coverage(keys []string) (cached int) {
 // against disk so records appended by other processes sharing the cache
 // directory become visible. It is how a worker that waited out another
 // process's claim observes the finished point. The sync is incremental:
-// a shard that has not grown since it was last indexed costs one stat
-// and zero reads (see index.go), so polling Reload while a claim holder
-// works no longer rescans the shard per poll. On a memory-only store —
+// a shard that has not grown since it was last read costs one stat and
+// zero reads (see index.go), so polling Reload while a claim holder
+// works does not rescan the shard per poll. On a memory-only store —
 // or after Reset, which explicitly invalidates everything already on
 // disk — Reload is equivalent to Get.
 func (s *Store) Reload(key string) ([]sim.MixResult, bool) {
@@ -311,6 +265,7 @@ func (s *Store) Reload(key string) ([]sim.MixResult, bool) {
 		s.misses++
 		return nil, false
 	}
+	s.checkEpochLocked()
 	if err := s.syncShardLocked(s.shardPath(key)); err != nil {
 		return nil, false
 	}
@@ -342,8 +297,8 @@ func (s *Store) Get(key string) ([]sim.MixResult, bool) {
 // than corrupting each other.
 func (s *Store) Put(key string, rs []sim.MixResult) error {
 	// An empty slice is rejected alongside nil: with the omitempty wire
-	// encoding it would persist as a record loadShard classifies as
-	// corrupt, permanently re-simulating the point.
+	// encoding it would persist as a record the shard reader classifies
+	// as corrupt, permanently re-simulating the point.
 	if key == "" || len(rs) == 0 {
 		return fmt.Errorf("results: refusing to store empty key or empty results")
 	}
@@ -352,7 +307,6 @@ func (s *Store) Put(key string, rs []sim.MixResult) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mem[key] = rs
-	s.idxPoints[key] = struct{}{}
 	if err != nil {
 		return err
 	}
@@ -385,7 +339,6 @@ func (s *Store) PutRaw(key string, raw json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rawMem[key] = raw
-	s.idxRaw[key] = struct{}{}
 	if err != nil {
 		return err
 	}
@@ -437,8 +390,6 @@ func (s *Store) Reset() {
 	defer s.mu.Unlock()
 	s.mem = make(map[string][]sim.MixResult)
 	s.rawMem = make(map[string]json.RawMessage)
-	s.idxPoints = make(map[string]struct{})
-	s.idxRaw = make(map[string]struct{})
 	s.shardOff = make(map[string]int64)
 	s.shardIdent = make(map[string]os.FileInfo)
 	s.loaded = 0

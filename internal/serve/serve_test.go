@@ -149,6 +149,63 @@ func TestColdFigureComputesViaJob(t *testing.T) {
 	}
 }
 
+// TestHalfWarmSamplingFigureComputesViaJob: the sampling validation's
+// sampled twins are points like any other. Over a store holding only the
+// exact halves the figure is not covered, so the GET answers 202 and the
+// job — not the HTTP handler — simulates the twins; afterwards the GET
+// serves the table and simulates nothing.
+func TestHalfWarmSamplingFigureComputesViaJob(t *testing.T) {
+	dir := t.TempDir()
+	store, err := results.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := exp.NewRunnerWithStore(testOptions(), store)
+	var exact []exp.Point
+	all := warm.PointsFor([]string{"sampling"})
+	for _, p := range all {
+		if p.Sampling == "exact" {
+			exact = append(exact, p)
+		}
+	}
+	if len(exact) == 0 || len(exact) == len(all) {
+		t.Fatalf("sampling enumerates %d exact of %d points; want both twins of each pair", len(exact), len(all))
+	}
+	if err := warm.Prefetch(exact); err != nil {
+		t.Fatal(err)
+	}
+
+	s, runner := newTestServer(t, dir)
+	rec := get(t, s, "/api/figures/sampling")
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("half-warm sampling figure: HTTP %d, want 202 (executed %d)", rec.Code, runner.Executed())
+	}
+	var ticket struct {
+		Job JobStatus `json:"job"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &ticket); err != nil {
+		t.Fatal(err)
+	}
+	st := waitJobDone(t, s, ticket.Job.ID)
+	if st.State != JobDone {
+		t.Fatalf("job finished as %q (%s)", st.State, st.Error)
+	}
+	sampled := len(all) - len(exact)
+	if st.Total != len(all) || st.Cached != len(exact) || st.Simulated != sampled {
+		t.Errorf("job = %d total, %d cached, %d simulated; want %d, %d, %d",
+			st.Total, st.Cached, st.Simulated, len(all), len(exact), sampled)
+	}
+	if got := runner.Executed(); got != int64(sampled) {
+		t.Errorf("server simulated %d points, want the job's %d", got, sampled)
+	}
+	if rec := get(t, s, "/api/figures/sampling"); rec.Code != http.StatusOK {
+		t.Fatalf("figure after job: HTTP %d: %s", rec.Code, rec.Body)
+	}
+	if got := runner.Executed(); got != int64(sampled) {
+		t.Errorf("warm GET simulated %d more point(s)", got-int64(sampled))
+	}
+}
+
 // sseEvent is one parsed Server-Sent Event.
 type sseEvent struct {
 	name string

@@ -146,7 +146,7 @@ func (r *Registry) Load(path string) (*Trace, error) {
 	r.loading[path] = c
 	r.mu.Unlock()
 
-	t, err := scan(path, key)
+	t, err := scan(path, key, true)
 	if err == nil {
 		writeManifest(ManifestPath(path), t.Manifest)
 	}
@@ -163,9 +163,15 @@ func (r *Registry) Load(path string) (*Trace, error) {
 	return t, err
 }
 
-// scan performs the real work of Load: decode (with gzip sniffing),
-// hash the decompressed bytes, and derive the manifest.
-func scan(path string, key statKey) (*Trace, error) {
+// scan performs the real work of Load and of a cold ReadManifest: decode
+// (with gzip sniffing), hash the decompressed bytes, and derive the
+// manifest. With keep false the decoded records are not retained
+// (Trace.Records stays nil): transient memory is then proportional to the
+// trace's *distinct-line footprint* (the exact-count set behind
+// FootprintLines), not its record count — far smaller for the looping
+// traces this simulator replays, though still linear in footprint for
+// pathologically wide traces.
+func scan(path string, key statKey, keep bool) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
@@ -187,7 +193,9 @@ func scan(path string, key statKey) (*Trace, error) {
 		accum manifestAccum
 	)
 	format, _, err := decodeStream(io.TeeReader(stream, h), FormatAuto, func(rec Record) {
-		recs = append(recs, rec)
+		if keep {
+			recs = append(recs, rec)
+		}
 		accum.add(rec)
 	})
 	if err != nil {
@@ -242,34 +250,6 @@ func (a *manifestAccum) finish(sum string, format Format, key statKey) Manifest 
 	}
 }
 
-// scanManifestOnly streams the trace once to derive its manifest,
-// hashing and summarising without retaining the records. Transient
-// memory is proportional to the trace's *distinct-line footprint* (the
-// exact-count set behind FootprintLines), not its record count — far
-// smaller for the looping traces this simulator replays, though still
-// linear in footprint for pathologically wide traces.
-func scanManifestOnly(path string, key statKey) (Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Manifest{}, fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	stream, closer, err := maybeGunzip(bufio.NewReaderSize(f, 1<<16))
-	if err != nil {
-		return Manifest{}, fmt.Errorf("trace: %s: %w", path, err)
-	}
-	if closer != nil {
-		defer closer.Close()
-	}
-	h := sha256.New()
-	var accum manifestAccum
-	format, _, err := decodeStream(io.TeeReader(stream, h), FormatAuto, accum.add)
-	if err != nil {
-		return Manifest{}, fmt.Errorf("trace: %s: %w", path, err)
-	}
-	return accum.finish(hex.EncodeToString(h.Sum(nil)), format, key), nil
-}
-
 // ManifestPath returns the sidecar path the registry persists a trace's
 // manifest under.
 func ManifestPath(tracePath string) string { return tracePath + ".manifest.json" }
@@ -298,9 +278,11 @@ func ReadManifest(tracePath string) (Manifest, error) {
 	}
 	m, ok := shared.cachedManifest(tracePath, key)
 	if !ok {
-		if m, err = scanManifestOnly(tracePath, key); err != nil {
+		t, err := scan(tracePath, key, false)
+		if err != nil {
 			return Manifest{}, err
 		}
+		m = t.Manifest
 		shared.rememberManifest(tracePath, key, m)
 	}
 	writeManifest(ManifestPath(tracePath), m)
