@@ -80,14 +80,7 @@ func BenchmarkTable2(b *testing.B) {
 }
 
 func BenchmarkTable3(b *testing.B) {
-	cfg := benchOptions().Base
-	for i := 0; i < b.N; i++ {
-		t, err := exp.Table3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(lastCell(b, t, 5), "attacker-rows-64+")
-	}
+	benchFigure(b, (*exp.Runner).Table3, 5, "attacker-rows-64+")
 }
 
 // --- Figures ---

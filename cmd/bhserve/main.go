@@ -59,10 +59,8 @@ func main() {
 		fleetFigs = flag.String("fleet", "", "coordinate a distributed sweep fleet for these experiments (comma-separated names or 'all'); `bhsweep -worker <url>` processes join and drain the points")
 		fleetTTL  = flag.Duration("fleet-ttl", 0, "fleet lease TTL: a worker silent this long loses its point to another worker (0 = 2m)")
 
-		rate       = flag.Float64("rate", 0, "per-client rate limit in requests/second (token bucket keyed by API token or remote address; 0 = unlimited)")
-		burst      = flag.Int("burst", 10, "with -rate: per-client burst capacity (bucket size)")
-		adminToken = flag.String("admin-token", "", "arms POST /api/invalidate: requests presenting this token (X-API-Token or bearer) bump the cache generation (empty = endpoint disabled)")
-		cacheTTL   = flag.Duration("cache-ttl", 0, "rendered-table cache TTL: past it the cache generation advances lazily and derived tables recompute on next use; simulation points never expire (0 = never)")
+		rate  = flag.Float64("rate", 0, "per-client rate limit in requests/second (token bucket keyed by API token or remote address; 0 = unlimited)")
+		burst = flag.Int("burst", 10, "with -rate: per-client burst capacity (bucket size)")
 	)
 	var spec exp.OptionSpec
 	flag.StringVar(&spec.Preset, "preset", "default", "experiment scale preset: default, quick or paper")
@@ -120,10 +118,8 @@ func main() {
 
 	runner := exp.NewRunnerWithStore(opts, store)
 	runner.SetJobs(*jobs)
-	runner.SetCacheTTL(*cacheTTL)
 	srv := serve.New(runner, *figureJobs)
 	srv.SetRateLimit(*rate, *burst)
-	srv.SetAdminToken(*adminToken)
 	srv.SetLogf(log.Printf)
 	if *rate > 0 {
 		log.Printf("rate limit: %.3g req/s per client, burst %d", *rate, *burst)

@@ -106,8 +106,7 @@ func TestSection6Table(t *testing.T) {
 }
 
 func TestTable3Characterisation(t *testing.T) {
-	cfg := testOptions().Base
-	tb, err := Table3(cfg)
+	tb, err := NewRunner(testOptions()).Table3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +293,7 @@ func TestSection5MultiThreadedAttacks(t *testing.T) {
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2 scenarios", len(tb.Rows))
 	}
-	// In both scenarios the software-side owner tracker must finger the
+	// In both scenarios summing scores per owner must finger the
 	// attacking owner.
 	for _, row := range tb.Rows {
 		if row[3] != "true" {

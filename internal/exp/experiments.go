@@ -3,27 +3,18 @@ package exp
 import (
 	"strings"
 
-	"breakhammer/internal/sim"
 	"breakhammer/internal/trace"
 )
 
 // Experiment is one named, runnable entry of the paper's evaluation —
 // the catalogue bhsweep's -figs flag and bhserve's /api/figures both
-// dispatch through, and the only place that says what an experiment
-// reads: PointsFor enumerates a point-sweep experiment by rendering Run
-// against a recording runner, and Raw is what makes one instrumented.
+// dispatch through. Nothing beside Run says what an experiment reads:
+// PointsFor enumerates it by rendering Run against a recording runner.
 type Experiment struct {
 	Name   string // bhsweep -figs name: "2".."19", "table1".."table3", "sec5", "sec6"
 	Title  string // one-line display title
 	Static bool   // computed from closed-form models only; no simulation behind it
 	Run    func(*Runner) (Table, error)
-
-	// Raw is set on the instrumented experiments (Table 3, Section 5),
-	// whose runs hook the system and so cannot be stored as point
-	// results: Run caches its one rendered table in the store's raw
-	// namespace under the label Name and the configuration Raw returns,
-	// and that table is what coverage counts.
-	Raw func(*Runner) sim.Config
 }
 
 // Experiments returns the full catalogue in presentation order.
@@ -33,8 +24,7 @@ func Experiments() []Experiment {
 			Run: func(r *Runner) (Table, error) { return Table1(r.opts.Base), nil }},
 		{Name: "table2", Title: "Table 2: BreakHammer configuration", Static: true,
 			Run: func(r *Runner) (Table, error) { return Table2(r.opts.Base), nil }},
-		{Name: "table3", Title: "Table 3: workload characterisation", Run: (*Runner).Table3,
-			Raw: func(r *Runner) sim.Config { return r.opts.Base }},
+		{Name: "table3", Title: "Table 3: workload characterisation", Run: (*Runner).Table3},
 		{Name: "2", Title: "Figure 2: mitigation overhead on benign workloads vs N_RH (no attacker)", Run: (*Runner).Figure2},
 		{Name: "5", Title: "Figure 5: max undetected attacker score vs attacker thread share", Static: true,
 			Run: func(*Runner) (Table, error) { return Figure5(), nil }},
@@ -52,7 +42,7 @@ func Experiments() []Experiment {
 		{Name: "17", Title: "Figure 17: benign memory latency percentiles (ns), no attacker", Run: (*Runner).Figure17},
 		{Name: "18", Title: "Figure 18: BreakHammer-paired mechanisms vs BlockHammer (attacker present)", Run: (*Runner).Figure18},
 		{Name: "19", Title: "Figure 19: sensitivity to TH_threat (graphene+BH)", Run: (*Runner).Figure19},
-		{Name: "sec5", Title: "Section 5: multi-threaded attack scenarios (graphene+BH)", Run: (*Runner).Section5, Raw: (*Runner).section5Config},
+		{Name: "sec5", Title: "Section 5: multi-threaded attack scenarios (graphene+BH)", Run: (*Runner).Section5},
 		{Name: "scenarios", Title: "Adversarial scenarios: adaptive strategies vs composed defenses (security/performance frontier)", Run: (*Runner).Scenarios},
 		{Name: "sampling", Title: "Sampling validation: sampled vs exact metrics on a pinned mini-grid (error bands, wall-clock speedup)", Run: (*Runner).SamplingValidation},
 		{Name: "sec6", Title: "Section 6: hardware complexity", Static: true,
@@ -71,23 +61,11 @@ func ExperimentByName(name string) (Experiment, bool) {
 }
 
 // Coverage reports the store coverage of the named experiment: how many
-// of the records it reads are already present versus how many it needs
-// in total. Point-sweep figures count simulation points; instrumented
-// experiments (Table 3, Section 5) count their one cached rendered
-// table; static experiments report (0, 0) — always fully covered. An
-// experiment whose cached count equals its total renders without
-// simulating anything.
+// of the simulation points it reads are already present versus how many
+// it needs in total. Static experiments report (0, 0) — always fully
+// covered. An experiment whose cached count equals its total renders
+// without simulating anything.
 func (r *Runner) Coverage(name string) (cached, total int, err error) {
-	if e, ok := ExperimentByName(name); ok && e.Raw != nil {
-		_, held, err := r.rawTable(e)
-		if err != nil {
-			return 0, 0, err
-		}
-		if held {
-			cached = 1
-		}
-		return cached, 1, nil
-	}
 	keyed, err := r.experimentKeys(name)
 	if err != nil {
 		return 0, 0, err
@@ -155,35 +133,8 @@ func (r *Runner) refreshKeyEpochLocked() error {
 		r.keyEpoch = e
 		r.keys = make(map[Point]string)
 		r.pointKeys = make(map[string]keyedPoints)
-		r.rawKeys = make(map[string]string)
 	}
 	return nil
-}
-
-// rawTable locates the instrumented experiment e's one rendered table:
-// its key in the store's raw namespace — exactly what e.Run's cachedTable
-// call derives — and whether the store holds it. The key is memoized like
-// the point keys.
-func (r *Runner) rawTable(e Experiment) (key string, held bool, err error) {
-	r.keyMu.Lock()
-	err = r.refreshKeyEpochLocked()
-	base, ok := r.rawKeys[e.Name]
-	if err == nil && !ok {
-		if base, err = rawTableKey(e.Name, e.Raw(r)); err == nil {
-			r.rawKeys[e.Name] = base
-		}
-	}
-	r.keyMu.Unlock()
-	if err != nil {
-		return "", false, err
-	}
-	// The memoized key is the generation-independent base; the store's
-	// current generation is applied at query time so coverage tracks
-	// invalidations without dropping the memo.
-	if key, err = r.atGeneration(base); err != nil {
-		return "", false, err
-	}
-	return key, r.store.HasRaw(key), nil
 }
 
 // PointCoverage is one entry of the per-point coverage listing behind
@@ -197,20 +148,12 @@ type PointCoverage struct {
 }
 
 // PointCoverageFor enumerates the named experiment's points in their
-// stable sweep order with per-point cache status. Instrumented
-// raw-table experiments (Table 3, Section 5) report their single
-// rendered table; static experiments report an empty list. The keys
+// stable sweep order with per-point cache status. Static experiments
+// report an empty list. The keys
 // are memoized exactly like Coverage's, and the cache-status probe
 // reads the store's in-memory table, so a large catalogue page costs
 // one map lookup per row.
 func (r *Runner) PointCoverageFor(name string) ([]PointCoverage, error) {
-	if e, ok := ExperimentByName(name); ok && e.Raw != nil {
-		key, held, err := r.rawTable(e)
-		if err != nil {
-			return nil, err
-		}
-		return []PointCoverage{{Label: name, Key: key, Cached: held}}, nil
-	}
 	keyed, err := r.experimentKeys(name)
 	if err != nil {
 		return nil, err

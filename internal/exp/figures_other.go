@@ -130,55 +130,48 @@ func Table2(cfg sim.Config) Table {
 	return t
 }
 
+// table3Mixes returns Table 3's single-application mixes: one
+// representative application per class or, for attack, the attacker.
+func table3Mixes(attack bool) []workload.Mix {
+	specs := []workload.Spec{
+		workload.ClassSpec(workload.High, 0, 101),
+		workload.ClassSpec(workload.Medium, 0, 102),
+		workload.ClassSpec(workload.Low, 0, 103),
+	}
+	if attack {
+		specs = []workload.Spec{workload.AttackerSpec(0, 104)}
+	}
+	mixes := make([]workload.Mix, len(specs))
+	for i, spec := range specs {
+		mixes[i] = workload.Mix{Name: "char-" + spec.Name, Specs: []workload.Spec{spec}}
+	}
+	return mixes
+}
+
 // Table3 — workload characterisation: RBMPKI and the number of rows with
 // more than 512/128/64 activations per throttling-window-scaled interval,
-// for one representative application per class plus the attacker.
-func Table3(base sim.Config) (Table, error) {
+// for one representative application per class plus the attacker, each
+// alone on the unmitigated system with the row census on.
+func (r *Runner) Table3() (Table, error) {
 	t := Table{
 		Title: "Table 3: workload characterisation",
 		Note:  "per-row ACT counts measured over the whole (scaled) run; paper counts per 64 ms window",
 	}
 	t.Header = []string{"workload", "class", "RBMPKI", "ACT-512+", "ACT-128+", "ACT-64+"}
-
-	specs := []workload.Spec{
-		workload.ClassSpec(workload.High, 0, 101),
-		workload.ClassSpec(workload.Medium, 0, 102),
-		workload.ClassSpec(workload.Low, 0, 103),
-		workload.AttackerSpec(0, 104),
-	}
-	for _, spec := range specs {
-		cfg := base
-		cfg.Mechanism = "none"
-		cfg.BreakHammer = false
-		if !spec.Benign() {
-			// The attacker never "finishes"; bound its solo run in time.
-			cfg.MaxCycles = 2_000_000
-		}
-		sys, err := sim.NewSystem(cfg, workload.Mix{Name: "char-" + spec.Name, Specs: []workload.Spec{spec}})
+	for _, attack := range []bool{false, true} {
+		rs, err := r.point(Point{Mech: "none", NRH: r.opts.Base.NRH, Attack: attack, Study: StudyTable3})
 		if err != nil {
 			return Table{}, err
 		}
-		rowACTs := map[[2]int]int64{}
-		sys.Controller().AddActivateHook(func(bank, row, thread int, now int64) {
-			rowACTs[[2]int{bank, row}]++
-		})
-		res := sys.Run()
-
-		var over512, over128, over64 int
-		for _, n := range rowACTs {
-			if n >= 512 {
-				over512++
+		for i, mix := range table3Mixes(attack) {
+			census := rs[i].RowCensus
+			if census == nil {
+				continue // a recording runner's zero-valued result
 			}
-			if n >= 128 {
-				over128++
-			}
-			if n >= 64 {
-				over64++
-			}
+			spec := mix.Specs[0]
+			t.AddRow(spec.Name, spec.Class.String(), f2(rs[i].RBMPKI[0]),
+				fmt.Sprint(census.Over512), fmt.Sprint(census.Over128), fmt.Sprint(census.Over64))
 		}
-		rbmpki := res.RBMPKI[0]
-		t.AddRow(spec.Name, spec.Class.String(), f2(rbmpki),
-			fmt.Sprint(over512), fmt.Sprint(over128), fmt.Sprint(over64))
 	}
 	return t, nil
 }

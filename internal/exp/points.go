@@ -7,6 +7,7 @@ import (
 	"breakhammer/internal/results"
 	"breakhammer/internal/sampling"
 	"breakhammer/internal/sim"
+	"breakhammer/internal/workload"
 )
 
 // Point identifies one cacheable configuration point of the evaluation: a
@@ -28,10 +29,49 @@ type Point struct {
 	Scenario string `json:"scenario,omitempty"`
 
 	// Sampling pins the point's simulation mode for the sampling
-	// validation's twins: "exact" simulates every cycle and "sampled"
-	// runs the validation windows (Runner.validationParams), whatever the
-	// sweep's base configuration says; "" is the sweep's own mode.
+	// validation's twins: SamplingExact simulates every cycle and
+	// SamplingSampled runs the validation windows
+	// (Runner.validationParams), whatever the sweep's base configuration
+	// says; "" is the sweep's own mode.
 	Sampling string `json:"sampling,omitempty"`
+
+	// Study marks a point of a study that brings its own workloads and
+	// run length instead of a mix family (Table 3's characterisation,
+	// Section 5's multi-threaded attackers): one of the Study constants.
+	// It selects the mixes (studyMixes) and the configuration tweaks
+	// (configFor); Mech/NRH/BH spell the system it runs on as usual.
+	Study string `json:"study,omitempty"`
+}
+
+// Point.Sampling values.
+const (
+	SamplingExact   = "exact"
+	SamplingSampled = "sampled"
+)
+
+// Point.Study values.
+const (
+	// StudyTable3 characterises one application per class running alone
+	// with the row census on; Attack selects the attacker's run instead,
+	// which has no finish line and is capped in time.
+	StudyTable3 = "table3"
+	// StudySingleAttacker and StudyRotatingAttacker are Section 5's two
+	// scenarios (see section5Scenarios), four times the usual length.
+	StudySingleAttacker   = "sec5-single"
+	StudyRotatingAttacker = "sec5-rot2"
+)
+
+// studyMixes returns the mixes a study point simulates.
+func studyMixes(p Point) ([]workload.Mix, error) {
+	if p.Study == StudyTable3 {
+		return table3Mixes(p.Attack), nil
+	}
+	for _, sc := range section5Scenarios() {
+		if sc.study == p.Study {
+			return []workload.Mix{sc.mix}, nil
+		}
+	}
+	return nil, fmt.Errorf("exp: unknown study %q", p.Study)
 }
 
 // String renders the point for progress lines and errors.
@@ -55,6 +95,9 @@ func (p Point) String() string {
 	if p.Sampling != "" {
 		s += " " + p.Sampling
 	}
+	if p.Study != "" {
+		s += " " + p.Study
+	}
 	return s
 }
 
@@ -68,10 +111,21 @@ func (r *Runner) configFor(p Point) sim.Config {
 		cfg.BHThreat = p.BHThreat
 	}
 	switch p.Sampling {
-	case "exact":
+	case SamplingExact:
 		cfg.Sampling = sampling.Params{}
-	case "sampled":
+	case SamplingSampled:
 		cfg.Sampling = r.validationParams()
+	}
+	switch p.Study {
+	case StudyTable3:
+		cfg.RowCensus = true
+		if p.Attack {
+			cfg.MaxCycles = 2_000_000
+		}
+	case StudySingleAttacker, StudyRotatingAttacker:
+		// Benign medium-intensity applications keep the system busy long
+		// enough for the rotation pattern to play out over several phases.
+		cfg.TargetInsts *= 4
 	}
 	return cfg
 }
@@ -79,8 +133,8 @@ func (r *Runner) configFor(p Point) sim.Config {
 // PointsFor enumerates the configuration points the named experiments
 // read, deduplicated across figures in first-read order: Figs. 8, 9, 10,
 // 12 and 18 share one attacker sweep, and every attacker figure shares the
-// no-mitigation baseline. Static and instrumented experiments (and unknown
-// names) contribute none. Feeding the result to Prefetch warms the store so
+// no-mitigation baseline. Static experiments (and unknown names)
+// contribute none. Feeding the result to Prefetch warms the store so
 // the figure builders run without simulating.
 //
 // Nothing here knows what a figure reads: each experiment's renderer runs

@@ -226,10 +226,10 @@ func TestPrefetchCollectsPointFailures(t *testing.T) {
 // directory (two workers of a fleet) racing to prefetch and render the
 // same figure must simulate each point exactly once between them — the
 // in-flight claim files make the loser wait and read the winner's record
-// from disk. "sampling" is the figure whose sampled twins once bypassed
-// the queue: both runners simulated each of them, unclaimed, at render.
+// from disk. "sampling" and "sec5" are the figures whose work once
+// bypassed the queue: both runners simulated it, unclaimed, at render.
 func TestConcurrentPrefetchSharesSimulations(t *testing.T) {
-	for _, name := range []string{"13", "sampling"} {
+	for _, name := range []string{"13", "sampling", "sec5"} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			opts := tinyOptions()
@@ -246,6 +246,9 @@ func TestConcurrentPrefetchSharesSimulations(t *testing.T) {
 			keyed, err := r1.keyPoints(points)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(keyed.keys) == 0 {
+				t.Fatalf("%s enumerates no points to share", name)
 			}
 			var wg sync.WaitGroup
 			errs := make([]error, 2)
@@ -416,8 +419,8 @@ func TestCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached != 0 || total != 1 {
-		t.Errorf("cold table3 coverage = %d/%d, want 0/1", cached, total)
+	if cached != 0 || total != 2 {
+		t.Errorf("cold table3 coverage = %d/%d, want 0/2", cached, total)
 	}
 	if _, err := r.Table3(); err != nil {
 		t.Fatal(err)
@@ -426,8 +429,8 @@ func TestCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached != 1 || total != 1 {
-		t.Errorf("warm table3 coverage = %d/%d, want 1/1", cached, total)
+	if cached != 2 || total != 2 {
+		t.Errorf("warm table3 coverage = %d/%d, want 2/2", cached, total)
 	}
 
 	cached, total, err = r.Coverage("table1")
@@ -454,11 +457,10 @@ func TestExperimentsCatalogue(t *testing.T) {
 			t.Errorf("experiment %q missing title or runner", e.Name)
 		}
 		points := r.PointsFor([]string{e.Name})
-		isRaw := e.Raw != nil
-		if e.Static && (len(points) > 0 || isRaw) {
+		if e.Static && len(points) > 0 {
 			t.Errorf("static experiment %q needs simulations", e.Name)
 		}
-		if !e.Static && len(points) == 0 && !isRaw {
+		if !e.Static && len(points) == 0 {
 			t.Errorf("experiment %q marked dynamic but enumerates no points", e.Name)
 		}
 	}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -34,11 +33,10 @@ type Options struct {
 	// groups to recorded trace files, one benign core per file (see
 	// TraceMixes). Every point-sweep experiment point then replays
 	// these traces; attacker-family points add the synthetic attacker
-	// on an extra core. The instrumented experiments (Table 3,
-	// Section 5) build their own synthetic workloads and ignore this
-	// field. Points are keyed by the traces' content hashes, so a
-	// cache directory warmed with one spelling of the paths stays warm
-	// when the files move.
+	// on an extra core. Study points (Table 3, Section 5) bring their own
+	// synthetic workloads and ignore this field. Points are keyed by the
+	// traces' content hashes, so a cache directory warmed with one
+	// spelling of the paths stays warm when the files move.
 	Traces []string
 
 	// Strategies and Defenses span the adversarial scenario grid (the
@@ -98,19 +96,18 @@ type Runner struct {
 	store    *results.Store
 	jobs     int
 	progress ProgressFunc
-	cacheTTL time.Duration // 0 = raw tables never expire; >0 TTLs the cache generation
-	executed int64         // simulation points actually run (not served from the store)
+	executed int64 // simulation points actually run (not served from the store)
 
 	// reads is non-nil only on the recording runner PointsFor renders
 	// against (enumeration mode): point logs what it was asked for here
 	// instead of touching the store.
 	reads *[]Point
 
-	// keyMu guards the memoized store keys: each point's (PointKey), each
-	// experiment's keyed-point list (Coverage) and each instrumented
-	// experiment's raw-table key. Keys are pure functions of the immutable
-	// Options — plus, for trace-backed options, of the trace files'
-	// contents — but deriving one means fingerprinting the full config +
+	// keyMu guards the memoized store keys: each point's (PointKey) and
+	// each experiment's keyed-point list (Coverage). Keys are pure
+	// functions of the immutable Options — plus, for trace-backed
+	// options, of the trace files' contents — but deriving one means
+	// fingerprinting the full config +
 	// mixes and hashing it: about a millisecond, which a sweep pass that
 	// keys every point when queueing it and again when rendering each
 	// figure that reads it, or a server rendering a catalogue listing,
@@ -122,7 +119,6 @@ type Runner struct {
 	keyEpoch    string
 	keys        map[Point]string       // point -> store key
 	pointKeys   map[string]keyedPoints // experiment name -> deduplicated points with store keys
-	rawKeys     map[string]string      // raw-table label -> raw store key
 	derivations int                    // point keys derived, not recalled (tests pin it)
 }
 
@@ -143,7 +139,6 @@ func NewRunnerWithStore(opts Options, store *results.Store) *Runner {
 		store:     store,
 		keys:      make(map[Point]string),
 		pointKeys: make(map[string]keyedPoints),
-		rawKeys:   make(map[string]string),
 	}
 }
 
@@ -164,15 +159,8 @@ func (r *Runner) SetJobs(n int) { r.jobs = n }
 // Prefetch (PrefetchContext callers may override it per call).
 func (r *Runner) SetProgress(f ProgressFunc) { r.progress = f }
 
-// SetCacheTTL bounds how long rendered raw tables stay served before
-// the store's cache generation lazily advances and they recompute
-// (<= 0, the default, means they never expire). Simulation-point
-// records are exact and content-addressed, so they are never subject
-// to the TTL — only derived tables are.
-func (r *Runner) SetCacheTTL(d time.Duration) { r.cacheTTL = d }
-
 // WithOptions returns a runner over the same store (and therefore the
-// same claims, generation, and warm records) but resolving a different
+// same claims and warm records) but resolving a different
 // option set. bhserve derives one per POST-parameterized figure
 // request: the derived runner re-keys its points from its own options,
 // while every key it derives that the base sweep already computed is
@@ -181,7 +169,6 @@ func (r *Runner) WithOptions(opts Options) *Runner {
 	nr := NewRunnerWithStore(opts, r.store)
 	nr.jobs = r.jobs
 	nr.progress = r.progress
-	nr.cacheTTL = r.cacheTTL
 	return nr
 }
 
@@ -203,13 +190,16 @@ func (r *Runner) mixes(attack bool) []workload.Mix {
 // a constant so every grid point content-addresses deterministically.
 const scenarioSeed = 7*104729 + 1
 
-// mixesFor returns the mix list a point simulates: the scenario strategy
-// mix when the point carries one, the family selected by Attack
-// otherwise. The strategy mix depends on the point's N_RH (the decoy
-// models the tracker's action trigger from it), so it is derived per
-// point, not per family.
+// mixesFor returns the mix list a point simulates: the study's own
+// mixes or the scenario strategy mix when the point carries one, the
+// family selected by Attack otherwise. The strategy mix depends on the
+// point's N_RH (the decoy models the tracker's action trigger from it),
+// so it is derived per point, not per family.
 func (r *Runner) mixesFor(p Point) ([]workload.Mix, error) {
-	if p.Scenario != "" {
+	switch {
+	case p.Study != "":
+		return studyMixes(p)
+	case p.Scenario != "":
 		m, err := scenario.Mix(p.Scenario, p.NRH, scenarioSeed)
 		if err != nil {
 			return nil, err
@@ -370,78 +360,6 @@ func (r *Runner) getOrSimulate(ctx context.Context, cfg sim.Config, mixes []work
 		return executedPoint{}, err
 	}
 	return executedPoint{Key: key, Results: rs, Elapsed: elapsed}, nil
-}
-
-// cachedTable serves experiments whose output is not a plain point sweep
-// (Table 3's and Section 5's instrumented runs) from the store's raw
-// namespace: the rendered Table is keyed by the experiment label plus the
-// content address of its configuration, so a warm cache replays even
-// these without simulating. An unparseable stored table falls through to
-// a rebuild that supersedes it. A recording runner (see point) gets an
-// empty table: an instrumented experiment reads no points.
-func (r *Runner) cachedTable(label string, cfg sim.Config, build func() (Table, error)) (Table, error) {
-	if r.reads != nil {
-		return Table{}, nil
-	}
-	key, err := rawTableKey(label, cfg)
-	if err == nil {
-		key, err = r.atGeneration(key)
-	}
-	if err != nil {
-		return Table{}, err
-	}
-	if raw, ok := r.store.GetRaw(key); ok {
-		var t Table
-		if err := json.Unmarshal(raw, &t); err == nil {
-			return t, nil
-		}
-	}
-	t, err := build()
-	if err != nil {
-		return Table{}, err
-	}
-	raw, err := json.Marshal(t)
-	if err != nil {
-		return Table{}, err
-	}
-	if err := r.store.PutRaw(key, raw); err != nil {
-		return Table{}, err
-	}
-	return t, nil
-}
-
-// rawTableKey addresses an instrumented experiment's rendered table in
-// the store's raw namespace: the content address of its configuration
-// plus the experiment label. It is the generation-independent base;
-// atGeneration applies the store's cache generation on top.
-func rawTableKey(label string, cfg sim.Config) (string, error) {
-	key, err := results.Key(cfg, nil)
-	if err != nil {
-		return "", err
-	}
-	return key + "-" + label, nil
-}
-
-// atGeneration joins the store's current cache generation into a
-// raw-table base key. Generation zero — a store that has never been
-// invalidated and runs without a TTL — keeps the historical un-suffixed
-// key, so caches warmed before generations existed stay warm. Any later
-// generation suffixes the key, orphaning every table of the previous
-// generation at once; the orphans recompute lazily on next use.
-func (r *Runner) atGeneration(base string) (string, error) {
-	gen, err := r.store.Generation(r.cacheTTL)
-	if err != nil || gen == 0 {
-		return base, err
-	}
-	return fmt.Sprintf("%s-gen%d", base, gen), nil
-}
-
-// Table3 is the orchestrated form of the package-level Table3: identical
-// output, served from the results store when warm.
-func (r *Runner) Table3() (Table, error) {
-	return r.cachedTable("table3", r.opts.Base, func() (Table, error) {
-		return Table3(r.opts.Base)
-	})
 }
 
 // ratioGeomean returns the geometric mean over mixes of metric(with)/

@@ -94,7 +94,7 @@ func (r *Runner) SamplingValidation() (Table, error) {
 	for _, mech := range mechs {
 		p := Point{Mech: mech, NRH: o.midNRH(), BH: true, Attack: true}
 		exactP, sampledP := p, p
-		exactP.Sampling, sampledP.Sampling = "exact", "sampled"
+		exactP.Sampling, sampledP.Sampling = SamplingExact, SamplingSampled
 		exact, err := r.point(exactP)
 		if err != nil {
 			return Table{}, err

@@ -107,8 +107,8 @@ func TestPrefetchEventsSampled(t *testing.T) {
 		}
 		r := NewRunner(o)
 		points := []Point{{Mech: "graphene", NRH: 1024, Attack: true},
-			{Mech: "graphene", NRH: 1024, BH: true, Attack: true, Sampling: "exact"},
-			{Mech: "graphene", NRH: 1024, BH: true, Attack: true, Sampling: "sampled"}}
+			{Mech: "graphene", NRH: 1024, BH: true, Attack: true, Sampling: SamplingExact},
+			{Mech: "graphene", NRH: 1024, BH: true, Attack: true, Sampling: SamplingSampled}}
 		var events []Event
 		if err := r.PrefetchContext(t.Context(), points, func(e Event) { events = append(events, e) }); err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestPrefetchEventsSampled(t *testing.T) {
 		for _, e := range events {
 			want := sampledSweep
 			if e.Point.Sampling != "" {
-				want = e.Point.Sampling == "sampled"
+				want = e.Point.Sampling == SamplingSampled
 			}
 			if e.Sampled != want {
 				t.Fatalf("sampledSweep=%v: event %+v has Sampled=%v", sampledSweep, e, e.Sampled)

@@ -3,63 +3,28 @@ package exp
 import (
 	"fmt"
 
-	"breakhammer/internal/core"
-	"breakhammer/internal/sim"
 	"breakhammer/internal/workload"
 )
 
-// Section5 empirically exercises the paper's §5.2 multi-threaded attack
-// analysis: a single attacker, a two-thread rotating attacker (the
-// "circumventing suspect identification" strategy), and the same rotating
-// attacker watched by the §5.2 system-software owner tracker that
-// aggregates RowHammer-preventive scores per process. For each scenario
-// it reports benign weighted speedup, per-thread suspect events, and
-// whether the attacking *owner* tops the software-side cumulative scores.
-func (r *Runner) Section5() (Table, error) {
-	cfg := r.section5Config()
-
-	// The scenarios instrument the system with activation hooks and an
-	// owner tracker, so they cannot be stored as plain mix results; the
-	// rendered table is cached instead (these are the longest single runs
-	// in a default sweep).
-	return r.cachedTable("sec5", cfg, func() (Table, error) { return r.section5(cfg) })
+// section5Scenario is one of §5.2's multi-threaded attack scenarios: the
+// study point that simulates it and the thread-to-owner map the system
+// software would hold.
+type section5Scenario struct {
+	study, name string
+	mix         workload.Mix
+	ownerOf     []int // thread -> owner (process)
+	attackOwner int   // the owner the attack threads belong to
 }
 
-// section5Config derives the §5 scenario configuration from the base
-// options. Coverage and the cached-table key both depend on it, so it
-// must stay the single source of truth.
-func (r *Runner) section5Config() sim.Config {
-	cfg := r.opts.Base
-	cfg.Mechanism = "graphene"
-	cfg.NRH = r.opts.minNRH()
-	cfg.BreakHammer = true
-	// Benign medium-intensity applications keep the system busy long
-	// enough for the rotation pattern to play out over several phases.
-	cfg.TargetInsts *= 4
-	return cfg
-}
-
-// section5 runs the scenarios; see Section5 for caching.
-func (r *Runner) section5(cfg sim.Config) (Table, error) {
-	t := Table{
-		Title: "Section 5: multi-threaded attack scenarios (graphene+BH)",
-		Note:  "rotation dodges per-thread scores; owner-level tracking (§5.2) still exposes the attacker",
-	}
-	t.Header = []string{"scenario", "benign WS", "suspect events (per thread)", "top owner = attacker"}
-
+// section5Scenarios returns a single attacker and a two-thread rotating
+// attacker (the "circumventing suspect identification" strategy), each
+// beside benign medium-intensity applications.
+func section5Scenarios() []section5Scenario {
 	seed := int64(1234)
 	benignSpec := func(i int) workload.Spec { return workload.ClassSpec(workload.Medium, i, seed+int64(i)) }
-
-	scenarios := []struct {
-		name string
-		mix  workload.Mix
-		// ownerOf maps threads to owners for the software tracker;
-		// attackOwner is the owner the attack threads belong to.
-		ownerOf     []int
-		attackOwner int
-	}{
+	return []section5Scenario{
 		{
-			name: "single attacker",
+			study: StudySingleAttacker, name: "single attacker",
 			mix: workload.Mix{Name: "single", Specs: []workload.Spec{
 				benignSpec(0), benignSpec(1), benignSpec(2), workload.AttackerSpec(3, seed),
 			}},
@@ -67,7 +32,7 @@ func (r *Runner) section5(cfg sim.Config) (Table, error) {
 			attackOwner: 3,
 		},
 		{
-			name: "rotating x2",
+			study: StudyRotatingAttacker, name: "rotating x2",
 			mix: workload.Mix{Name: "rot2", Specs: []workload.Spec{
 				benignSpec(0), benignSpec(1),
 				workload.RotatingAttackerSpec(0, 2, 2000, seed),
@@ -77,46 +42,42 @@ func (r *Runner) section5(cfg sim.Config) (Table, error) {
 			attackOwner: 9,
 		},
 	}
+}
 
-	for _, sc := range scenarios {
-		sys, err := sim.NewSystem(cfg, sc.mix)
+// Section5 empirically exercises the paper's §5.2 multi-threaded attack
+// analysis under graphene+BH at the lowest N_RH. For each scenario it
+// reports benign weighted speedup, per-thread suspect events, and whether
+// the attacking *owner* tops the cumulative RowHammer-preventive scores
+// once system software sums them per process — the §5.2 owner-level
+// accounting a rotating attacker cannot dodge. BreakHammer's own ledger
+// (Stats.AttributedScore) is that per-thread cumulative score, so the
+// scenarios are plain points and the sum is taken here.
+func (r *Runner) Section5() (Table, error) {
+	t := Table{
+		Title: "Section 5: multi-threaded attack scenarios (graphene+BH)",
+		Note:  "rotation dodges per-thread scores; owner-level tracking (§5.2) still exposes the attacker",
+	}
+	t.Header = []string{"scenario", "benign WS", "suspect events (per thread)", "top owner = attacker"}
+	for _, sc := range section5Scenarios() {
+		rs, err := r.point(Point{Mech: "graphene", NRH: r.opts.minNRH(), BH: true, Attack: true, Study: sc.study})
 		if err != nil {
 			return Table{}, err
 		}
-		// Software-side owner tracking via the §4 feedback interface,
-		// sampled at every preventive action.
-		tracker := core.NewOwnerTracker(len(sc.mix.Specs))
-		for tid, owner := range sc.ownerOf {
-			tracker.Assign(tid, owner)
+		bh := rs[0].BH
+		if bh == nil {
+			continue // a recording runner's zero-valued result
 		}
-		bh := sys.BreakHammer()
-		sys.Controller().AddActivateHook(func(bank, row, thread int, now int64) {
-			// Sample the feedback registers on every activation so no
-			// score mass is lost across throttling-window rotations.
-			tracker.Observe(bh.Snapshot())
-		})
-		res := sys.Run()
-		tracker.Observe(bh.Snapshot())
-
-		alone := make([]float64, len(sc.mix.Specs))
-		for i, spec := range sc.mix.Specs {
-			if spec.Benign() {
-				a, err := sim.AloneIPC(cfg, spec)
-				if err != nil {
-					return Table{}, err
-				}
-				alone[i] = a
+		byOwner := map[int]float64{}
+		for thread, score := range bh.AttributedScore {
+			byOwner[sc.ownerOf[thread]] += score
+		}
+		top := true
+		for owner, score := range byOwner {
+			if owner != sc.attackOwner && score >= byOwner[sc.attackOwner] {
+				top = false
 			}
 		}
-		var ws float64
-		for i := range alone {
-			if alone[i] > 0 {
-				ws += res.IPC[i] / alone[i]
-			}
-		}
-		events := fmt.Sprint(bh.Stats().SuspectEvents)
-		topOwner, _ := tracker.TopOwner()
-		t.AddRow(sc.name, f3(ws), events, fmt.Sprint(topOwner == sc.attackOwner))
+		t.AddRow(sc.name, f3(rs[0].WS), fmt.Sprint(bh.SuspectEvents), fmt.Sprint(top))
 	}
 	return t, nil
 }

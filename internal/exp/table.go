@@ -5,6 +5,12 @@
 // the paper (synthetic traces, scaled-down run lengths); the reproduction
 // target is the shape: who wins, by roughly what factor, and where the
 // crossovers fall.
+//
+// Every experiment that simulates reads its results as Points through
+// Runner.point — Table 3 and Section 5 included, whose points carry a
+// Study — and no renderer builds a system itself: the one simulation call
+// of the package is sim.RunMixes inside getOrSimulate, behind the point
+// queue's claims, cancellation, progress and leases.
 package exp
 
 import (

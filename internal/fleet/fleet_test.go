@@ -258,6 +258,37 @@ func TestFleetCompletesFigure(t *testing.T) {
 	}
 }
 
+// TestFleetDrainsStudyPoints: Table 3 and Section 5 are leased like any
+// figure. They once simulated inside their renderers, so a coordinator
+// over them was born Done with nothing to lease and ran everything itself
+// at render time; now one worker drains their study points — the census
+// and the BreakHammer ledger riding back in the completions — and the
+// coordinator renders both tables without simulating.
+func TestFleetDrainsStudyPoints(t *testing.T) {
+	opts := testOptions()
+	names := []string{"table3", "sec5"}
+	c, runner := newCoordinator(t, t.TempDir(), opts, names, 0)
+	srv := serveCoordinator(t, c)
+	if c.Done() {
+		t.Fatal("a cold coordinator over table3 and sec5 has nothing to lease")
+	}
+	sum, err := runTestWorker(t, srv.URL, "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total := len(runner.PointsFor(names)); !c.Done() || sum.Simulated != total {
+		t.Errorf("worker simulated %d of %d points, coordinator done = %v", sum.Simulated, total, c.Done())
+	}
+	for _, name := range names {
+		if got, want := coordinatorTableJSON(t, runner, name), serialTableJSON(t, opts, name); got != want {
+			t.Errorf("fleet %s diverges from the serial run:\nfleet:  %s\nserial: %s", name, got, want)
+		}
+	}
+	if got := runner.Executed(); got != 0 {
+		t.Errorf("coordinator simulated %d points itself, want 0", got)
+	}
+}
+
 // TestLeaseStealing: a worker that stops heartbeating mid-point loses
 // its lease exactly once to the TTL, the point is re-issued to a live
 // worker, and the final table is byte-identical to a serial run.

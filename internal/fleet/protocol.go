@@ -13,11 +13,15 @@ import (
 // loudly at connect instead of corrupting leases mid-sweep. Bump it
 // when a wire type below changes incompatibly.
 //
+//	3: exp.Point gained Study and sim.Result (inside exp.Completion)
+//	   gained RowCensus; a version-2 worker would drop the study and
+//	   simulate the point's Attack-selected family, a version-2
+//	   coordinator would store Table 3's results without their census.
 //	2: exp.Point (inside exp.Lease) gained Sampling; a version-1 worker
 //	   would drop the field and simulate a sampling-validation twin in
 //	   the sweep's own mode.
 //	1: initial protocol.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // DefaultLeaseTTL is how long a granted lease survives without a
 // heartbeat before the coordinator steals the point and re-issues it.

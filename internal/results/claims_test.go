@@ -315,9 +315,6 @@ func TestHasAndCoverageSkipStats(t *testing.T) {
 	if got := s.Coverage([]string{testKey, other}); got != 1 {
 		t.Fatalf("Coverage = %d, want 1", got)
 	}
-	if s.HasRaw(testKey) {
-		t.Fatal("HasRaw saw a point record in the raw namespace")
-	}
 	st := s.Stats()
 	if st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("presence probes counted as traffic: %+v", st)

@@ -12,7 +12,7 @@ import (
 
 // This file implements the store's one shard reader. The store keeps one
 // in-memory table per namespace (s.mem for simulation points, s.rawMem
-// for raw records); membership queries — Has, HasRaw, Coverage — read
+// for raw records); membership queries — Has, Coverage — read
 // only those tables. What this file adds is how the tables follow the
 // disk: a per-shard high-water mark of how many bytes have already been
 // read, so that observing records appended by other processes costs a
@@ -131,6 +131,13 @@ func (s *Store) syncShardLocked(path string) error {
 	if err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
+	return s.readShardLocked(path, st)
+}
+
+// readShardLocked is syncShardLocked after its stat: st is what path
+// named a moment ago, which a compaction may already have replaced (the
+// seam lets a test put the replacement exactly there).
+func (s *Store) readShardLocked(path string, st os.FileInfo) error {
 	off := s.shardOff[path]
 	// A compaction (by any process) replaces the shard via rename: the
 	// path now names a different file whose bytes below our offset are
@@ -148,14 +155,15 @@ func (s *Store) syncShardLocked(path string) error {
 	}
 	s.shardReads++
 	fresh := make(map[string]record) // last-wins within this read, merged fill-if-absent below
+	var loaded, skipped int64        // counted only if the scan is kept
 	newOff, ident, err := scanShardFrom(path, off, func(line []byte) {
 		var rec record
 		if json.Unmarshal(line, &rec) != nil || rec.Schema != SchemaVersion || rec.Key == "" ||
 			rec.Raw == nil && rec.Results == nil {
-			s.skipped++
+			skipped++
 			return
 		}
-		s.loaded++
+		loaded++
 		fresh[rec.Key] = rec
 	})
 	if err != nil {
@@ -169,6 +177,8 @@ func (s *Store) syncShardLocked(path string) error {
 		delete(s.shardIdent, path)
 		return nil
 	}
+	s.loaded += loaded
+	s.skipped += skipped
 	if newOff < ident.Size() {
 		s.skipped++ // unterminated trailing line: torn write, truncation or an append in flight
 	}

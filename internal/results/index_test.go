@@ -71,7 +71,7 @@ type handleModel struct {
 // TestIndexDifferentialRandomOps drives two Store handles over one
 // directory through random interleavings of Put/PutRaw/Reload/Compact/
 // SyncIndex/Reset/claim churn and asserts, at every checkpoint, that
-// Has/HasRaw/Coverage agree exactly with a fresh linear rescan of the
+// Has/GetRaw/Coverage agree exactly with a fresh linear rescan of the
 // shards (or, for a handle that called Reset, with its own post-reset
 // writes).
 func TestIndexDifferentialRandomOps(t *testing.T) {
@@ -181,9 +181,9 @@ func TestIndexDifferentialRandomOps(t *testing.T) {
 							t.Fatalf("op %d handle %d (reset=%v): Has(%s) = %v, oracle %v",
 								op, i, m.reset, k[:8], got, want)
 						}
-						if got, want := h.HasRaw(k+"-raw"), wantRaws[k+"-raw"]; got != want {
-							t.Fatalf("op %d handle %d (reset=%v): HasRaw(%s) = %v, oracle %v",
-								op, i, m.reset, k[:8], got, want)
+						if _, got := h.GetRaw(k + "-raw"); got != wantRaws[k+"-raw"] {
+							t.Fatalf("op %d handle %d (reset=%v): GetRaw(%s) found = %v, oracle %v",
+								op, i, m.reset, k[:8], got, wantRaws[k+"-raw"])
 						}
 					}
 					wantCov := 0
@@ -202,7 +202,7 @@ func TestIndexDifferentialRandomOps(t *testing.T) {
 }
 
 // TestWarmCoverageZeroShardReads is the regression pin for the fix this
-// PR makes: membership queries on a warm store — Has, HasRaw, Coverage,
+// PR makes: membership queries on a warm store — Has, GetRaw, Coverage,
 // a quiescent SyncIndex, and Reload of a present key — perform zero
 // shard-content reads. Only an actual append by another process costs a
 // read, and then exactly one tail read.
@@ -236,7 +236,7 @@ func TestWarmCoverageZeroShardReads(t *testing.T) {
 			t.Fatalf("warm store missing %s", k[:8])
 		}
 	}
-	if !s.HasRaw("warm-raw") {
+	if _, ok := s.GetRaw("warm-raw"); !ok {
 		t.Fatal("warm store missing raw record")
 	}
 	if err := s.SyncIndex(); err != nil {
@@ -446,5 +446,70 @@ func TestRawKeysPrefix(t *testing.T) {
 	}
 	if n := len(s.RawKeys("")); n != 4 {
 		t.Fatalf("RawKeys(\"\") = %d raw keys, want 4 (point keys excluded)", n)
+	}
+}
+
+// TestReplacedShardScanCountsNothing: a scan that ran against a shard
+// replaced between the stat and the open is thrown away, so the records
+// and junk it walked must not reach Stats either — the next sync reads
+// the replacement from zero and counts them then, once.
+func TestReplacedShardScanCountsNothing(t *testing.T) {
+	dir := t.TempDir()
+	keyA, keyB, keyC := "ab"+fmt.Sprintf("%062x", 1), "ab"+fmt.Sprintf("%062x", 2), "ab"+fmt.Sprintf("%062x", 3)
+	w, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Put(keyA, sampleResults(1)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir) // has read A: a non-zero offset into the shard
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Put(keyB, sampleResults(2)); err != nil {
+		t.Fatal(err)
+	}
+	path := s.shardPath(keyA)
+	stale, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replacement keeps A's line (so the stale offset lands on a line
+	// boundary), drops B, and adds one record and one line of junk.
+	lineC, err := s.encode(record{Schema: SchemaVersion, Key: keyC, Results: sampleResults(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	off := s.shardOff[path]
+	s.mu.Unlock()
+	replacement := append(append(append([]byte(nil), old[:off]...), lineC...), "junk\n"...)
+	if err := os.WriteFile(path+".new", replacement, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".new", path); err != nil {
+		t.Fatal(err)
+	}
+
+	s.mu.Lock()
+	err = s.readShardLocked(path, stale)
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Loaded != 1 || st.Skipped != 0 || s.Has(keyC) {
+		t.Fatalf("discarded scan leaked into the store: loaded %d skipped %d has(C) %v, want 1, 0, false", st.Loaded, st.Skipped, s.Has(keyC))
+	}
+	if err := s.SyncIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Loaded != 3 || st.Skipped != 1 || !s.Has(keyC) || s.Has(keyB) {
+		t.Fatalf("resync of the replacement: loaded %d skipped %d has(C) %v has(B) %v, want 3, 1, true, false",
+			st.Loaded, st.Skipped, s.Has(keyC), s.Has(keyB))
 	}
 }

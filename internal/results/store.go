@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"breakhammer/internal/sim"
 	"breakhammer/internal/workload"
@@ -88,7 +87,7 @@ type Stats struct {
 	// ShardReads counts shard-content reads performed after Open: tail
 	// reads by Reload and SyncIndex when a shard grew (or was rewritten)
 	// since it was last read. A warm store answering membership queries
-	// — Has, HasRaw, Coverage — performs zero; the regression tests pin
+	// — Has, Coverage — performs zero; the regression tests pin
 	// that.
 	ShardReads int64
 }
@@ -109,7 +108,6 @@ type Store struct {
 	compactEpoch string                     // content of the compact-epoch marker when offsets were recorded
 	inflight     map[string]bool            // keys claimed by TryClaim and not yet released
 	reset        bool                       // Reset was called: records on disk are invalidated
-	now          func() time.Time           // injectable clock for generation TTLs
 	hits         int64
 	misses       int64
 	written      int64
@@ -119,9 +117,8 @@ type Store struct {
 }
 
 // record is one JSONL line: either a simulation-point record (Results
-// set) or a raw record (Raw set) holding an experiment's rendered output
-// for results that are not a plain []sim.MixResult (e.g. the §5
-// multi-threaded-attack table, which instruments the system with hooks).
+// set) or a raw record (Raw set) holding bookkeeping that is not a
+// []sim.MixResult (a point's recorded wall-clock, a bhserve job ticket).
 type record struct {
 	Schema  int             `json:"schema"`
 	Key     string          `json:"key"`
@@ -157,7 +154,6 @@ func newStore(dir string) *Store {
 		shardOff:   make(map[string]int64),
 		shardIdent: make(map[string]os.FileInfo),
 		inflight:   make(map[string]bool),
-		now:        time.Now,
 	}
 }
 
@@ -218,15 +214,6 @@ func (s *Store) Has(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.mem[key]
-	return ok
-}
-
-// HasRaw reports whether key is present in the raw namespace, again from
-// memory only and without touching the hit/miss counters.
-func (s *Store) HasRaw(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.rawMem[key]
 	return ok
 }
 
@@ -315,8 +302,7 @@ func (s *Store) Put(key string, rs []sim.MixResult) error {
 
 // GetRaw returns the raw record stored under key, if any. Raw records
 // live in a separate namespace from simulation points and hold arbitrary
-// JSON — typically a rendered Table for experiments whose output is not
-// a []sim.MixResult.
+// JSON (see record).
 func (s *Store) GetRaw(key string) (json.RawMessage, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -268,56 +268,6 @@ func TestQuotaConcurrent(t *testing.T) {
 	}
 }
 
-// TestInvalidateEndpoint: disabled without a token, 401 on a bad token,
-// and a valid bump advances the generation without touching points.
-func TestInvalidateEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	store, err := results.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := exp.NewRunnerWithStore(testOptions(), store)
-	if err := warm.Prefetch(warm.PointsFor([]string{"13"})); err != nil {
-		t.Fatal(err)
-	}
-
-	s, runner := newTestServer(t, dir)
-	if rec := request(t, s, "POST", "/api/invalidate", "", nil); rec.Code != http.StatusForbidden {
-		t.Fatalf("invalidate without admin token armed: HTTP %d, want 403", rec.Code)
-	}
-	s.SetAdminToken("s3cret")
-	if rec := request(t, s, "POST", "/api/invalidate", "", map[string]string{"X-API-Token": "wrong"}); rec.Code != http.StatusUnauthorized {
-		t.Fatalf("bad token: HTTP %d, want 401", rec.Code)
-	}
-	rec := request(t, s, "POST", "/api/invalidate", "", map[string]string{"Authorization": "Bearer s3cret"})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("invalidate: HTTP %d: %s", rec.Code, rec.Body)
-	}
-	var resp map[string]uint64
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp["generation"] != 1 {
-		t.Fatalf("generation after bump = %d, want 1", resp["generation"])
-	}
-
-	// Simulation points survive: the warm figure still serves without
-	// simulating anything.
-	if rec := get(t, s, "/api/figures/fig13"); rec.Code != http.StatusOK {
-		t.Fatalf("warm figure after invalidation: HTTP %d", rec.Code)
-	}
-	if got := runner.Executed(); got != 0 {
-		t.Fatalf("invalidation caused %d re-simulations, want 0", got)
-	}
-	var st statsResponse
-	if err := json.Unmarshal(get(t, s, "/api/stats").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Generation != 1 {
-		t.Fatalf("stats generation = %d, want 1", st.Generation)
-	}
-}
-
 // postOptions widens the base sweep so a POSTed subset is a real
 // restriction: two N_RH values instead of one.
 func postOptions() exp.Options {
@@ -418,8 +368,19 @@ func TestPostParameterizedFigure(t *testing.T) {
 // TestCrashRestartResumesTicket is the crash-restart acceptance test: a
 // server killed mid-job leaves an open durable ticket; a new server over
 // the same directory reattaches it, simulates only the missing points,
-// and then serves bytes identical to a from-scratch run.
+// and then serves bytes identical to a from-scratch run. Table 3 rides
+// along since its work became points: when it simulated inside its
+// renderer its job had no points to finish, Close waited out the whole
+// render and nothing was left to resume.
 func TestCrashRestartResumesTicket(t *testing.T) {
+	for _, name := range []string{"13", "table3"} {
+		t.Run(name, func(t *testing.T) { crashRestartResumesTicket(t, name) })
+	}
+}
+
+func crashRestartResumesTicket(t *testing.T, name string) {
+	ex, _ := exp.ExperimentByName(name)
+	id := FigureID(name)
 	dir := t.TempDir()
 	store1, err := results.Open(dir)
 	if err != nil {
@@ -428,12 +389,12 @@ func TestCrashRestartResumesTicket(t *testing.T) {
 	runner1 := exp.NewRunnerWithStore(testOptions(), store1)
 	runner1.SetJobs(1) // serialize points so the kill lands between them
 	s1 := New(runner1, 2)
-	points := len(runner1.PointsFor([]string{"13"}))
+	points := len(runner1.PointsFor([]string{name}))
 	if points < 2 {
-		t.Fatalf("test needs a multi-point figure, fig13 has %d", points)
+		t.Fatalf("test needs a multi-point figure, %s has %d", id, points)
 	}
 
-	rec := get(t, s1, "/api/figures/fig13")
+	rec := get(t, s1, "/api/figures/"+id)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("cold figure: HTTP %d", rec.Code)
 	}
@@ -442,6 +403,9 @@ func TestCrashRestartResumesTicket(t *testing.T) {
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &ticket); err != nil {
 		t.Fatal(err)
+	}
+	if ticket.Job.Total != points {
+		t.Fatalf("cold %s job counts %d points, want %d", id, ticket.Job.Total, points)
 	}
 
 	// Kill the server as soon as the first point lands.
@@ -459,11 +423,16 @@ func TestCrashRestartResumesTicket(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	closing := time.Now()
 	s1.Close()
+	// Close waits for the point in flight and nothing else.
+	if d := time.Since(closing); d > 30*time.Second {
+		t.Errorf("Close mid-job took %v", d)
+	}
 	executed1 := runner1.Executed()
 
 	// The ticket must still be open: a shutdown is not a failure.
-	raw, ok := store1.GetRaw(ticketKeyPrefix + "fig13")
+	raw, ok := store1.GetRaw(ticketKeyPrefix + id)
 	if !ok {
 		t.Fatal("no durable ticket for the interrupted job")
 	}
@@ -489,7 +458,7 @@ func TestCrashRestartResumesTicket(t *testing.T) {
 	waitDeadline := time.Now().Add(2 * time.Minute)
 	var body string
 	for {
-		rec := get(t, s2, "/api/figures/fig13")
+		rec := get(t, s2, "/api/figures/"+id)
 		if rec.Code == http.StatusOK {
 			body = rec.Body.String()
 			break
@@ -511,10 +480,7 @@ func TestCrashRestartResumesTicket(t *testing.T) {
 
 	// Byte-identical to an uninterrupted in-process run.
 	ref := exp.NewRunner(testOptions())
-	if err := ref.Prefetch(ref.PointsFor([]string{"13"})); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := ref.Figure13()
+	tbl, err := ex.Run(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +489,7 @@ func TestCrashRestartResumesTicket(t *testing.T) {
 	}
 
 	// The resumed job settles its ticket.
-	raw, ok = runner2.Store().GetRaw(ticketKeyPrefix + "fig13")
+	raw, ok = runner2.Store().GetRaw(ticketKeyPrefix + id)
 	if !ok {
 		t.Fatal("ticket vanished after resume")
 	}

@@ -26,7 +26,7 @@ const (
 
 // Job is one background figure computation: a point queue over the
 // figure's points, drained by the runner's local consumers, followed by
-// a render that warms the store. The job itself keeps only identity and
+// a render from the now-warm store. The job itself keeps only identity and
 // lifecycle state; progress events (retained for replay, so late SSE
 // subscribers see the full history), counters and subscriptions are its
 // queue's.
@@ -228,19 +228,10 @@ func (m *Manager) sweep(j *Job, ex exp.Experiment) error {
 	if err := j.runner.Drain(m.ctx, j.queue); err != nil {
 		return err
 	}
-	// The render below cannot be cancelled mid-run (the figure builders
-	// take no context), so don't start it on a server that is shutting
-	// down — for instrumented experiments it IS the whole job.
-	if err := m.ctx.Err(); err != nil {
-		return err
-	}
-	// Render once so instrumented experiments (whose work is not point
-	// sweeps) compute and cache their table, and point figures verify
-	// they render cleanly before the job reports done.
-	if _, err := ex.Run(j.runner); err != nil {
-		return err
-	}
-	return nil
+	// Every point is in the store now; render once so the figure is known
+	// to render cleanly before the job reports done.
+	_, err := ex.Run(j.runner)
+	return err
 }
 
 // Get looks a job up by id (live or finished).

@@ -18,7 +18,6 @@
 //	GET  /api/jobs/{id}             one job's status
 //	GET  /api/jobs/{id}/events      the job's progress stream (SSE)
 //	GET  /api/stats                 per-client accounting + store counters
-//	POST /api/invalidate            bump the cache generation (admin token)
 //
 // Every route runs behind per-client accounting and (when configured
 // with SetRateLimit) token-bucket rate limiting; over-limit requests
@@ -33,7 +32,6 @@
 package serve
 
 import (
-	"crypto/subtle"
 	_ "embed"
 	"encoding/json"
 	"errors"
@@ -63,9 +61,8 @@ const (
 
 // Server wires the experiment runner and job manager into an
 // http.Handler. Construct with New; Close cancels background jobs.
-// The Set* methods configure the hardening knobs (rate limit, admin
-// token, logging) and must be called before the server starts
-// listening.
+// The Set* methods configure the hardening knobs (rate limit, logging)
+// and must be called before the server starts listening.
 type Server struct {
 	runner  *exp.Runner
 	mgr     *Manager
@@ -74,8 +71,7 @@ type Server struct {
 	limiter *limiter
 	fleet   *fleet.Coordinator // nil unless EnableFleet was called
 
-	adminToken string
-	logf       func(format string, args ...any)
+	logf func(format string, args ...any)
 
 	derivedMu sync.Mutex
 	derived   map[string]*exp.Runner // request fingerprint -> derived runner
@@ -102,7 +98,6 @@ func New(runner *exp.Runner, figureWorkers int) *Server {
 	mux.HandleFunc("GET /api/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /api/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("GET /api/stats", s.handleStats)
-	mux.HandleFunc("POST /api/invalidate", s.handleInvalidate)
 	s.mux = mux
 	s.handler = s.limiter.withAccounting(mux)
 	return s
@@ -116,11 +111,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // client refills rate requests per second up to a bucket of burst.
 // rate <= 0 (the default) disables limiting; accounting always runs.
 func (s *Server) SetRateLimit(rate float64, burst int) { s.limiter.setLimit(rate, burst) }
-
-// SetAdminToken arms the POST /api/invalidate endpoint: requests must
-// present the token (X-API-Token header or Authorization bearer). An
-// empty token (the default) keeps the endpoint disabled.
-func (s *Server) SetAdminToken(tok string) { s.adminToken = tok }
 
 // SetLogf installs a logger for background activity (ticket writes,
 // job completion); the default discards.
@@ -343,55 +333,17 @@ func (s *Server) handleFigureCoverage(w http.ResponseWriter, r *http.Request) {
 
 // statsResponse is the GET /api/stats body.
 type statsResponse struct {
-	// Generation is the store's current cache generation (0 until the
-	// first invalidation or TTL expiry).
-	Generation uint64        `json:"generation"`
-	Store      results.Stats `json:"store"`
-	Jobs       int           `json:"jobs"` // jobs currently retained (live + recent)
-	Clients    []ClientStats `json:"clients"`
+	Store   results.Stats `json:"store"`
+	Jobs    int           `json:"jobs"` // jobs currently retained (live + recent)
+	Clients []ClientStats `json:"clients"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	gen, err := s.runner.Store().Generation(0)
-	if err != nil {
-		exp.WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
 	exp.WriteJSON(w, http.StatusOK, statsResponse{
-		Generation: gen,
-		Store:      s.runner.Store().Stats(),
-		Jobs:       len(s.mgr.Jobs()),
-		Clients:    s.limiter.snapshot(),
+		Store:   s.runner.Store().Stats(),
+		Jobs:    len(s.mgr.Jobs()),
+		Clients: s.limiter.snapshot(),
 	})
-}
-
-// handleInvalidate bumps the store's cache generation, orphaning every
-// generation-keyed rendered table at once; they recompute lazily on
-// next use. Simulation-point records are exact and are never touched.
-// The endpoint requires the admin token and is disabled when none is
-// configured.
-func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	if s.adminToken == "" {
-		exp.WriteError(w, http.StatusForbidden, fmt.Errorf("invalidation disabled: no admin token configured"))
-		return
-	}
-	tok := r.Header.Get("X-API-Token")
-	if tok == "" {
-		if auth := r.Header.Get("Authorization"); strings.HasPrefix(auth, "Bearer ") {
-			tok = strings.TrimPrefix(auth, "Bearer ")
-		}
-	}
-	if subtle.ConstantTimeCompare([]byte(tok), []byte(s.adminToken)) != 1 {
-		exp.WriteError(w, http.StatusUnauthorized, fmt.Errorf("bad admin token"))
-		return
-	}
-	gen, err := s.runner.Store().BumpGeneration()
-	if err != nil {
-		exp.WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.logf("cache invalidated: generation %d", gen)
-	exp.WriteJSON(w, http.StatusOK, map[string]uint64{"generation": gen})
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {

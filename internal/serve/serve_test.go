@@ -164,7 +164,7 @@ func TestHalfWarmSamplingFigureComputesViaJob(t *testing.T) {
 	var exact []exp.Point
 	all := warm.PointsFor([]string{"sampling"})
 	for _, p := range all {
-		if p.Sampling == "exact" {
+		if p.Sampling == exp.SamplingExact {
 			exact = append(exact, p)
 		}
 	}
@@ -241,16 +241,26 @@ func readSSE(r io.Reader) ([]sseEvent, error) {
 // half: subscribe over a real connection while the job runs; every point
 // appears exactly once as started and once as finished, finished
 // counters are strictly ordered, and the stream terminates with a done
-// event.
+// event. Table 3 streams like any figure since its work became points
+// (its job once had none: an empty stream, then one long silent render).
 func TestSSEStreamReportsEveryPointOnce(t *testing.T) {
+	for _, name := range []string{"13", "table3"} {
+		t.Run(name, func(t *testing.T) { sseStreamReportsEveryPointOnce(t, name) })
+	}
+}
+
+func sseStreamReportsEveryPointOnce(t *testing.T, name string) {
 	dir := t.TempDir()
 	s, runner := newTestServer(t, dir)
-	points := len(runner.PointsFor([]string{"13"}))
+	points := len(runner.PointsFor([]string{name}))
+	if points == 0 {
+		t.Fatalf("%s enumerates no points to stream", name)
+	}
 
 	httpSrv := httptest.NewServer(s.Handler())
 	defer httpSrv.Close()
 
-	resp, err := http.Get(httpSrv.URL + "/api/figures/fig13")
+	resp, err := http.Get(httpSrv.URL + "/api/figures/" + FigureID(name))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,7 @@ import (
 // job, whose prefetch re-enumerates the figure's points against store
 // coverage — points the dead server completed are already persisted
 // and serve warm, so the resumed job simulates only what is missing.
-// Tickets are keyed by a fixed prefix plus the job's dedup key and are
-// never generation-suffixed: invalidating rendered tables must not
-// orphan in-flight work.
+// Tickets are keyed by a fixed prefix plus the job's dedup key.
 
 // ticketKeyPrefix namespaces ticket records among raw keys.
 const ticketKeyPrefix = "job-ticket-"

@@ -82,6 +82,13 @@ type Config struct {
 	TargetInsts int64 // instructions each benign core must retire
 	MaxCycles   int64 // hard simulation cap
 	Seed        int64
+
+	// RowCensus makes the run count demand activations per DRAM row, on
+	// every channel, and report the summary as Result.RowCensus (Table 3's
+	// ACT-64+/128+/512+ columns). It costs a map update per activation, so
+	// the hook is installed only when set. Unset, the field is absent from
+	// the JSON encoding: no fingerprint that predates it moves.
+	RowCensus bool `json:",omitempty"`
 }
 
 // DefaultConfig returns the paper-scale Table 1 system: it uses the full

@@ -2,10 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"breakhammer/internal/sampling"
 	"breakhammer/internal/workload"
 )
 
@@ -152,5 +155,42 @@ func TestFingerprintTraceContentNotPath(t *testing.T) {
 	// empty hash.
 	if _, err := Fingerprint(cfg, mixFor(filepath.Join(dir, "absent.trace"))); err == nil {
 		t.Error("Fingerprint accepted a missing trace file")
+	}
+}
+
+// TestFingerprintPinnedAcrossRowCensus: Config.RowCensus is absent from
+// the encoding unless set, so every fingerprint — and every store key —
+// that predates the field is unchanged. The hashes were recorded from the
+// commit before the field existed; a config that sets it keys apart.
+func TestFingerprintPinnedAcrossRowCensus(t *testing.T) {
+	base := FastConfig()
+	multi := base
+	multi.Channels, multi.Mechanism, multi.BreakHammer = 4, "prac", true
+	sampled := base
+	sampled.Sampling = sampling.Params{Enabled: true}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"fast", base, "0a418550f66136f2ae4f02e182466bf539754341abdfc03a49e9a4a0eca285ab"},
+		{"4ch prac+bh", multi, "5c562db40f8d2c8130ca8832e33bb74da7229b2b5040845b040404737bcb5b7d"},
+		{"sampled", sampled, "003f36752e529a27d9570d1bb4547b6dd76f005725f52ece383f4306db2abb25"},
+	} {
+		fp, err := Fingerprint(tc.cfg, workload.AttackMixes(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(fp)); got != tc.want {
+			t.Errorf("%s: fingerprint hash %s, want the pre-census %s", tc.name, got, tc.want)
+		}
+		tc.cfg.RowCensus = true
+		withCensus, err := Fingerprint(tc.cfg, workload.AttackMixes(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(fp, withCensus) {
+			t.Errorf("%s: fingerprint ignores RowCensus", tc.name)
+		}
 	}
 }

@@ -1,0 +1,205 @@
+package sim
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"sort"
+	"testing"
+
+	"breakhammer/internal/mitigation"
+	"breakhammer/internal/sampling"
+	"breakhammer/internal/workload"
+)
+
+// Metamorphic relations: properties that tie two runs of the simulator to
+// each other, so they need no oracle for the right answer and pin no
+// golden bytes — they are red when a *symmetry* breaks, which "same bytes
+// as before" cannot see when before was already wrong (ROADMAP item 1).
+
+// metamorphicConfigs spans the grid a relation runs over: every
+// mechanism, one and four channels, exact and sampled.
+func metamorphicConfigs() []Config {
+	var out []Config
+	for _, mech := range mitigation.Names() {
+		for _, channels := range []int{1, 4} {
+			for _, sampled := range []bool{false, true} {
+				c := FastConfig()
+				c.TargetInsts = 30_000
+				c.BHWindow = 60_000
+				c.MaxCycles = 400_000
+				c.NRH = 128
+				c.Mechanism = mech
+				c.Channels = channels
+				if sampled {
+					c.Sampling = sampling.Params{Enabled: true, WarmupCycles: 2_000, DetailCycles: 6_000, FFCycles: 24_000}
+				}
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
+func configLabel(c Config) string {
+	mode := "exact"
+	if c.Sampling.Enabled {
+		mode = "sampled"
+	}
+	return fmt.Sprintf("%s/%dch/%s", c.Mechanism, c.Channels, mode)
+}
+
+// differingFields compares two results field by field on their JSON
+// encoding — the bytes the store would hold — and describes each top-level
+// field that differs.
+func differingFields(t *testing.T, a, b Result) []string {
+	t.Helper()
+	fields := func(r Result) map[string]json.RawMessage {
+		raw, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	fa, fb := fields(a), fields(b)
+	var out []string
+	for name, va := range fa {
+		if vb := fb[name]; !bytes.Equal(va, vb) {
+			out = append(out, fmt.Sprintf("%s: %.200s -> %.200s", name, va, vb))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func mustRun(t *testing.T, cfg Config, mix workload.Mix) Result {
+	t.Helper()
+	sys, err := NewSystem(cfg, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys.Run()
+}
+
+// TestBreakHammerUnreachableIsBaseMechanism: with TH_threat so high that
+// no thread is ever a suspect, BreakHammer only watches — mech+BH is the
+// bare mechanism, byte for byte, in every field but BreakHammer's own.
+//
+// Sampled runs hold it only while no throttling window ends inside the
+// run, so their rows push the window out of reach and the relation as
+// stated is landed skipped.
+func TestBreakHammerUnreachableIsBaseMechanism(t *testing.T) {
+	t.Run("sampled, windows rotating", func(t *testing.T) {
+		t.Skip("known failure: runFFSpan ends a fast-forward step at every BreakHammer window boundary, and where a " +
+			"step ends changes how replaySpan interleaves the cores' accesses in the functional LLC and row table — " +
+			"a BreakHammer that does nothing but rotate windows moves a sampled run's cycles, hits and actions " +
+			"(graphene, 1 channel: 260096 -> 272464 cycles). The fix re-times every sampled run with BreakHammer, " +
+			"so it belongs with ROADMAP item 3's deliberate golden move; then drop the BHWindow override below")
+	})
+	mix := workload.AttackMixes(1)[0]
+	for _, cfg := range metamorphicConfigs() {
+		t.Run(configLabel(cfg), func(t *testing.T) {
+			t.Parallel()
+			base := mustRun(t, cfg, mix)
+			cfg.BreakHammer = true
+			cfg.BHThreat = 1e18
+			if cfg.Sampling.Enabled {
+				cfg.BHWindow = cfg.MaxCycles + 1
+			}
+			with := mustRun(t, cfg, mix)
+			if with.BH == nil {
+				t.Fatal("BreakHammer run carries no BreakHammer stats")
+			}
+			for thread, n := range with.BH.SuspectEvents {
+				if n != 0 {
+					t.Fatalf("thread %d was marked suspect %d time(s) under an unreachable threshold", thread, n)
+				}
+			}
+			with.BH = nil
+			for _, d := range differingFields(t, base, with) {
+				t.Errorf("an idle BreakHammer changed the run: %s", d)
+			}
+		})
+	}
+}
+
+// permuted moves the spec in slot i to slot perm[i]. A synthetic source
+// seeds its stream from Spec.Seed and its slot (workload.NewGenerator);
+// the seed is adjusted so each workload keeps the stream it had, and only
+// its slot — its core, its address-space slice — changes.
+func permuted(mix workload.Mix, perm []int) workload.Mix {
+	out := workload.Mix{Name: mix.Name, Specs: make([]workload.Spec, len(mix.Specs))}
+	for i, spec := range mix.Specs {
+		spec.Seed ^= int64(i)<<17 ^ int64(perm[i])<<17
+		out.Specs[perm[i]] = spec
+	}
+	return out
+}
+
+// TestThreadPermutationEquivariance: which core a workload runs on is not
+// part of the experiment — moving it to another slot moves its row of the
+// results with it and leaves the totals alone.
+//
+// The relation is exact only where slot order cannot leak in by design,
+// and the mixes and the grid are cut to that: one memory-active workload
+// beside idle threads (cores that issue in the same cycle are served in
+// core-index order, so two active workloads trade a few percent of IPC
+// and ACTs when they swap slots), exact runs (fast-forward replays each
+// span core by core), and no PARA beyond one channel (one random stream
+// per channel, and the channel hash folds in the slice's row bits).
+func TestThreadPermutationEquivariance(t *testing.T) {
+	idle := func(i int) workload.Spec {
+		// One access per 10^10 instructions: never, at this scale.
+		return workload.Spec{Name: fmt.Sprintf("idle%d", i), Class: workload.Low, MPKI: 1e-7, Locality: 1, FootprintLines: 1, Seed: int64(100 + i)}
+	}
+	perm := []int{1, 2, 3, 0}
+	for _, tc := range []struct {
+		name      string
+		writeFrac float64
+		skip      string
+	}{
+		{name: "read-only"},
+		{name: "write-heavy", writeFrac: 0.25,
+			skip: "known failure: cache.LLC.writeback and LLC.Tick call EnqueueWrite(line, 0), so whoever sits in slot 0 " +
+				"is charged every writeback's activation whoever dirtied the line — the workload moved to slot 1 leaves " +
+				"its writeback ACTs (and their BreakHammer score) behind on an idle thread (graphene, 1 channel: " +
+				"DemandACTs [945 0 0 0] -> [25 0 920 0]). ROADMAP item 3 removes it; then delete this skip"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.skip != "" {
+				t.Skip(tc.skip)
+			}
+			active := workload.ClassSpec(workload.High, 0, 11)
+			active.WriteFrac = tc.writeFrac
+			mix := workload.Mix{Name: tc.name, Specs: []workload.Spec{active, idle(1), idle(2), idle(3)}}
+			for _, cfg := range metamorphicConfigs() {
+				if cfg.Sampling.Enabled || cfg.Mechanism == "para" && cfg.Channels > 1 {
+					continue // outside the relation, see above
+				}
+				cfg.BreakHammer = true
+				t.Run(configLabel(cfg), func(t *testing.T) {
+					t.Parallel()
+					a, b := mustRun(t, cfg, mix), mustRun(t, cfg, permuted(mix, perm))
+					for i, to := range perm {
+						if a.IPC[i] != b.IPC[to] || a.Insts[i] != b.Insts[to] || a.RBMPKI[i] != b.RBMPKI[to] ||
+							a.MC.DemandACTs[i] != b.MC.DemandACTs[to] ||
+							a.BH.AttributedScore[i] != b.BH.AttributedScore[to] || a.BH.SuspectWindows[i] != b.BH.SuspectWindows[to] {
+							t.Errorf("thread %d moved to slot %d and changed:\n before IPC %g insts %d RBMPKI %g ACTs %d score %g suspect windows %d\n after  IPC %g insts %d RBMPKI %g ACTs %d score %g suspect windows %d",
+								i, to,
+								a.IPC[i], a.Insts[i], a.RBMPKI[i], a.MC.DemandACTs[i], a.BH.AttributedScore[i], a.BH.SuspectWindows[i],
+								b.IPC[to], b.Insts[to], b.RBMPKI[to], b.MC.DemandACTs[to], b.BH.AttributedScore[to], b.BH.SuspectWindows[to])
+						}
+					}
+					if a.Cycles != b.Cycles || a.Actions != b.Actions || a.MC.TotalACTs != b.MC.TotalACTs {
+						t.Errorf("totals changed: cycles %d -> %d, actions %d -> %d, ACTs %d -> %d",
+							a.Cycles, b.Cycles, a.Actions, b.Actions, a.MC.TotalACTs, b.MC.TotalACTs)
+					}
+				})
+			}
+		})
+	}
+}

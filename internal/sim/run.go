@@ -37,6 +37,7 @@ func aloneKey(cfg Config, spec workload.Spec) string {
 	c.ParallelChannels = false     // execution strategy; results are identical
 	c.DisableSkipAhead = false     // likewise
 	c.Sampling = sampling.Params{} // alone baselines always run exact (see AloneIPC)
+	c.RowCensus = false            // an observer; the baseline never pays for it
 	return fmt.Sprintf("%+v|%+v", c, spec)
 }
 
@@ -58,6 +59,7 @@ func AloneIPC(cfg Config, spec workload.Spec) (float64, error) {
 	c.Mechanism = "none"
 	c.BreakHammer = false
 	c.Sampling = sampling.Params{}
+	c.RowCensus = false
 	sys, err := NewSystem(c, workload.Mix{Name: "alone-" + spec.Name, Specs: []workload.Spec{spec}})
 	if err != nil {
 		return 0, err

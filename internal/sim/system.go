@@ -38,6 +38,10 @@ type System struct {
 	benign    []bool
 	latencies []*stats.Histogram
 
+	// rowACTs counts demand activations per (channel, bank, row); nil
+	// unless Config.RowCensus asked for the census.
+	rowACTs map[[3]int]int64
+
 	// Adaptive-source feedback: fbObs[i] is non-nil when thread i's
 	// source implements workload.FeedbackObserver (a scenario strategy).
 	// Delivery happens at ticked cycles; fbNext participates in the
@@ -206,6 +210,12 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 			blockers = append(blockers, bhm)
 		}
 	}
+	if cfg.RowCensus {
+		s.rowACTs = make(map[[3]int]int64)
+		mem.AddActivateHook(func(channel, bank, row, thread int, now int64) {
+			s.rowACTs[[3]int{channel, bank, row}]++
+		})
+	}
 	if len(blockers) > 0 {
 		// The gate's time-dependent verdict is invisible to the wake-signal
 		// set; execute every cycle for correctness.
@@ -346,7 +356,18 @@ type Result struct {
 	// CacheStats / Latency count detailed-mode events only.
 	Sampling *sampling.Summary
 
+	// RowCensus is non-nil exactly when Config.RowCensus was set.
+	RowCensus *RowCensus `json:",omitempty"`
+
 	BenignFinished bool // all benign cores reached the target
+}
+
+// RowCensus summarises how hard the run hit individual DRAM rows: how
+// many rows, over every channel, took at least 64, 128 and 512 demand
+// activations in the whole run. A sampled run counts the activations of
+// its detailed spans only, like the other event counters.
+type RowCensus struct {
+	Over64, Over128, Over512 int
 }
 
 // Sampled reports whether this result came from interval sampling and
@@ -530,6 +551,20 @@ func (s *System) collect(cycle int64) Result {
 	}
 	if s.bh != nil {
 		r.BH = s.bh.Stats()
+	}
+	if s.rowACTs != nil {
+		r.RowCensus = &RowCensus{}
+		for _, n := range s.rowACTs {
+			if n >= 64 {
+				r.RowCensus.Over64++
+			}
+			if n >= 128 {
+				r.RowCensus.Over128++
+			}
+			if n >= 512 {
+				r.RowCensus.Over512++
+			}
+		}
 	}
 	r.BenignFinished = s.benignFinished()
 	return r

@@ -273,3 +273,45 @@ func TestRowPressFactorValidation(t *testing.T) {
 		t.Errorf("effectiveNRH floor = %d, want 1", cfg.effectiveNRH())
 	}
 }
+
+// TestRowCensusCountsEveryChannel: the census is off unless asked for,
+// and on it counts the rows of every channel. Table 3 once hooked channel
+// 0 only, so under four channels it saw a quarter of the attacker's
+// aggressor rows.
+func TestRowCensusCountsEveryChannel(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Channels = 4
+	cfg.MaxCycles = 1_000_000
+	mix := workload.Mix{Name: "atk", Specs: []workload.Spec{workload.AttackerSpec(0, 104)}}
+	run := func(cfg Config) (Result, map[[3]int]int64) {
+		sys, err := NewSystem(cfg, mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := map[[3]int]int64{}
+		sys.Memory().AddActivateHook(func(channel, bank, row, thread int, now int64) {
+			rows[[3]int{channel, bank, row}]++
+		})
+		return sys.Run(), rows
+	}
+	if res, _ := run(cfg); res.RowCensus != nil {
+		t.Fatalf("census reported without Config.RowCensus: %+v", res.RowCensus)
+	}
+	cfg.RowCensus = true
+	res, rows := run(cfg)
+	var all, channel0 int
+	for key, n := range rows {
+		if n >= 64 {
+			all++
+			if key[0] == 0 {
+				channel0++
+			}
+		}
+	}
+	if res.RowCensus == nil || res.RowCensus.Over64 != all || res.RowCensus.Over512 > res.RowCensus.Over128 || res.RowCensus.Over128 > all {
+		t.Fatalf("census %+v, an independent count over every channel finds %d rows with 64+ ACTs", res.RowCensus, all)
+	}
+	if channel0 == 0 || channel0 >= all {
+		t.Fatalf("rows with 64+ ACTs: %d on channel 0 of %d overall; the test needs the attacker spread over channels", channel0, all)
+	}
+}
