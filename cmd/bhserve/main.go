@@ -136,19 +136,9 @@ func main() {
 	}
 
 	if *fleetFigs != "" {
-		var names []string
-		if *fleetFigs == "all" {
-			for _, e := range exp.Experiments() {
-				names = append(names, e.Name)
-			}
-		} else {
-			for _, f := range strings.Split(*fleetFigs, ",") {
-				name := strings.TrimSpace(f)
-				if _, ok := exp.ExperimentByName(name); !ok {
-					log.Fatalf("unknown experiment %q in -fleet (same catalogue as bhsweep -figs)", name)
-				}
-				names = append(names, name)
-			}
+		names, err := exp.ParseExperimentList(*fleetFigs)
+		if err != nil {
+			log.Fatalf("-fleet: %v", err)
 		}
 		coord, err := fleet.NewCoordinator(runner, names, *fleetTTL)
 		if err != nil {

@@ -64,7 +64,6 @@ func main() {
 
 	var (
 		figs       = flag.String("figs", "all", "comma-separated experiment list: table1,table2,table3,2,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,sec5,sec6,scenarios,sampling or 'all'")
-		scenarios  = flag.Bool("scenarios", false, "run only the adversarial scenario grid (shorthand for -figs scenarios)")
 		csvOut     = flag.Bool("csv", false, "emit CSV instead of ASCII")
 		jsonOut    = flag.Bool("json", false, "emit JSON instead of ASCII")
 		outDir     = flag.String("out", "", "write one file per experiment into this directory")
@@ -191,25 +190,13 @@ func main() {
 	})
 
 	all := exp.Experiments()
+	picked, err := exp.ParseExperimentList(*figs)
+	if err != nil {
+		log.Fatalf("-figs: %v", err)
+	}
 	selected := map[string]bool{}
-	switch {
-	case *scenarios:
-		if *figs != "all" {
-			log.Fatal("-scenarios and -figs are mutually exclusive (use -figs scenarios,... to combine)")
-		}
-		selected["scenarios"] = true
-	case *figs == "all":
-		for _, e := range all {
-			selected[e.Name] = true
-		}
-	default:
-		for _, f := range strings.Split(*figs, ",") {
-			name := strings.TrimSpace(f)
-			if _, ok := exp.ExperimentByName(name); !ok {
-				log.Fatalf("unknown experiment %q in -figs (see -figs usage for the catalogue)", name)
-			}
-			selected[name] = true
-		}
+	for _, name := range picked {
+		selected[name] = true
 	}
 
 	// Fail on an unwritable output directory before simulating anything.

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 
 	"breakhammer/internal/trace"
@@ -58,6 +60,29 @@ func ExperimentByName(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
+}
+
+// ParseExperimentList resolves a command-line experiment selection —
+// "all" or a comma-separated list of catalogue names — to the names it
+// selects, in the order given ("all": catalogue order). An unknown name
+// is an error that lists the catalogue.
+func ParseExperimentList(list string) ([]string, error) {
+	var catalogue []string
+	for _, e := range Experiments() {
+		catalogue = append(catalogue, e.Name)
+	}
+	if list == "all" {
+		return catalogue, nil
+	}
+	var names []string
+	for _, f := range strings.Split(list, ",") {
+		name := strings.TrimSpace(f)
+		if !slices.Contains(catalogue, name) {
+			return nil, fmt.Errorf("unknown experiment %q (want \"all\" or names from %s)", name, strings.Join(catalogue, ","))
+		}
+		names = append(names, name)
+	}
+	return names, nil
 }
 
 // Coverage reports the store coverage of the named experiment: how many

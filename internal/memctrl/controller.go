@@ -148,9 +148,8 @@ type Controller struct {
 	capCount []int // per-bank consecutive column-over-row reorders
 
 	// Reusable candidate scratch for schedule(); see readyset.go.
-	colCands  []colCand
-	prepCands []prepCand
-	walkers   []gateWalker
+	colCands []cand
+	rowCands []cand
 
 	// idleUntil is the controller's sleep: every Tick that runs the
 	// scheduler leaves here the exact first cycle at which any command it
@@ -185,9 +184,8 @@ func New(cfg Config, dev *dram.Device, threads int) *Controller {
 		refPending:   make([]bool, ranks),
 		prevQ:        make([]prevFIFO, banks),
 		capCount:     make([]int, banks),
-		colCands:     make([]colCand, 0, banks),
-		prepCands:    make([]prepCand, 0, banks),
-		walkers:      make([]gateWalker, 0, banks),
+		colCands:     make([]cand, 0, banks),
+		rowCands:     make([]cand, 0, banks),
 		backoffUntil: -1,
 	}
 	for r := 0; r < ranks; r++ {
@@ -551,7 +549,9 @@ func (c *Controller) drainNext() bool {
 // earliestCommand returns the first cycle after c.now at which Tick could
 // issue a command, given that nothing calls wake or admit in between: the
 // minimum of dram.Device.EarliestIssue over exactly the candidates
-// tryRefresh, tryPreventive and schedule consider. It never over-estimates
+// tryRefresh and tryPreventive consider (two short mirrors, below) and
+// the ones schedule reads off classify (earliestDemand reads the same
+// classification, so there is nothing to mirror). It never over-estimates
 // (that would change simulations); an answer at or before c.now just means
 // no sleep. It is exact up to one case, a refresh deadline, where the rank
 // turns pending but its REF may still have to wait — the Tick there
@@ -593,36 +593,6 @@ func (c *Controller) earliestCommand() int64 {
 		for _, b := range c.sleepQ.active {
 			at = min(at, c.earliestDemand(c.sleepQ, int(b)))
 		}
-	}
-	return at
-}
-
-// earliestDemand is one occupied bank's share of earliestCommand: the
-// oldest uncapped hit's column command (schedule's pass 1) and, unless
-// refresh or a preventive action owns the bank, the oldest conflict's PRE
-// or a closed bank's ACT, which PRAC back-off also holds (pass 2).
-func (c *Controller) earliestDemand(q *readyQueue, bank int) int64 {
-	fb := &q.banks[bank]
-	row, open := c.dev.OpenRow(bank)
-	fb.validate(row, open)
-	owned := c.prevQ[bank].len() > 0 || c.refPending[c.dev.RankOf(bank)]
-	if !open {
-		if owned {
-			return dram.Never
-		}
-		return max(c.dev.EarliestIssue(dram.CmdACT, fb.reqs[0].Addr), c.backoffUntil)
-	}
-	at := dram.Never
-	h, f := fb.hitIdx, fb.confIdx
-	if h >= 0 && !(f >= 0 && f < h && c.capCount[bank] >= c.cfg.Cap) {
-		cmd := dram.CmdRD
-		if fb.reqs[h].Write {
-			cmd = dram.CmdWR
-		}
-		at = c.dev.EarliestIssue(cmd, fb.reqs[h].Addr)
-	}
-	if f >= 0 && !owned {
-		at = min(at, c.dev.EarliestIssue(dram.CmdPRE, dram.Addr{Bank: bank}))
 	}
 	return at
 }

@@ -17,9 +17,17 @@ import "breakhammer/internal/dram"
 //     entries.
 //   - CanIssue(ACT) does not depend on the row, and CanIssue(PRE) only on
 //     the bank, so in pass 2 a bank is exhausted after its first failed
-//     attempt — except when an ActGate is installed, where the gate's
-//     side effects (BlockHammer counts every rejection) force a faithful
-//     per-request walk in global arrival order; see scheduleGated.
+//     attempt. An installed ActGate is the one exception, and a branch of
+//     the same oldest-first walker rather than a second one: the gate is
+//     stateful (BlockHammer counts every rejection), so a closed bank
+//     advances to its next request where the ungated walk drops the bank,
+//     and every evaluation happens in the flat scan's order and count.
+//   - The cap rule and the bank-ownership rule are stated once, in
+//     classify. schedule collects both passes' candidates from it in one
+//     walk over the occupied banks (pass 1 commits nothing when it fails,
+//     so pass 2 would classify the same state), and the controller's sleep
+//     bound (earliestDemand) asks it the same question and only turns
+//     "what" into "when".
 //   - Taking the minimum arrival sequence across per-bank candidates
 //     reproduces the global FCFS scan order exactly, because requests
 //     enter the per-bank FIFOs in arrival order.
@@ -155,49 +163,66 @@ func (q *readyQueue) removeAt(bank, i int) {
 	}
 }
 
-// colCand is a pass-1 candidate: one bank's oldest issuable row-hit.
-type colCand struct {
-	seq  uint64
-	bank int32
-	idx  int32
-}
-
-// prepCand is a pass-2 candidate (no ActGate installed): an open bank's
-// precharge at its oldest conflict, or a closed bank's activation at its
-// oldest request.
-type prepCand struct {
-	seq  uint64
-	bank int32
-	open bool
-}
-
-// gateWalker is pass-2 state for one bank when an ActGate is installed:
-// closed banks advance request by request so every gate rejection is
-// observed in global arrival order; open banks are a single PRE attempt.
-type gateWalker struct {
+// cand is one bank's entry in a scheduling pass: the request at idx of the
+// bank's FIFO, ordered against other banks' entries by its arrival
+// sequence. In pass 2, open says the bank's row command is a PRE (an open
+// bank's oldest conflict) rather than an ACT (a closed bank's request).
+type cand struct {
 	seq  uint64
 	bank int32
 	idx  int32
 	open bool
 }
 
-// sortColCands and sortPrepCands order candidates by arrival sequence
-// (insertion sort: candidate counts are bounded by the bank count and are
-// tiny in practice, and this keeps the hot path allocation-free).
-func sortColCands(c []colCand) {
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && c[j].seq < c[j-1].seq; j-- {
-			c[j], c[j-1] = c[j-1], c[j]
+// oldest returns the position of the candidate that arrived first.
+// (Candidate counts are bounded by the bank count and tiny in practice;
+// most passes issue on the first pick, so nothing is sorted up front.)
+func oldest(cs []cand) int {
+	mi := 0
+	for i := 1; i < len(cs); i++ {
+		if cs[i].seq < cs[mi].seq {
+			mi = i
 		}
 	}
+	return mi
 }
 
-func sortPrepCands(c []prepCand) {
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && c[j].seq < c[j-1].seq; j-- {
-			c[j], c[j-1] = c[j-1], c[j]
-		}
+// drop removes the candidate at i (order is irrelevant: oldest rescans).
+func drop(cs []cand, i int) []cand {
+	cs[i] = cs[len(cs)-1]
+	return cs[:len(cs)-1]
+}
+
+// classify is the one statement of FR-FCFS+Cap's per-bank rules. For an
+// occupied bank of q under the bank's current row state it answers which
+// request is the bank's oldest uncapped row-hit (hit; -1: none, or an
+// older conflict has been bypassed Cap times and hits are no longer
+// preferred) and which request's row command comes next (next; -1: none,
+// or refresh or a queued preventive action owns the bank) — with open
+// true that command is the PRE ahead of the bank's oldest conflict, with
+// open false the ACT of a closed bank's oldest request. schedule issues
+// what classify names, earliestDemand asks when it becomes legal; neither
+// restates a rule.
+func (c *Controller) classify(q *readyQueue, bank int) (hit, next int, open bool) {
+	fb := &q.banks[bank]
+	row, open := c.dev.OpenRow(bank)
+	fb.validate(row, open)
+	hit, next = fb.hitIdx, fb.confIdx
+	if hit >= 0 && next >= 0 && next < hit && c.capCount[bank] >= c.cfg.Cap {
+		hit = -1 // cap reached: stop preferring hits on this bank
 	}
+	if c.prevQ[bank].len() > 0 || c.refPending[c.dev.RankOf(bank)] {
+		next = -1 // let higher-priority work own the bank
+	}
+	return hit, next, open
+}
+
+// columnCmd is the column command that serves req.
+func columnCmd(req *Request) dram.Command {
+	if req.Write {
+		return dram.CmdWR
+	}
+	return dram.CmdRD
 }
 
 // schedule implements FR-FCFS with a cap on column-over-row reordering —
@@ -208,42 +233,40 @@ func sortPrepCands(c []prepCand) {
 // seed tree's full-queue scan (see refsched_test.go and the differential
 // tests that pin the equivalence).
 func (c *Controller) schedule(q *readyQueue) bool {
-	// First pass: oldest issuable row-hit column command, respecting Cap.
-	// One candidate per open bank (its oldest hit); banks blocked by
-	// refresh/RFM/VRR/MIG would fail CanIssue and are pruned up front.
-	cands := c.colCands[:0]
+	// One walk over the occupied banks collects both passes' candidates
+	// from classify. Banks blocked by refresh/RFM/VRR/MIG would fail every
+	// CanIssue and are pruned up front; PRAC back-off pauses new
+	// activations, not precharges.
+	cols, rows := c.colCands[:0], c.rowCands[:0]
+	backoff := c.now < c.backoffUntil
 	for _, b := range q.active {
 		bank := int(b)
 		if c.dev.BankBlockedUntil(bank) > c.now {
 			continue
 		}
-		row, open := c.dev.OpenRow(bank)
-		if !open {
-			continue
+		hit, next, open := c.classify(q, bank)
+		reqs := q.banks[bank].reqs
+		if hit >= 0 {
+			cols = append(cols, cand{seq: reqs[hit].seq, bank: b, idx: int32(hit)})
 		}
-		fb := &q.banks[bank]
-		fb.validate(row, true)
-		h := fb.hitIdx
-		if h < 0 {
-			continue
+		if next >= 0 && (open || !backoff) {
+			rows = append(rows, cand{seq: reqs[next].seq, bank: b, idx: int32(next), open: open})
 		}
-		if f := fb.confIdx; f >= 0 && f < h && c.capCount[bank] >= c.cfg.Cap {
-			continue // cap reached: stop preferring hits on this bank
-		}
-		cands = append(cands, colCand{seq: fb.reqs[h].seq, bank: b, idx: int32(h)})
 	}
-	c.colCands = cands
-	sortColCands(cands)
-	for _, cd := range cands {
+	c.colCands, c.rowCands = cols, rows
+
+	// First pass: oldest issuable row-hit column command. CanIssue's
+	// verdict is bank-wide, so a failure moves on to the next bank's hit.
+	for len(cols) > 0 {
+		i := oldest(cols)
+		cd := cols[i]
 		bank := int(cd.bank)
 		fb := &q.banks[bank]
 		req := fb.reqs[cd.idx]
-		cmd := dram.CmdRD
-		if req.Write {
-			cmd = dram.CmdWR
-		}
+		cmd := columnCmd(req)
 		if !c.dev.CanIssue(cmd, req.Addr, c.now) {
-			continue // verdict is bank-wide: try the next bank's candidate
+			cols = drop(cols, i)
+			continue
 		}
 		res := c.dev.Issue(cmd, req.Addr, c.now)
 		if req.Thread >= 0 && !req.opened {
@@ -257,133 +280,58 @@ func (c *Controller) schedule(q *readyQueue) bool {
 		return true
 	}
 
-	// Second pass: oldest request's required preparation command.
-	if c.actGate != nil {
-		return c.scheduleGated(q)
-	}
-	prep := c.prepCands[:0]
-	backoff := c.now < c.backoffUntil
-	for _, b := range q.active {
-		bank := int(b)
-		if c.dev.BankBlockedUntil(bank) > c.now {
-			continue
-		}
-		if c.prevQ[bank].len() > 0 || c.refPending[c.dev.RankOf(bank)] {
-			continue // let higher-priority work own the bank
-		}
-		row, open := c.dev.OpenRow(bank)
-		fb := &q.banks[bank]
-		fb.validate(row, open)
-		if open {
-			f := fb.confIdx
-			if f < 0 {
-				continue // only hits queued; pass 1 already considered them
-			}
-			prep = append(prep, prepCand{seq: fb.reqs[f].seq, bank: b, open: true})
-			continue
-		}
-		if backoff {
-			continue // PRAC back-off pauses new activations, not precharges
-		}
-		prep = append(prep, prepCand{seq: fb.reqs[0].seq, bank: b})
-	}
-	c.prepCands = prep
-	sortPrepCands(prep)
-	for _, cd := range prep {
+	// Second pass: the oldest request's row command, oldest first across
+	// banks. A failed attempt exhausts its bank — unless an ActGate is
+	// installed, whose evaluations must keep the flat scan's order and
+	// count: a closed bank then advances to its next request, on a
+	// rejection and on a CanIssue(ACT) failure alike.
+	for len(rows) > 0 {
+		i := oldest(rows)
+		cd := &rows[i]
 		bank := int(cd.bank)
+		fb := &q.banks[bank]
 		if cd.open {
-			pre := dram.Addr{Bank: bank}
-			if !c.dev.CanIssue(dram.CmdPRE, pre, c.now) {
-				continue // bank-wide verdict: bank exhausted this cycle
-			}
-			c.dev.Issue(dram.CmdPRE, pre, c.now)
-			c.capCount[bank] = 0
-			return true
-		}
-		req := q.banks[bank].reqs[0]
-		if !c.dev.CanIssue(dram.CmdACT, req.Addr, c.now) {
-			continue // ACT legality ignores the row: bank exhausted
-		}
-		c.issueACT(req, bank)
-		return true
-	}
-	return false
-}
-
-// scheduleGated is pass 2 with an ActGate installed (BlockHammer). The
-// gate is stateful — it records and counts every evaluation — so closed
-// banks must be walked request by request in global arrival order, merged
-// across banks, exactly as the seed tree's flat scan did: a rejection
-// advances to the bank's next request (another gate evaluation), and so
-// does a CanIssue(ACT) failure after the gate passed.
-func (c *Controller) scheduleGated(q *readyQueue) bool {
-	ws := c.walkers[:0]
-	backoff := c.now < c.backoffUntil
-	for _, b := range q.active {
-		bank := int(b)
-		if c.dev.BankBlockedUntil(bank) > c.now {
-			continue
-		}
-		if c.prevQ[bank].len() > 0 || c.refPending[c.dev.RankOf(bank)] {
-			continue
-		}
-		row, open := c.dev.OpenRow(bank)
-		fb := &q.banks[bank]
-		fb.validate(row, open)
-		if open {
-			f := fb.confIdx
-			if f < 0 {
-				continue
-			}
-			ws = append(ws, gateWalker{seq: fb.reqs[f].seq, bank: b, idx: int32(f), open: true})
-			continue
-		}
-		if backoff {
-			continue
-		}
-		ws = append(ws, gateWalker{seq: fb.reqs[0].seq, bank: b})
-	}
-	c.walkers = ws
-	for len(ws) > 0 {
-		mi := 0
-		for i := 1; i < len(ws); i++ {
-			if ws[i].seq < ws[mi].seq {
-				mi = i
-			}
-		}
-		w := &ws[mi]
-		bank := int(w.bank)
-		fb := &q.banks[bank]
-		if w.open {
 			pre := dram.Addr{Bank: bank}
 			if c.dev.CanIssue(dram.CmdPRE, pre, c.now) {
 				c.dev.Issue(dram.CmdPRE, pre, c.now)
 				c.capCount[bank] = 0
 				return true
 			}
-			ws[mi] = ws[len(ws)-1]
-			ws = ws[:len(ws)-1]
-			continue
-		}
-		req := fb.reqs[w.idx]
-		if !c.actGate(bank, req.Addr.Row, req.Thread, c.now) {
-			c.stats.GatedACTs++
-		} else if c.dev.CanIssue(dram.CmdACT, req.Addr, c.now) {
-			c.issueACT(req, bank)
-			return true
-		}
-		// Advance to the bank's next request (both on gate rejection and
-		// on a CanIssue failure: the flat scan kept evaluating the gate on
-		// later same-bank requests).
-		w.idx++
-		if int(w.idx) >= len(fb.reqs) {
-			ws[mi] = ws[len(ws)-1]
-			ws = ws[:len(ws)-1]
 		} else {
-			w.seq = fb.reqs[w.idx].seq
+			req := fb.reqs[cd.idx]
+			if c.actGate != nil && !c.actGate(bank, req.Addr.Row, req.Thread, c.now) {
+				c.stats.GatedACTs++
+			} else if c.dev.CanIssue(dram.CmdACT, req.Addr, c.now) {
+				c.issueACT(req, bank)
+				return true
+			}
+			if c.actGate != nil && int(cd.idx)+1 < len(fb.reqs) {
+				cd.idx++
+				cd.seq = fb.reqs[cd.idx].seq
+				continue
+			}
 		}
+		rows = drop(rows, i) // PRE and ACT legality ignore the row: bank exhausted
 	}
 	return false
+}
+
+// earliestDemand is one occupied bank's share of earliestCommand: when
+// what classify names becomes legal. PRAC back-off holds the ACT, and only
+// the ACT, until backoffUntil.
+func (c *Controller) earliestDemand(q *readyQueue, bank int) int64 {
+	hit, next, open := c.classify(q, bank)
+	reqs := q.banks[bank].reqs
+	at := dram.Never
+	if hit >= 0 {
+		at = c.dev.EarliestIssue(columnCmd(reqs[hit]), reqs[hit].Addr)
+	}
+	if next >= 0 && open {
+		at = min(at, c.dev.EarliestIssue(dram.CmdPRE, dram.Addr{Bank: bank}))
+	} else if next >= 0 {
+		at = min(at, max(c.dev.EarliestIssue(dram.CmdACT, reqs[next].Addr), c.backoffUntil))
+	}
+	return at
 }
 
 // issueACT performs a demand activation for req and fires the activate

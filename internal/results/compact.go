@@ -41,7 +41,7 @@ func (s *Store) Compact() (CompactResult, error) {
 	byShard := make(map[string][]record)
 	for key, rs := range s.mem {
 		p := s.shardPath(key)
-		byShard[p] = append(byShard[p], record{Schema: SchemaVersion, Key: key, Results: rs})
+		byShard[p] = append(byShard[p], pointRecord(key, rs))
 	}
 	for key, raw := range s.rawMem {
 		p := s.shardPath(key)

@@ -43,7 +43,8 @@ func TestSampledExactKeysDistinct(t *testing.T) {
 
 // TestSampledMarkerOnShardLine checks the record-level marker: a Put of
 // sampled results stamps "sampled":true on the shard line, an exact Put
-// omits it, and both records — summary included — survive a reopen.
+// omits it, Compact's rewrite keeps both that way, and both records —
+// summary included — survive a reopen.
 func TestSampledMarkerOnShardLine(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -62,41 +63,55 @@ func TestSampledMarkerOnShardLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	markers := map[string]bool{} // key -> sampled marker on its line
-	shards, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shard := range shards {
-		raw, err := os.ReadFile(shard)
+	// checkMarkers reads every shard line: the sampled record carries the
+	// marker, the exact one does not even carry the field.
+	checkMarkers := func(when string) {
+		t.Helper()
+		markers := map[string]bool{} // key -> sampled marker on its line
+		shards, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-			var rec struct {
-				Key     string `json:"key"`
-				Sampled bool   `json:"sampled"`
+		for _, shard := range shards {
+			raw, err := os.ReadFile(shard)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				t.Fatalf("unparseable shard line %q: %v", line, err)
-			}
-			markers[rec.Key] = rec.Sampled
-			if rec.Key == exactKey && strings.Contains(line, `"sampled"`) {
-				t.Fatal("exact record carries a sampled marker field")
+			for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+				var rec struct {
+					Key     string `json:"key"`
+					Sampled bool   `json:"sampled"`
+				}
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("%s: unparseable shard line %q: %v", when, line, err)
+				}
+				markers[rec.Key] = rec.Sampled
+				if rec.Key == exactKey && strings.Contains(line, `"sampled"`) {
+					t.Fatalf("%s: exact record carries a sampled marker field", when)
+				}
 			}
 		}
+		if markers[exactKey] {
+			t.Fatalf("%s: exact record marked sampled", when)
+		}
+		if !markers[sampledKey] {
+			t.Fatalf("%s: sampled record not marked sampled", when)
+		}
 	}
-	if markers[exactKey] {
-		t.Fatal("exact record marked sampled")
+	checkMarkers("after Put")
+
+	// Compaction rewrites every line (bhserve does it at each startup);
+	// the rewritten lines must say what the appended ones said.
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
 	}
-	if !markers[sampledKey] {
-		t.Fatal("sampled record not marked sampled")
-	}
+	checkMarkers("after Compact")
 
 	reopened, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkMarkers("after Compact and reopen")
 	rs, ok := reopened.Get(sampledKey)
 	if !ok {
 		t.Fatal("sampled record lost on reopen")

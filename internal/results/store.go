@@ -134,15 +134,19 @@ type record struct {
 	Sampled bool `json:"sampled,omitempty"`
 }
 
-// sampledResults reports whether any mix result carries a sampling
-// summary; Put stamps the record-level marker from it.
-func sampledResults(rs []sim.MixResult) bool {
+// pointRecord builds the shard record of a simulation point. Put and
+// Compact both write exactly this, so a rewritten line carries what the
+// appended one did — the sampled marker included, which is set when any
+// mix result carries a sampling summary.
+func pointRecord(key string, rs []sim.MixResult) record {
+	rec := record{Schema: SchemaVersion, Key: key, Results: rs}
 	for _, r := range rs {
 		if r.Sampled() {
-			return true
+			rec.Sampled = true
+			break
 		}
 	}
-	return false
+	return rec
 }
 
 // newStore returns an empty store over dir ("" = memory-only).
@@ -289,8 +293,7 @@ func (s *Store) Put(key string, rs []sim.MixResult) error {
 	if key == "" || len(rs) == 0 {
 		return fmt.Errorf("results: refusing to store empty key or empty results")
 	}
-	line, err := s.encode(record{Schema: SchemaVersion, Key: key, Results: rs,
-		Sampled: sampledResults(rs)})
+	line, err := s.encode(pointRecord(key, rs))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mem[key] = rs

@@ -203,3 +203,41 @@ func TestThreadPermutationEquivariance(t *testing.T) {
 		})
 	}
 }
+
+// TestActionsMonotoneInNRH: a deterministic tracker configured against a
+// lower RowHammer threshold acts at least as often — halving N_RH never
+// lowers Result.Actions, with or without BreakHammer, on one channel and
+// on four. (PARA acts on a coin flip per activation, so its form of the
+// relation is an expectation over seeds and is not stated here.)
+func TestActionsMonotoneInNRH(t *testing.T) {
+	mix := mustMix(t, "MLLA")
+	nrhs := []int{2048, 1024, 512, 256, 128, 64}
+	for _, mech := range []string{"graphene", "prac", "hydra", "aqua", "twice", "rfm"} {
+		for _, bh := range []bool{false, true} {
+			for _, channels := range []int{1, 4} {
+				cfg := FastConfig()
+				cfg.TargetInsts = 60_000
+				cfg.BHWindow = 100_000
+				cfg.Mechanism, cfg.BreakHammer, cfg.Channels = mech, bh, channels
+				label := configLabel(cfg)
+				if bh {
+					label += "+bh"
+				}
+				t.Run(label, func(t *testing.T) {
+					t.Parallel()
+					actions := make([]int64, len(nrhs))
+					for i, nrh := range nrhs {
+						cfg.NRH = nrh
+						actions[i] = mustRun(t, cfg, mix).Actions
+					}
+					for i := 1; i < len(nrhs); i++ {
+						if actions[i] < actions[i-1] {
+							t.Errorf("N_RH %d -> %d lowered preventive actions %d -> %d (over %v: %v)",
+								nrhs[i-1], nrhs[i], actions[i-1], actions[i], nrhs, actions)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 
@@ -15,30 +16,41 @@ import (
 // recomputing it per configuration would only waste time.
 var aloneCache sync.Map
 
-// aloneKey derives the cache key from every configuration field that can
-// change an alone-mode run: DRAM geometry and timing, controller, cache
-// and core parameters, channel count, address map and run length, plus
-// the full workload spec. Fields that AloneIPC forces (mechanism,
-// BreakHammer and its knobs) or that only parameterise a mitigation
-// (NRH, blast radius, RowPress hardening) are normalised out so that
-// sweeps over them share one baseline instead of recomputing it — while
-// sweeps over system structure can no longer silently reuse a baseline
-// from a different system.
+// aloneNormalised names the Config fields an alone-mode baseline does not
+// depend on, so aloneConfig pins them to DefaultConfig's values: the
+// mechanism and BreakHammer (a baseline has neither) with everything that
+// only parameterises them, the seed (the trace stream is seeded by
+// spec.Seed, not cfg.Seed), the two execution strategies whose results
+// are identical, sampling (see AloneIPC) and the row census (an observer
+// the baseline never pays for). Every other field — DRAM geometry and
+// timing, controller, cache and core parameters, channel count, address
+// map, run length — is carried through, and so is a new Config field until
+// it is named here (TestAloneConfigFields checks the partition).
+var aloneNormalised = []string{
+	"Mechanism", "BreakHammer", "NRH", "BlastRadius", "RowPressFactor",
+	"ThrottleAt", "BHWindow", "BHThreat", "BHOutlier",
+	"Seed", "ParallelChannels", "DisableSkipAhead", "Sampling", "RowCensus",
+}
+
+// aloneConfig returns the configuration the alone-mode baseline of a run
+// under cfg executes with: cfg with the aloneNormalised fields at their
+// defaults (valid values, not zeros — Validate rejects NRH 0), so that
+// sweeps over them share one baseline instead of recomputing it, while
+// sweeps over system structure never reuse a baseline from a different
+// system.
+func aloneConfig(cfg Config) Config {
+	def := reflect.ValueOf(DefaultConfig())
+	c := reflect.ValueOf(&cfg).Elem()
+	for _, name := range aloneNormalised {
+		c.FieldByName(name).Set(def.FieldByName(name))
+	}
+	return cfg
+}
+
+// aloneKey is the baseline's cache key: the configuration it runs under
+// plus the full workload spec.
 func aloneKey(cfg Config, spec workload.Spec) string {
-	c := cfg
-	c.Mechanism = "none"
-	c.BreakHammer = false
-	c.NRH = 0
-	c.BlastRadius = 0
-	c.RowPressFactor = 0
-	c.ThrottleAt = ""
-	c.BHWindow, c.BHThreat, c.BHOutlier = 0, 0, 0
-	c.Seed = 0                     // the trace stream is seeded by spec.Seed, not cfg.Seed
-	c.ParallelChannels = false     // execution strategy; results are identical
-	c.DisableSkipAhead = false     // likewise
-	c.Sampling = sampling.Params{} // alone baselines always run exact (see AloneIPC)
-	c.RowCensus = false            // an observer; the baseline never pays for it
-	return fmt.Sprintf("%+v|%+v", c, spec)
+	return fmt.Sprintf("%+v|%+v", aloneConfig(cfg), spec)
 }
 
 // AloneIPC returns the IPC of a spec running alone on the system with no
@@ -55,12 +67,7 @@ func AloneIPC(cfg Config, spec workload.Spec) (float64, error) {
 	if v, ok := aloneCache.Load(key); ok {
 		return v.(float64), nil
 	}
-	c := cfg
-	c.Mechanism = "none"
-	c.BreakHammer = false
-	c.Sampling = sampling.Params{}
-	c.RowCensus = false
-	sys, err := NewSystem(c, workload.Mix{Name: "alone-" + spec.Name, Specs: []workload.Spec{spec}})
+	sys, err := NewSystem(aloneConfig(cfg), workload.Mix{Name: "alone-" + spec.Name, Specs: []workload.Spec{spec}})
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"breakhammer/internal/workload"
@@ -219,6 +221,61 @@ func TestAloneIPCCached(t *testing.T) {
 	}
 	if a <= 0 {
 		t.Errorf("alone IPC = %g", a)
+	}
+}
+
+// perturb changes a settable value in place (structs: their first field).
+func perturb(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Struct:
+		perturb(t, v.Field(0))
+	default:
+		t.Fatalf("perturb: unhandled kind %v", v.Kind())
+	}
+}
+
+// TestAloneConfigFields walks sim.Config by reflection: changing a field
+// either reaches the baseline's configuration unchanged (a baseline run
+// under a different system is a different baseline) or the field is named
+// in aloneNormalised and comes out at DefaultConfig's value. A baseline
+// configuration is valid whatever the normalised fields held.
+func TestAloneConfigFields(t *testing.T) {
+	def := reflect.ValueOf(DefaultConfig())
+	typ := def.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		cfg := FastConfig()
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		perturb(t, f)
+		in := f.Interface()
+		out := reflect.ValueOf(aloneConfig(cfg)).Field(i).Interface()
+		if slices.Contains(aloneNormalised, name) {
+			if want := def.Field(i).Interface(); !reflect.DeepEqual(out, want) {
+				t.Errorf("%s is normalised but comes out %+v, DefaultConfig has %+v", name, out, want)
+			}
+		} else if !reflect.DeepEqual(out, in) {
+			t.Errorf("%s is neither carried through (%+v -> %+v) nor named in aloneNormalised", name, in, out)
+		}
+	}
+
+	junk := FastConfig()
+	junk.Mechanism, junk.BreakHammer, junk.ThrottleAt = "blockhammer", true, "nowhere"
+	junk.NRH, junk.BlastRadius, junk.RowPressFactor = 0, 0, -1
+	junk.Sampling.Enabled, junk.Sampling.FFCycles = true, -1
+	if err := junk.Validate(); err == nil {
+		t.Fatal("the junk configuration is meant to be invalid")
+	}
+	if err := aloneConfig(junk).Validate(); err != nil {
+		t.Errorf("baseline configuration of an invalid mechanism setup does not validate: %v", err)
 	}
 }
 
