@@ -132,148 +132,9 @@ func (d *Device) groupKey(bank int) int { return d.keyOf[bank] }
 func (d *Device) RankOf(bank int) int { return d.rankOf[bank] }
 
 // CanIssue reports whether cmd to addr satisfies every timing constraint at
-// cycle now.
+// cycle now: EarliestIssue, the one reader of the timing table, has passed.
 func (d *Device) CanIssue(cmd Command, addr Addr, now int64) bool {
-	if addr.Bank < 0 || addr.Bank >= len(d.banks) {
-		return false
-	}
-	b := &d.banks[addr.Bank]
-	rank := d.rankOf[addr.Bank]
-	r := &d.ranks[rank]
-	t := &d.timing
-
-	if now < r.refUntil || now < b.blocked {
-		// Rank under refresh or bank blocked by RFM/VRR/MIG: only nothing
-		// may issue (the blocking command already owns the bank).
-		return false
-	}
-
-	switch cmd {
-	case CmdACT:
-		if b.hasOpen {
-			return false
-		}
-		if now < b.preReady {
-			return false
-		}
-		// tRRD same/different bank group.
-		if r.lastACT != neverIssued {
-			group := d.groupOf[addr.Bank]
-			gap := t.RRDS
-			if group == r.lastACTGroup {
-				gap = t.RRDL
-			}
-			if now < r.lastACT+gap {
-				return false
-			}
-		}
-		// tFAW: at most 4 ACTs per rank per window.
-		oldest := r.actWindow[r.actWindowIdx]
-		if oldest != neverIssued && now < oldest+t.FAW {
-			return false
-		}
-		return true
-
-	case CmdPRE:
-		if !b.hasOpen {
-			return true // PRE to a precharged bank is a harmless no-op; allow.
-		}
-		if now < b.actAt+t.RAS {
-			return false
-		}
-		if b.lastRD != neverIssued && now < b.lastRD+t.RTP {
-			return false
-		}
-		if b.lastWRend != neverIssued && now < b.lastWRend+t.WR {
-			return false
-		}
-		return true
-
-	case CmdRD:
-		if !b.hasOpen || b.openRow != addr.Row {
-			return false
-		}
-		if now < b.actAt+t.RCD {
-			return false
-		}
-		if !d.columnGapOK(now, addr.Bank, false) {
-			return false
-		}
-		return now+t.CL >= d.busFreeAt
-
-	case CmdWR:
-		if !b.hasOpen || b.openRow != addr.Row {
-			return false
-		}
-		if now < b.actAt+t.RCD {
-			return false
-		}
-		if !d.columnGapOK(now, addr.Bank, true) {
-			return false
-		}
-		return now+t.CWL >= d.busFreeAt
-
-	case CmdREF:
-		// All banks in the rank must be precharged and idle.
-		base := rank * d.cfg.BanksPerRank()
-		for i := base; i < base+d.cfg.BanksPerRank(); i++ {
-			bb := &d.banks[i]
-			if bb.hasOpen || now < bb.preReady || now < bb.blocked {
-				return false
-			}
-		}
-		return true
-
-	case CmdRFM, CmdVRR, CmdAUX:
-		return !b.hasOpen && now >= b.preReady
-
-	case CmdMIG:
-		return !b.hasOpen && now >= b.preReady
-
-	default:
-		return false
-	}
-}
-
-// columnGapOK checks CCD (same-command) and turnaround (RD<->WR, WR->RD)
-// constraints for a column command at cycle now.
-func (d *Device) columnGapOK(now int64, bank int, isWrite bool) bool {
-	t := &d.timing
-	key := d.groupKey(bank)
-	if isWrite {
-		if d.lastWR != neverIssued {
-			gap := t.CCDS
-			if key == d.lastWRGroup {
-				gap = t.CCDL
-			}
-			if now < d.lastWR+gap {
-				return false
-			}
-		}
-		if d.lastRD != neverIssued && now < d.lastRD+t.RTW {
-			return false
-		}
-		return true
-	}
-	if d.lastRD != neverIssued {
-		gap := t.CCDS
-		if key == d.lastRDGroup {
-			gap = t.CCDL
-		}
-		if now < d.lastRD+gap {
-			return false
-		}
-	}
-	if d.lastWRend != neverIssued {
-		gap := t.WTRS
-		if key == d.lastWRGroup {
-			gap = t.WTRL
-		}
-		if now < d.lastWRend+gap {
-			return false
-		}
-	}
-	return true
+	return d.EarliestIssue(cmd, addr) <= now
 }
 
 // IssueResult reports side effects of a command issue.
@@ -406,15 +267,19 @@ func (d *Device) BankBlockedUntil(bank int) int64 {
 // pending" answer of a NextWake.
 const Never = int64(1) << 62
 
-// EarliestIssue returns the first cycle at which CanIssue(cmd, addr, ·)
-// holds given that no further command issues in between (device state
-// frozen), or Never when the command needs another command first. It is
-// the constraint-for-constraint mirror of CanIssue: every check there is
-// "now >= some timestamp of device state", so the answer is the maximum of
-// those timestamps. The result may lie in the past — the command is legal
-// now. The memory controller sleeps on the minimum of this bound over the
-// commands it could pick, so an over-estimate here would change
-// simulations; TestEarliestIssueMatchesCanIssue pins the mirror.
+// EarliestIssue returns the first cycle at which cmd to addr is legal given
+// that no further command issues in between (device state frozen), or Never
+// when the command needs another command first. Every constraint is "now >=
+// some timestamp of device state", so the answer is the maximum of those
+// timestamps; it may lie in the past — the command is legal now. It is the
+// only reader of the timing table (with columnGapOpens): CanIssue compares
+// it with now, and the memory controller sleeps on its minimum over the
+// commands it could pick, so an over-estimate would change simulations.
+// Two judges outside the hot path keep it honest: the frozen boolean
+// statement in reference_test.go pins it exactly, in both directions
+// (TestEarliestIssueMatchesReference, FuzzEarliestIssue), and internal/sim's
+// audit_test.go re-checks every dram.Timing constraint pairwise over whole
+// simulations' command streams.
 func (d *Device) EarliestIssue(cmd Command, addr Addr) int64 {
 	if addr.Bank < 0 || addr.Bank >= len(d.banks) {
 		return Never
@@ -424,7 +289,8 @@ func (d *Device) EarliestIssue(cmd Command, addr Addr) int64 {
 	r := &d.ranks[rank]
 	t := &d.timing
 
-	// Rank under refresh or bank blocked by RFM/VRR/MIG gates every command.
+	// Rank under refresh or bank blocked by RFM/VRR/MIG gates every command
+	// (the blocking command already owns the bank).
 	at := max(r.refUntil, b.blocked)
 
 	switch cmd {
@@ -433,13 +299,14 @@ func (d *Device) EarliestIssue(cmd Command, addr Addr) int64 {
 			return Never
 		}
 		at = max(at, b.preReady)
-		if r.lastACT != neverIssued {
+		if r.lastACT != neverIssued { // tRRD, same or different bank group
 			gap := t.RRDS
 			if d.groupOf[addr.Bank] == r.lastACTGroup {
 				gap = t.RRDL
 			}
 			at = max(at, r.lastACT+gap)
 		}
+		// tFAW: at most 4 ACTs per rank per window.
 		if oldest := r.actWindow[r.actWindowIdx]; oldest != neverIssued {
 			at = max(at, oldest+t.FAW)
 		}
@@ -447,7 +314,7 @@ func (d *Device) EarliestIssue(cmd Command, addr Addr) int64 {
 
 	case CmdPRE:
 		if !b.hasOpen {
-			return at
+			return at // PRE to a precharged bank is a harmless no-op; allow.
 		}
 		at = max(at, b.actAt+t.RAS)
 		if b.lastRD != neverIssued {
@@ -469,6 +336,7 @@ func (d *Device) EarliestIssue(cmd Command, addr Addr) int64 {
 		return max(at, d.busFreeAt-t.CL)
 
 	case CmdREF:
+		// All banks in the rank must be precharged and idle.
 		base := rank * d.cfg.BanksPerRank()
 		for i := base; i < base+d.cfg.BanksPerRank(); i++ {
 			bb := &d.banks[i]
@@ -490,8 +358,8 @@ func (d *Device) EarliestIssue(cmd Command, addr Addr) int64 {
 	}
 }
 
-// columnGapOpens is columnGapOK solved for time: the first cycle the CCD
-// and turnaround constraints admit a column command to bank.
+// columnGapOpens returns the first cycle the CCD (same-command) and
+// turnaround (RD->WR, WR->RD) constraints admit a column command to bank.
 func (d *Device) columnGapOpens(bank int, isWrite bool) int64 {
 	t := &d.timing
 	key := d.groupKey(bank)

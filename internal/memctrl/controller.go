@@ -144,6 +144,8 @@ type Controller struct {
 
 	backoffUntil int64 // channel-wide ACT pause (PRAC alert back-off)
 
+	functional func(bank int) // non-nil: preventive requests resolve here (SetFunctional)
+
 	draining bool
 	capCount []int // per-bank consecutive column-over-row reorders
 
@@ -309,7 +311,12 @@ func (c *Controller) RequestVRR(bank int, rows []int) {
 	}
 }
 
+// pushPreventive is the one door every preventive action enters by.
 func (c *Controller) pushPreventive(bank int, a prevAction) {
+	if c.functional != nil {
+		c.functional(bank)
+		return
+	}
 	c.prevQ[bank].push(a)
 	c.prevPending++
 	c.wake()
@@ -341,6 +348,9 @@ func (c *Controller) RequestMigration(bank, srcRow, dstRow int) {
 // demand activations while nRFM refresh-management commands execute on the
 // alerting bank.
 func (c *Controller) RequestBackoff(bank, nRFM int) {
+	if c.functional != nil {
+		return // a back-off pauses the channel; it does not disturb row state
+	}
 	until := c.now + int64(nRFM)*c.tRFM
 	if until > c.backoffUntil {
 		if c.backoffUntil > c.now {
@@ -355,6 +365,15 @@ func (c *Controller) RequestBackoff(bank, nRFM int) {
 		c.RequestRFM(bank)
 	}
 }
+
+// SetFunctional switches the preventive-action interface to functional
+// resolution (closed non-nil) and back (nil). internal/sim's sampled loop
+// sets it around a fast-forward span, when the controller is not ticking
+// and a queued command would never drain: each requested VRR, RFM,
+// migration or metadata access instead reports its bank to closed — the
+// action leaves the demand row closed, the one side effect a functional
+// model of row state can see — and a back-off is dropped.
+func (c *Controller) SetFunctional(closed func(bank int)) { c.functional = closed }
 
 // PendingPreventive reports the number of queued preventive actions.
 func (c *Controller) PendingPreventive() int { return c.prevPending }

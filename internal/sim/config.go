@@ -133,11 +133,17 @@ func (c Config) Validate() error {
 	if err := c.Timing.Validate(); err != nil {
 		return err
 	}
+	if err := c.validateMachine(); err != nil {
+		return err
+	}
 	if c.NRH <= 0 {
 		return fmt.Errorf("sim: NRH must be positive, got %d", c.NRH)
 	}
 	if c.TargetInsts <= 0 {
 		return fmt.Errorf("sim: TargetInsts must be positive, got %d", c.TargetInsts)
+	}
+	if c.MaxCycles <= 0 {
+		return fmt.Errorf("sim: MaxCycles must be positive, got %d", c.MaxCycles)
 	}
 	if c.BlastRadius <= 0 {
 		return fmt.Errorf("sim: BlastRadius must be positive, got %d", c.BlastRadius)
@@ -166,6 +172,35 @@ func (c Config) Validate() error {
 	}
 	if err := c.Sampling.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
+	}
+	return nil
+}
+
+// validateMachine checks the LLC, memory-controller and core parameters. A
+// shape the components would accept silently is a wrong simulation, not an
+// error: the LLC indexes sets with a mask, so a set count that is not a
+// power of two leaves sets unreachable, and a zero-entry queue or window
+// never moves an instruction and spins to MaxCycles.
+func (c Config) validateMachine() error {
+	l := c.Cache
+	if l.Ways <= 0 || l.LineBytes <= 0 || l.MSHRs <= 0 || l.HitLatency < 0 {
+		return fmt.Errorf("sim: Cache needs positive Ways, LineBytes and MSHRs and a non-negative HitLatency, got %+v", l)
+	}
+	if sets := l.Sets(); sets <= 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("sim: Cache.SizeBytes %d makes %d sets of %d ways of %d-byte lines; the set count must be a power of two", l.SizeBytes, sets, l.Ways, l.LineBytes)
+	}
+	m := c.MC
+	if m.ReadQueue <= 0 || m.WriteQueue <= 0 {
+		return fmt.Errorf("sim: MC queues must be positive, got ReadQueue %d, WriteQueue %d", m.ReadQueue, m.WriteQueue)
+	}
+	if m.WriteLo >= m.WriteHi || m.WriteHi > m.WriteQueue {
+		return fmt.Errorf("sim: MC write drain needs WriteLo < WriteHi <= WriteQueue, got %d, %d, %d", m.WriteLo, m.WriteHi, m.WriteQueue)
+	}
+	if m.Cap < 0 {
+		return fmt.Errorf("sim: MC.Cap must be >= 0, got %d", m.Cap)
+	}
+	if c.Core.WindowSize <= 0 || c.Core.IssueWidth <= 0 {
+		return fmt.Errorf("sim: Core needs a positive WindowSize and IssueWidth, got %+v", c.Core)
 	}
 	return nil
 }

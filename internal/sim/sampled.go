@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 
-	"breakhammer/internal/mitigation"
 	"breakhammer/internal/sampling"
 )
 
@@ -46,63 +45,6 @@ const ffQuantum = 1024
 // sustains on the paper's workloads.
 const ffMLP = 4
 
-// switchIssuer wraps one channel controller's preventive-action issuer.
-// In detailed mode every request forwards to the controller. In
-// fast-forward mode the controller is not ticking, so enqueueing would
-// accumulate commands that never drain; instead the action resolves
-// functionally — the targeted bank's shadow row closes (a VRR, RFM,
-// migration or metadata access ends with the demand row no longer open),
-// which is the part of the action's side effects the fast-forward model
-// can see. The mechanism's own action counters and BreakHammer's
-// Observer notifications fire inside the mechanism, unaffected.
-type switchIssuer struct {
-	fwd mitigation.Issuer // the channel controller
-	ch  int
-	ff  *ffState // non-nil while fast-forwarding
-}
-
-var _ mitigation.Issuer = (*switchIssuer)(nil)
-
-func (si *switchIssuer) RequestVRR(bank int, rows []int) {
-	if si.ff != nil {
-		si.ff.closeBank(si.ch, bank)
-		return
-	}
-	si.fwd.RequestVRR(bank, rows)
-}
-
-func (si *switchIssuer) RequestRFM(bank int) {
-	if si.ff != nil {
-		si.ff.closeBank(si.ch, bank)
-		return
-	}
-	si.fwd.RequestRFM(bank)
-}
-
-func (si *switchIssuer) RequestAux(bank int) {
-	if si.ff != nil {
-		si.ff.closeBank(si.ch, bank)
-		return
-	}
-	si.fwd.RequestAux(bank)
-}
-
-func (si *switchIssuer) RequestMigration(bank, srcRow, dstRow int) {
-	if si.ff != nil {
-		si.ff.closeBank(si.ch, bank)
-		return
-	}
-	si.fwd.RequestMigration(bank, srcRow, dstRow)
-}
-
-func (si *switchIssuer) RequestBackoff(bank, nRFM int) {
-	if si.ff != nil {
-		// A back-off pauses the channel; it does not disturb row state.
-		return
-	}
-	si.fwd.RequestBackoff(bank, nRFM)
-}
-
 // ffState is the functional fast-forward machinery: shadow DRAM row
 // state, the instruction-pacing cost model, and cycle accounting.
 type ffState struct {
@@ -112,6 +54,11 @@ type ffState struct {
 	// functional access whose mapped row differs counts as an
 	// activation and feeds the mechanisms and BreakHammer.
 	rows [][]int
+
+	// closers[channel] precharges one shadow bank of that channel: what
+	// the channel's controller is handed (SetFunctional) for the length of
+	// a fast-forward span, so a preventive action resolves functionally.
+	closers []func(bank int)
 
 	nextRefresh int64 // next functional all-bank refresh deadline
 
@@ -144,6 +91,7 @@ func newFFState(s *System) *ffState {
 	ff := &ffState{
 		sys:         s,
 		rows:        make([][]int, s.mem.Channels()),
+		closers:     make([]func(bank int), s.mem.Channels()),
 		nextRefresh: s.cfg.Timing.REFI,
 		debt:        make([]int64, len(s.cores)),
 		rate:        make([]float64, len(s.cores)),
@@ -158,6 +106,8 @@ func newFFState(s *System) *ffState {
 		for b := range ff.rows[ch] {
 			ff.rows[ch][b] = -1
 		}
+		rows := ff.rows[ch]
+		ff.closers[ch] = func(bank int) { rows[bank] = -1 }
 	}
 	// Cost model: a read miss stalls the window for roughly the row
 	// activation plus the read burst (RCD+CL+BL cycles), amortized over
@@ -169,9 +119,6 @@ func newFFState(s *System) *ffState {
 	}
 	return ff
 }
-
-// closeBank precharges one shadow bank (a preventive action landed on it).
-func (ff *ffState) closeBank(ch, bank int) { ff.rows[ch][bank] = -1 }
 
 // refresh performs the functional all-bank refresh: every shadow row
 // closes, exactly what a detailed REF leaves behind.
@@ -233,16 +180,15 @@ func (s *System) runSampled() Result {
 			ff.detailedCycles += drained - cycle
 			cycle = drained
 			if cycle < next {
-				for _, si := range s.ffIssuers {
-					si.ff = ff
+				for ch, closed := range ff.closers {
+					s.mem.Channel(ch).SetFunctional(closed)
 				}
 				cycle = s.runFFSpan(ff, cycle, next)
-				for _, si := range s.ffIssuers {
-					si.ff = nil
-				}
-				// Realign each controller's refresh schedule to the
-				// jump target; the skipped refreshes ran functionally.
-				for ch := 0; ch < s.mem.Channels(); ch++ {
+				// Back to queueing, and realign each controller's refresh
+				// schedule to the jump target; the skipped refreshes ran
+				// functionally.
+				for ch := range ff.closers {
+					s.mem.Channel(ch).SetFunctional(nil)
 					s.mem.Channel(ch).SkipTo(cycle)
 				}
 			}

@@ -19,7 +19,10 @@ import (
 // (warm-up and detail spans through System.runDetailed, fast-forward in
 // between); its string was recorded with every cycle of those spans
 // ticked, so it also pins that skipping idle cycles inside a sampled
-// span changes nothing.
+// span changes nothing. The sampled PRAC case is the one whose
+// fast-forward spans see back-offs, from benign rows too (whose next access
+// would be a row hit): a back-off there is dropped (memctrl.Controller.
+// SetFunctional), neither queued nor a row closure.
 var schedGoldenCases = []struct {
 	name    string
 	mix     string
@@ -42,6 +45,8 @@ var schedGoldenCases = []struct {
 		golden: "cycles=96256 acts=5640 hits=237 reads=5776 writes=0 ref=20 vrr=0 rfm=0 mig=132 aux=0 gated=0 total=5640 backoff=0 actions=132"},
 	{name: "sampled-graphene-bh", mix: "MLLA", mech: "graphene", bh: true, nrh: 256, chans: 1, sampled: true,
 		golden: "cycles=593776 acts=6792 hits=1653 reads=8316 writes=71 ref=24 vrr=156 rfm=0 mig=0 aux=0 gated=0 total=6792 backoff=0 actions=343 detailed=123197 ff=470579 windows=12"},
+	{name: "sampled-prac-bh", mix: "HHMA", mech: "prac", bh: true, nrh: 16, chans: 2, sampled: true,
+		golden: "cycles=7598128 acts=20382 hits=3571 reads=22900 writes=952 ref=913 vrr=0 rfm=5024 mig=0 aux=0 gated=0 total=20382 backoff=2292768 actions=5971 detailed=2178755 ff=5419373 windows=152"},
 }
 
 // schedGoldenFingerprint compresses a run's scheduler-observable outcome

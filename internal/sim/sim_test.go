@@ -42,6 +42,43 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadMachine: LLC, controller and core shapes the
+// components would take silently — a third of the LLC's sets unreachable
+// behind the index mask, or a run that never moves an instruction and spins
+// to MaxCycles (1<<62 under DefaultConfig) — are configuration errors.
+func TestValidateRejectsBadMachine(t *testing.T) {
+	for _, c := range []Config{DefaultConfig(), FastConfig(), tinyConfig()} {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("a stock configuration is rejected: %v", err)
+		}
+	}
+	for name, breakIt := range map[string]func(*Config){
+		"LLC sets not a power of two": func(c *Config) { c.Cache.SizeBytes = 6 << 20 },
+		"LLC smaller than one set":    func(c *Config) { c.Cache.SizeBytes = 64 },
+		"zero ways":                   func(c *Config) { c.Cache.Ways = 0 },
+		"negative line size":          func(c *Config) { c.Cache.LineBytes = -64 },
+		"zero MSHRs":                  func(c *Config) { c.Cache.MSHRs = 0 },
+		"negative hit latency":        func(c *Config) { c.Cache.HitLatency = -1 },
+		"zero read queue":             func(c *Config) { c.MC.ReadQueue = 0 },
+		"zero write queue":            func(c *Config) { c.MC.WriteQueue = 0 },
+		"WriteLo = WriteHi":           func(c *Config) { c.MC.WriteLo = c.MC.WriteHi },
+		"WriteHi > WriteQueue":        func(c *Config) { c.MC.WriteHi = c.MC.WriteQueue + 1 },
+		"negative cap":                func(c *Config) { c.MC.Cap = -1 },
+		"zero window":                 func(c *Config) { c.Core.WindowSize = 0 },
+		"zero issue width":            func(c *Config) { c.Core.IssueWidth = 0 },
+		"zero MaxCycles":              func(c *Config) { c.MaxCycles = 0 },
+	} {
+		c := tinyConfig()
+		breakIt(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if _, err := NewSystem(c, mustMix(t, "HMLL")); err == nil {
+			t.Errorf("%s: NewSystem built it", name)
+		}
+	}
+}
+
 func TestBenignMixCompletesNoDefense(t *testing.T) {
 	cfg := tinyConfig()
 	sys, err := NewSystem(cfg, mustMix(t, "HMLL"))

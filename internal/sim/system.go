@@ -52,12 +52,6 @@ type System struct {
 	fbNext []int64
 	fbStep []int64
 	hasFb  bool
-
-	// ffIssuers wraps each channel's preventive-action issuer when
-	// interval sampling is configured: detailed windows forward to the
-	// controller, fast-forward windows resolve actions functionally
-	// (see sampled.go). Empty for exact runs.
-	ffIssuers []*switchIssuer
 }
 
 // defaultFeedbackEvery is the feedback cadence for adaptive sources whose
@@ -173,16 +167,6 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 	// channel's memory controller owns its own mitigation hardware.
 	var blockers []*mitigation.BlockHammer
 	for ch := 0; ch < mem.Channels(); ch++ {
-		// Under interval sampling the issuer is switchable: fast-forward
-		// windows must not enqueue preventive commands into a controller
-		// that is not ticking (the queue would never drain), so the
-		// wrapper resolves them functionally instead.
-		var issuer mitigation.Issuer = mem.Channel(ch)
-		if cfg.Sampling.Enabled {
-			si := &switchIssuer{fwd: mem.Channel(ch), ch: ch}
-			s.ffIssuers = append(s.ffIssuers, si)
-			issuer = si
-		}
 		mech, err := mitigation.New(cfg.Mechanism, mitigation.Params{
 			NRH:         cfg.effectiveNRH(),
 			BlastRadius: cfg.BlastRadius,
@@ -193,7 +177,7 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 			REFI:        timing.REFI,
 			RC:          timing.RC,
 			Seed:        cfg.Seed + int64(ch)*0x9e3779b9,
-		}, issuer, obs)
+		}, mem.Channel(ch), obs)
 		if err != nil {
 			return nil, err
 		}
