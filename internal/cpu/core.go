@@ -204,6 +204,20 @@ func (c *Core) NextWake(now int64) int64 {
 	return int64(1) << 62
 }
 
+// WindowBlocked reports whether a Tick at now would be a no-op: the window
+// is full, its head is a load with no ready instructions before it whose
+// data has not arrived, and a fetched record waits to issue. Retire then
+// stops at the head and issue stops at the full window before it reaches
+// Memory, so the tick changes nothing but Stats.WindowStalls. It stays
+// true until the head load completes — at its known ready time or through
+// the Memory callback — so the skip-ahead driver need not wake the core
+// for memory-side progress that does not complete that load.
+func (c *Core) WindowBlocked(now int64) bool {
+	l := &c.loads[c.head]
+	return c.hasPending && c.count == len(c.loads) && c.nloads > 0 &&
+		l.before == 0 && !l.done(now)
+}
+
 // FFNext hands the core's next instruction-stream step to a functional
 // fast-forward executor (internal/sim's sampled loop): the bubble count
 // preceding the next memory access, the accessed line, and whether it is

@@ -145,9 +145,148 @@ func TestCountingBloomExactWhenSparse(t *testing.T) {
 	}
 }
 
+// misraOp kinds, as the first byte of an encoded operation.
+const (
+	opObserve = iota
+	opResetKey
+	opCount
+	opReset
+	misraOpKinds
+)
+
+// randomMisraOps encodes a seeded operation sequence in FuzzMisraGries'
+// input format: one capacity byte, then (kind, key) byte pairs. Capacities
+// 1–40 and a key universe at most ~3× the capacity keep evictions and
+// count ties constant; half the observations go to a few hot keys, so
+// counts also climb far enough to sift.
+func randomMisraOps(seed int64, ops int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	capacity := 1 + rng.Intn(40)
+	universe := capacity + rng.Intn(2*capacity+8)
+	data := []byte{byte(capacity - 1)}
+	for i := 0; i < ops; i++ {
+		kind := opObserve
+		switch p := rng.Intn(100); {
+		case p < 8:
+			kind = opResetKey
+		case p < 14:
+			kind = opCount
+		case p < 15:
+			kind = opReset
+		}
+		k := rng.Intn(universe)
+		if rng.Intn(2) == 0 {
+			k = rng.Intn(min(universe, 4))
+		}
+		data = append(data, byte(kind), byte(k-universe/2))
+	}
+	return data
+}
+
+// replayMisraOps drives MisraGries and the frozen refMisraGries through
+// one encoded sequence and fails at the first operation after which they
+// differ in the returned value, Len, the touched key's Count or the heap
+// order (key and count per position); every 32 operations it also asks
+// both for every key. Keys are multiples of 65 536, negative ones
+// included, so their probe sequences collide in the small index.
+func replayMisraOps(t *testing.T, data []byte) {
+	t.Helper()
+	if len(data) == 0 {
+		return
+	}
+	capacity := 1 + int(data[0])%40
+	got, want := NewMisraGries(capacity), newRefMisraGries(capacity)
+	keys := map[int]bool{}
+	for step, op := 0, data[1:]; len(op) >= 2; step, op = step+1, op[2:] {
+		kind, key := int(op[0])%misraOpKinds, int(int8(op[1]))<<16
+		keys[key] = true
+		var g, w int
+		switch kind {
+		case opObserve:
+			g, w = got.Observe(key), want.Observe(key)
+		case opResetKey:
+			got.ResetKey(key)
+			want.ResetKey(key)
+		case opCount:
+			g, w = got.Count(key), want.Count(key)
+		case opReset:
+			got.Reset()
+			want.Reset()
+		}
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("capacity %d, op %d (kind %d, key %d): "+format,
+				append([]any{capacity, step, kind, key}, args...)...)
+		}
+		if g != w {
+			fail("returned %d, reference %d", g, w)
+		}
+		if got.Len() != want.Len() {
+			fail("Len %d, reference %d", got.Len(), want.Len())
+		}
+		if g, w := got.Count(key), want.Count(key); g != w {
+			fail("Count %d, reference %d", g, w)
+		}
+		for i, e := range want.entries {
+			if g := got.entries[i]; g.key != e.key || g.count != e.count {
+				fail("heap[%d] = (%d, %d), reference (%d, %d)", i, g.key, g.count, e.key, e.count)
+			}
+		}
+		if step%32 == 0 {
+			for k := range keys {
+				if g, w := got.Count(k), want.Count(k); g != w {
+					fail("Count(%d) %d, reference %d", k, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestMisraGriesMatchesReference holds the specialised heap and its
+// open-addressed index against the frozen container/heap + map tracker
+// (reference_test.go) on seeded random Observe/ResetKey/Count/Reset
+// sequences.
+func TestMisraGriesMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		replayMisraOps(t, randomMisraOps(seed, 3000))
+	}
+}
+
+// FuzzMisraGries is TestMisraGriesMatchesReference over fuzzer bytes (see
+// randomMisraOps for the format). The seed corpus is eight of the test's
+// sequences, and plain `go test` replays it.
+func FuzzMisraGries(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(randomMisraOps(seed, 400))
+	}
+	f.Fuzz(replayMisraOps)
+}
+
+// TestMisraGriesObserveReturnsEstimate is a known failure, skipped until
+// the results schema moves (ROADMAP item 3). Observe on a tracked key
+// increments it, sifts it, then reads the count at the key's old heap
+// position — where, if the key sifted down, a smaller child now sits. On a
+// fresh table Observe 1, 2, 3, then Observe(1) returns 1 while Count(1) is
+// 2. Graphene and AQUA compare that return value with their threshold, so
+// a trigger can fire one activation late. On HHMA and MLLA graphene+BH
+// runs of 400 K instructions, 7–9 % of Observe calls under-report at N_RH
+// 128–256 and 22–23 % at N_RH 32, and at N_RH ≤ 64 up to 6 refreshes per
+// run are missed on the activation that reached the threshold. Returning
+// the true count changes Graphene and AQUA results at N_RH 64.
+func TestMisraGriesObserveReturnsEstimate(t *testing.T) {
+	t.Skip("known defect: Observe reads the sifted heap position, not the key's entry (ROADMAP item 3)")
+	m := NewMisraGries(8)
+	m.Observe(1)
+	m.Observe(2)
+	m.Observe(3)
+	if got, want := m.Observe(1), m.Count(1); got != want {
+		t.Errorf("Observe(1) = %d, Count(1) = %d", got, want)
+	}
+}
+
 // TestMisraGriesResetDoesNotAllocate pins the per-window reset: it runs
-// every tREFW on every bank, so it reuses the warm table's storage — index
-// map included — and a refilled table behaves like a fresh one.
+// every tREFW on every bank, so it reuses the warm table's storage — key
+// index included — and a refilled table behaves like a fresh one.
 func TestMisraGriesResetDoesNotAllocate(t *testing.T) {
 	m := NewMisraGries(64)
 	fill := func() {

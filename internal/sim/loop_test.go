@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -13,14 +14,17 @@ import (
 // once the LLC's three retry counters, which count attempts on ticked
 // cycles, are zeroed. A BlockHammer system is lockstep either way, so
 // there the flag must change nothing at all, counters included. The
-// sampled row checks skip-ahead inside warm-up and detail spans.
+// sampled row checks skip-ahead inside warm-up and detail spans; the
+// 4-channel row has its fills, and so the completions that end a core's
+// window-blocked sleep, replayed from the channels' event buffers.
 func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 	for _, tc := range []struct {
-		mech    string
-		mix     string
-		bh      bool
-		lsu     bool
-		sampled bool
+		mech     string
+		mix      string
+		bh       bool
+		lsu      bool
+		sampled  bool
+		channels int
 	}{
 		{mech: "none", mix: "HHMM"},
 		{mech: "graphene", mix: "MLLA", bh: true},
@@ -29,6 +33,8 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 		{mech: "graphene", mix: "MLLA", bh: true, lsu: true},
 		{mech: "blockhammer", mix: "MLLA"},
 		{mech: "graphene", mix: "MLLA", bh: true, sampled: true},
+		{mech: "prac", mix: "MLLA", channels: 4},
+		{mech: "graphene", mix: "HHMA", bh: true},
 	} {
 		tc := tc
 		name := tc.mech + "/" + tc.mix
@@ -37,6 +43,9 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 		}
 		if tc.sampled {
 			name += "/sampled"
+		}
+		if tc.channels > 1 {
+			name += fmt.Sprintf("/%dch", tc.channels)
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -47,6 +56,7 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 			cfg.Mechanism = tc.mech
 			cfg.NRH = 256
 			cfg.BreakHammer = tc.bh
+			cfg.Channels = tc.channels
 			if tc.lsu {
 				cfg.ThrottleAt = "lsu"
 			}

@@ -387,7 +387,12 @@ func (s *System) Run() Result {
 // those fires, its Tick would be a pure no-op, so the driver stops
 // calling it. Cores cannot unblock each other directly: every inter-core
 // interaction (MSHR pool, queues, quotas) changes only through the
-// memory subsystem, the LLC or BreakHammer.
+// memory subsystem, the LLC or BreakHammer. Memory-side progress does not
+// wake a core whose full window waits on its head load
+// (cpu.Core.WindowBlocked): that tick would not reach the LLC, and the
+// load's completion — delivered by this cycle's memory tick, inline or
+// replayed from a channel's event buffer — clears the condition before
+// the check.
 //
 // Per-controller sleep: a memory controller whose scheduler found nothing
 // legal knows the exact first cycle at which any command it could pick
@@ -424,7 +429,7 @@ func (s *System) runDetailed(from, to int64) int64 {
 		coreProgress := false
 		for i, c := range s.cores {
 			if s.asleep[i] {
-				if !memProgress && !wakeAll && cycle < s.coreWake[i] {
+				if !wakeAll && cycle < s.coreWake[i] && (!memProgress || c.WindowBlocked(cycle)) {
 					continue
 				}
 				s.asleep[i] = false
