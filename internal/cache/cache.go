@@ -62,13 +62,15 @@ type Stats struct {
 	Hits     []int64
 	Misses   []int64
 	MSHRHits []int64
-	// The three *Blocks counters count rejected attempts, and a stalled
-	// core retries only on cycles the simulation driver ticks it: they
-	// are diagnostic, depend on which idle cycles sim.System.runDetailed
-	// skipped (exact and sampled runs alike), and feed no figure.
-	QuotaBlocks  []int64 // read attempts rejected due to a thread quota
-	MSHRBlocks   []int64 // read attempts rejected because the file was full
-	QueueBlocks  []int64 // read attempts rejected because the MC queue was full
+	// The three *Blocks counters count refusal episodes, not attempts: a
+	// thread's run of consecutive refused accesses counts once, in the
+	// category of its first refusal. A stalled core retries only on the
+	// cycles the simulation driver ticks it, and only the first retry
+	// counts, so the counters do not depend on which idle cycles
+	// sim.System.runDetailed skipped.
+	QuotaBlocks  []int64 // refusal episodes begun by a thread quota
+	MSHRBlocks   []int64 // refusal episodes begun by a full MSHR file
+	QueueBlocks  []int64 // refusal episodes begun by a full MC read queue
 	Writebacks   int64
 	WriteMisses  []int64
 	WriteHits    []int64
@@ -111,6 +113,11 @@ type LLC struct {
 	pendingWB []uint64
 	wbHead    int
 
+	// refusedAt[t] is thread t's accepted-access count at its latest
+	// refusal (-1 before any): while it has not moved, a refusal continues
+	// the same episode (see Stats).
+	refusedAt []int64
+
 	stats Stats
 }
 
@@ -126,6 +133,10 @@ func New(cfg Config, threads int, backend Backend) *LLC {
 		setMask:   uint64(sets - 1),
 		mshrShift: 64,
 		inUse:     make([]int, threads),
+		refusedAt: make([]int64, threads),
+	}
+	for t := range l.refusedAt {
+		l.refusedAt[t] = -1
 	}
 	size := 1
 	for ; size < 4*cfg.MSHRs; size *= 2 {
@@ -215,6 +226,20 @@ func (l *LLC) quotaFor(thread int) int {
 	return q
 }
 
+// refuse counts a refused access of thread in counter if it begins a
+// refusal episode: if the thread had an access accepted — a hit, a merge
+// or a miss, detailed or functional — since its previous refusal. Every
+// accepted access bumps one of the thread's five outcome counters, so the
+// accepting paths need no bookkeeping of their own.
+func (l *LLC) refuse(thread int, counter []int64) {
+	s := &l.stats
+	accepted := s.Hits[thread] + s.Misses[thread] + s.MSHRHits[thread] + s.WriteHits[thread] + s.WriteMisses[thread]
+	if l.refusedAt[thread] != accepted {
+		l.refusedAt[thread] = accepted
+		counter[thread]++
+	}
+}
+
 // Read performs a demand read for a cache line. On ReadMiss and
 // ReadMSHRHit the callback fires when the fill completes; on ReadHit the
 // caller should treat the data as ready HitLatency cycles later; on
@@ -234,15 +259,15 @@ func (l *LLC) Read(lineAddr uint64, thread int, done func()) ReadOutcome {
 	// Need a fresh MSHR: check total capacity, then the thread quota
 	// (BreakHammer's throttling point), then MC queue space.
 	if l.totalUsed >= l.cfg.MSHRs {
-		l.stats.MSHRBlocks[thread]++
+		l.refuse(thread, l.stats.MSHRBlocks)
 		return ReadBlocked
 	}
 	if l.inUse[thread] >= l.quotaFor(thread) {
-		l.stats.QuotaBlocks[thread]++
+		l.refuse(thread, l.stats.QuotaBlocks)
 		return ReadBlocked
 	}
 	if !l.backend.EnqueueRead(lineAddr, thread) {
-		l.stats.QueueBlocks[thread]++
+		l.refuse(thread, l.stats.QueueBlocks)
 		return ReadBlocked
 	}
 	m = l.allocMSHR(slot, lineAddr, thread, false)
@@ -269,15 +294,15 @@ func (l *LLC) Write(lineAddr uint64, thread int) bool {
 		return true
 	}
 	if l.totalUsed >= l.cfg.MSHRs {
-		l.stats.MSHRBlocks[thread]++
+		l.refuse(thread, l.stats.MSHRBlocks)
 		return false
 	}
 	if l.inUse[thread] >= l.quotaFor(thread) {
-		l.stats.QuotaBlocks[thread]++
+		l.refuse(thread, l.stats.QuotaBlocks)
 		return false
 	}
 	if !l.backend.EnqueueRead(lineAddr, thread) {
-		l.stats.QueueBlocks[thread]++
+		l.refuse(thread, l.stats.QueueBlocks)
 		return false
 	}
 	l.allocMSHR(slot, lineAddr, thread, true)
@@ -383,9 +408,11 @@ func (l *LLC) place(lineAddr uint64, dirty bool) (victim uint64, victimDirty boo
 	return victim, victimDirty
 }
 
+// writeback enqueues an evicted dirty line as system traffic: thread -1,
+// attributable to no thread (memctrl.Request.Thread).
 func (l *LLC) writeback(lineAddr uint64) {
 	l.stats.Writebacks++
-	if !l.backend.EnqueueWrite(lineAddr, 0) {
+	if !l.backend.EnqueueWrite(lineAddr, -1) {
 		l.pendingWB = append(l.pendingWB, lineAddr)
 	}
 }
@@ -396,7 +423,7 @@ func (l *LLC) writeback(lineAddr uint64) {
 func (l *LLC) Tick() bool {
 	drained := false
 	for l.wbHead < len(l.pendingWB) {
-		if !l.backend.EnqueueWrite(l.pendingWB[l.wbHead], 0) {
+		if !l.backend.EnqueueWrite(l.pendingWB[l.wbHead], -1) {
 			return drained
 		}
 		l.wbHead++

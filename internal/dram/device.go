@@ -26,6 +26,11 @@ type rankState struct {
 	refUntil     int64 // rank blocked by REF until this cycle
 }
 
+// groupState is one bank group's column-command history.
+type groupState struct {
+	lastRD, lastWR, lastWRend int64
+}
+
 // Device is a cycle-level model of all DRAM chips behind one channel.
 // It validates command timing, tracks row-buffer state, and accumulates
 // energy. The Device does not schedule: the memory controller decides what
@@ -42,13 +47,16 @@ type Device struct {
 	groupOf []int
 	keyOf   []int // channel-unique bank-group key
 
-	// Channel-level data-bus occupancy and command-group history.
-	busFreeAt   int64
-	lastRD      int64 // most recent RD command cycle on the channel
-	lastRDGroup int   // rank*groups+group key of that RD
-	lastWR      int64
-	lastWRGroup int
-	lastWRend   int64 // channel-wide write-data end (for tWTR)
+	// Column-command history: the channel's most recent RD, WR and
+	// write-data end (the different-group gaps tCCD_S, tWTR_S and the RD->WR
+	// turnaround), and the same three per bank group (the same-group gaps
+	// tCCD_L and tWTR_L, which a later command to another group must not
+	// hide).
+	busFreeAt int64
+	lastRD    int64
+	lastWR    int64
+	lastWRend int64
+	groups    []groupState // indexed by keyOf
 
 	energy EnergyCounter
 
@@ -103,6 +111,10 @@ func NewDevice(cfg Config, timing Timing) (*Device, error) {
 	}
 	d.busFreeAt = 0
 	d.lastRD, d.lastWR, d.lastWRend = neverIssued, neverIssued, neverIssued
+	d.groups = make([]groupState, cfg.Ranks*cfg.BankGroups)
+	for i := range d.groups {
+		d.groups[i] = groupState{lastRD: neverIssued, lastWR: neverIssued, lastWRend: neverIssued}
+	}
 	return d, nil
 }
 
@@ -124,9 +136,6 @@ func (d *Device) OpenRow(bank int) (int, bool) {
 	}
 	return b.openRow, true
 }
-
-// groupKey builds a channel-unique bank-group identifier.
-func (d *Device) groupKey(bank int) int { return d.keyOf[bank] }
 
 // RankOf returns the rank of a global bank index (lookup, no division).
 func (d *Device) RankOf(bank int) int { return d.rankOf[bank] }
@@ -184,7 +193,7 @@ func (d *Device) Issue(cmd Command, addr Addr, now int64) IssueResult {
 	case CmdRD:
 		b.lastRD = now
 		d.lastRD = now
-		d.lastRDGroup = d.groupKey(addr.Bank)
+		d.groups[d.keyOf[addr.Bank]].lastRD = now
 		dataEnd := now + t.CL + t.BL
 		d.busFreeAt = dataEnd
 		d.energy.Add(CmdRD, 1)
@@ -193,9 +202,9 @@ func (d *Device) Issue(cmd Command, addr Addr, now int64) IssueResult {
 	case CmdWR:
 		dataEnd := now + t.CWL + t.BL
 		b.lastWRend = dataEnd
-		d.lastWR = now
-		d.lastWRGroup = d.groupKey(addr.Bank)
-		d.lastWRend = dataEnd
+		d.lastWR, d.lastWRend = now, dataEnd
+		g := &d.groups[d.keyOf[addr.Bank]]
+		g.lastWR, g.lastWRend = now, dataEnd
 		d.busFreeAt = dataEnd
 		d.energy.Add(CmdWR, 1)
 		return IssueResult{DataAt: dataEnd, DoneAt: dataEnd}
@@ -359,37 +368,15 @@ func (d *Device) EarliestIssue(cmd Command, addr Addr) int64 {
 }
 
 // columnGapOpens returns the first cycle the CCD (same-command) and
-// turnaround (RD->WR, WR->RD) constraints admit a column command to bank.
+// turnaround (RD->WR, WR->RD) constraints admit a column command to bank:
+// the short gap after the channel's latest command of each kind, the long
+// one after the bank group's. (A never-issued history is so far in the
+// past that any gap after it has long opened.)
 func (d *Device) columnGapOpens(bank int, isWrite bool) int64 {
 	t := &d.timing
-	key := d.groupKey(bank)
-	at := neverIssued
+	g := &d.groups[d.keyOf[bank]]
 	if isWrite {
-		if d.lastWR != neverIssued {
-			gap := t.CCDS
-			if key == d.lastWRGroup {
-				gap = t.CCDL
-			}
-			at = d.lastWR + gap
-		}
-		if d.lastRD != neverIssued {
-			at = max(at, d.lastRD+t.RTW)
-		}
-		return at
+		return max(d.lastWR+t.CCDS, g.lastWR+t.CCDL, d.lastRD+t.RTW)
 	}
-	if d.lastRD != neverIssued {
-		gap := t.CCDS
-		if key == d.lastRDGroup {
-			gap = t.CCDL
-		}
-		at = d.lastRD + gap
-	}
-	if d.lastWRend != neverIssued {
-		gap := t.WTRS
-		if key == d.lastWRGroup {
-			gap = t.WTRL
-		}
-		at = max(at, d.lastWRend+gap)
-	}
-	return at
+	return max(d.lastRD+t.CCDS, g.lastRD+t.CCDL, d.lastWRend+t.WTRS, g.lastWRend+t.WTRL)
 }

@@ -234,6 +234,23 @@ func TestFuzzEncodingRoundTrips(t *testing.T) {
 	}
 }
 
+// TestSameGroupGapSurvivesOtherGroup: a column command to another bank
+// group does not hide the long same-group gap of an earlier one. After WR
+// g0 @100 and WR g1 @108, RD g0 waits for tWTR_L after the g0 write (170),
+// not just tWTR_S after the g1 write (160).
+func TestSameGroupGapSurvivesOtherGroup(t *testing.T) {
+	d := newTestDevice(t)
+	tm := d.Timing()
+	g0, g1 := Addr{Bank: 0, Row: 7}, Addr{Bank: d.Config().BanksPerGroup, Row: 7}
+	d.Issue(CmdACT, g0, 0)
+	d.Issue(CmdACT, g1, 12)
+	d.Issue(CmdWR, g0, 100)
+	d.Issue(CmdWR, g1, 108)
+	if got, want := d.EarliestIssue(CmdRD, g0), 100+tm.CWL+tm.BL+tm.WTRL; got != want {
+		t.Errorf("RD g0 earliest at %d, want %d (tWTR_L after the g0 write)", got, want)
+	}
+}
+
 // TestEarliestIssueOutOfRangeBank: no bank, no cycle.
 func TestEarliestIssueOutOfRangeBank(t *testing.T) {
 	d := newTestDevice(t)

@@ -13,13 +13,17 @@ package dram
 // refHistogram: when the two disagree, the device is wrong until someone
 // shows, against the DRAM standard, that the reference is.
 //
-// The semantics are deliberately the seed's, not JEDEC's pairwise ones: the
-// column turnaround rules look only at the channel's *last* RD/WR. That is
-// laxer than the standard in one known case (ACT g0, ACT g1, WR g0 @100,
-// WR g1 @108: RD g0 is admitted at 160 where same-group tWTR_L asks for 170;
-// ROADMAP item 3) and a fix there changes device semantics, so it changes
-// this file in the same, deliberate, golden-moving PR. The pairwise judge
-// is internal/sim's stream audit (audit_test.go).
+// The semantics are the seed's except where an exception line below says
+// otherwise; each names the bug that forced the edit. The pairwise judge of
+// the whole command stream is internal/sim's stream audit (audit_test.go).
+//
+// Exceptions:
+//
+//	2026-10-15, results schema 5: refColumnGapOK looked only at the
+//	channel's *last* RD/WR, laxer than the standard — after ACT g0, ACT g1,
+//	WR g0 @100, WR g1 @108 it admitted RD g0 at 160 where same-group
+//	tWTR_L asks for 170 (tCCD_L had the same shape). It is now stated
+//	pairwise against every bank group's history.
 
 // refCanIssue reports whether cmd to addr satisfies every timing constraint
 // at cycle now: CanIssue's body as of PR 22.
@@ -126,40 +130,30 @@ func (d *Device) refCanIssue(cmd Command, addr Addr, now int64) bool {
 }
 
 // refColumnGapOK checks CCD (same-command) and turnaround (RD<->WR, WR->RD)
-// constraints for a column command at cycle now.
+// constraints for a column command at cycle now, pairwise: against every
+// bank group's latest RD, WR and write-data end, with the long gap inside
+// the command's own group and the short one across groups.
 func (d *Device) refColumnGapOK(now int64, bank int, isWrite bool) bool {
 	t := &d.timing
-	key := d.groupKey(bank)
-	if isWrite {
-		if d.lastWR != neverIssued {
-			gap := t.CCDS
-			if key == d.lastWRGroup {
-				gap = t.CCDL
-			}
-			if now < d.lastWR+gap {
+	key := d.keyOf[bank]
+	for g, h := range d.groups {
+		ccd, wtr := t.CCDS, t.WTRS
+		if g == key {
+			ccd, wtr = t.CCDL, t.WTRL
+		}
+		if isWrite {
+			if h.lastWR != neverIssued && now < h.lastWR+ccd {
 				return false
 			}
+			if h.lastRD != neverIssued && now < h.lastRD+t.RTW {
+				return false
+			}
+			continue
 		}
-		if d.lastRD != neverIssued && now < d.lastRD+t.RTW {
+		if h.lastRD != neverIssued && now < h.lastRD+ccd {
 			return false
 		}
-		return true
-	}
-	if d.lastRD != neverIssued {
-		gap := t.CCDS
-		if key == d.lastRDGroup {
-			gap = t.CCDL
-		}
-		if now < d.lastRD+gap {
-			return false
-		}
-	}
-	if d.lastWRend != neverIssued {
-		gap := t.WTRS
-		if key == d.lastWRGroup {
-			gap = t.WTRL
-		}
-		if now < d.lastWRend+gap {
+		if h.lastWRend != neverIssued && now < h.lastWRend+wtr {
 			return false
 		}
 	}

@@ -116,6 +116,11 @@ func (r *Runner) configFor(p Point) sim.Config {
 	case SamplingSampled:
 		cfg.Sampling = r.validationParams()
 	}
+	if p.Mech == "blockhammer" {
+		// BlockHammer cannot run sampled (sim.Config.Validate): its points
+		// run exact in any sweep, and so share the exact sweep's records.
+		cfg.Sampling = sampling.Params{}
+	}
 	switch p.Study {
 	case StudyTable3:
 		cfg.RowCensus = true

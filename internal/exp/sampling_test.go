@@ -95,6 +95,53 @@ func TestOptionSpecSampling(t *testing.T) {
 	}
 }
 
+// TestSampledSweepRunsBlockHammerExact is `bhsweep -sample -figs 18`: the
+// figure renders, and its blockhammer column — which sim.Config.Validate
+// refuses to sample, since no ActGate runs in fast-forward — is simulated
+// exact under the exact sweep's store keys, so it reuses exact records.
+func TestSampledSweepRunsBlockHammerExact(t *testing.T) {
+	spec := OptionSpec{Preset: "quick", Insts: 60_000, NRHs: "256", Mechanisms: "graphene",
+		Sample: true, Warmup: 2_000, Detail: 8_000, FF: 40_000}
+	sampledOpts, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Sample, spec.Warmup, spec.Detail, spec.FF = false, 0, 0, 0
+	exactOpts, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, exact := NewRunner(sampledOpts), NewRunner(exactOpts)
+	points := sampled.PointsFor([]string{"18"})
+	var blockhammer int
+	for _, p := range points {
+		if p.Mech != "blockhammer" {
+			continue
+		}
+		blockhammer++
+		sk, err := sampled.PointKey(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ek, _ := exact.PointKey(p); sk != ek || sampled.configFor(p).Sampling.Enabled {
+			t.Errorf("%v: keyed %.12s in the sampled sweep, %.12s in the exact one (sampling %+v)", p, sk, ek, sampled.configFor(p).Sampling)
+		}
+	}
+	if blockhammer == 0 {
+		t.Fatal("figure 18 reads no blockhammer point")
+	}
+	if err := sampled.Prefetch(points); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := sampled.Figure18()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) == 0 || tb.Header[len(tb.Header)-1] != "blockhammer" {
+		t.Fatalf("figure 18 rendered without its blockhammer column:\n%s", tb)
+	}
+}
+
 // TestPrefetchEventsSampled checks that progress events from a sampled
 // sweep carry the marker and an exact sweep's do not, and that a
 // sampling-validation twin's events say what the twin runs, whatever the

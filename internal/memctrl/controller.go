@@ -227,8 +227,14 @@ func (c *Controller) AddActivateHook(h ActivateHook) {
 	c.hooksRest = append(c.hooksRest, h)
 }
 
-// fireActivate dispatches a demand activation to the registered hooks.
-func (c *Controller) fireActivate(bank, row, thread int, now int64) {
+// Activated dispatches a row activation to the registered hooks, inline and
+// in registration order. Every activation the hooks see enters here: the
+// controller's own demand ACTs (directly, or replayed from the event
+// buffer), and the functional fast-forward's shadow-row activations
+// (internal/sim's sampled loop), which therefore reach the mechanism,
+// BreakHammer and any other observer in the detailed order. It touches no
+// counter and bypasses the event buffer.
+func (c *Controller) Activated(bank, row, thread int, now int64) {
 	if c.hook0 == nil {
 		return
 	}

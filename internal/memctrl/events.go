@@ -78,7 +78,7 @@ func (c *Controller) ReplayEvents() {
 				c.fill(ev.Line)
 			}
 		case EventActivate:
-			c.fireActivate(ev.Bank, ev.Row, ev.Thread, ev.At)
+			c.Activated(ev.Bank, ev.Row, ev.Thread, ev.At)
 		}
 	}
 	c.events.events = evs[:0]

@@ -349,5 +349,5 @@ func (c *Controller) issueACT(req *Request, bank int) {
 			Event{Kind: EventActivate, Bank: bank, Row: req.Addr.Row, Thread: req.Thread, At: c.now})
 		return
 	}
-	c.fireActivate(bank, req.Addr.Row, req.Thread, c.now)
+	c.Activated(bank, req.Addr.Row, req.Thread, c.now)
 }

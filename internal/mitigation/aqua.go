@@ -71,8 +71,6 @@ func (m *AQUA) OnActivate(bank, row, thread int, now int64) {
 	if row >= m.qBase {
 		return // accesses inside the quarantine region are not tracked
 	}
-	// Observe can under-report the count it stored, so a migration may fire
-	// one activation late (known defect, MisraGries.Observe; ROADMAP item 3).
 	if m.tables[bank].Observe(row) < m.threshold {
 		return
 	}

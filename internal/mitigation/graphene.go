@@ -61,8 +61,6 @@ func (m *Graphene) OnActivate(bank, row, thread int, now int64) {
 		}
 		m.nextReset += m.params.REFW
 	}
-	// Observe can under-report the count it stored, so a trigger may fire
-	// one activation late (known defect, MisraGries.Observe; ROADMAP item 3).
 	if m.tables[bank].Observe(row) < m.threshold {
 		return
 	}

@@ -71,11 +71,9 @@ func (m *MisraGries) Observe(key int) int {
 	if pos >= 0 {
 		m.entries[pos].count++
 		m.fix(pos)
-		// Known defect, kept bit for bit until the results schema moves
-		// (ROADMAP item 3): when fix sifts the key down, pos holds the
-		// child that moved up, so this can be less than Count(key) and a
-		// threshold crossing is reported one activation late.
-		return m.entries[pos].count
+		// Count(key) without the probe: fix may have moved the key's entry,
+		// but not its slot.
+		return m.entries[m.slots[slot].pos-1].count
 	}
 	if n := len(m.entries); n < m.capacity {
 		if 2*(n+1) > len(m.slots) {

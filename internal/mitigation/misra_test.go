@@ -262,25 +262,19 @@ func FuzzMisraGries(f *testing.F) {
 	f.Fuzz(replayMisraOps)
 }
 
-// TestMisraGriesObserveReturnsEstimate is a known failure, skipped until
-// the results schema moves (ROADMAP item 3). Observe on a tracked key
-// increments it, sifts it, then reads the count at the key's old heap
-// position — where, if the key sifted down, a smaller child now sits. On a
-// fresh table Observe 1, 2, 3, then Observe(1) returns 1 while Count(1) is
-// 2. Graphene and AQUA compare that return value with their threshold, so
-// a trigger can fire one activation late. On HHMA and MLLA graphene+BH
-// runs of 400 K instructions, 7–9 % of Observe calls under-report at N_RH
-// 128–256 and 22–23 % at N_RH 32, and at N_RH ≤ 64 up to 6 refreshes per
-// run are missed on the activation that reached the threshold. Returning
-// the true count changes Graphene and AQUA results at N_RH 64.
+// TestMisraGriesObserveReturnsEstimate: Observe returns the key's estimate
+// after the increment, wherever the sift moved its entry. On a fresh table
+// Observe 1, 2, 3, then Observe(1) sifts key 1 down below a count-1 child;
+// reading the key's old heap position returned that child's 1 while
+// Count(1) was 2. Graphene and AQUA compare the return value with their
+// threshold, so that under-report made a trigger fire one activation late.
 func TestMisraGriesObserveReturnsEstimate(t *testing.T) {
-	t.Skip("known defect: Observe reads the sifted heap position, not the key's entry (ROADMAP item 3)")
 	m := NewMisraGries(8)
 	m.Observe(1)
 	m.Observe(2)
 	m.Observe(3)
-	if got, want := m.Observe(1), m.Count(1); got != want {
-		t.Errorf("Observe(1) = %d, Count(1) = %d", got, want)
+	if got, want := m.Observe(1), m.Count(1); got != want || got != 2 {
+		t.Errorf("Observe(1) = %d, Count(1) = %d, want 2", got, want)
 	}
 }
 

@@ -8,10 +8,16 @@ package mitigation
 // identifiers renamed. TestMisraGriesMatchesReference and FuzzMisraGries
 // hold MisraGries to it operation by operation — return values, counts,
 // length and the full heap order, which decides evictions among equal
-// counts and therefore every Graphene and AQUA result. Its Observe keeps
-// the known defect TestMisraGriesObserveReturnsEstimate describes; when
-// that is fixed on purpose (a results-schema change), fix it here in the
-// same commit and say so.
+// counts and therefore every Graphene and AQUA result. It is edited only
+// when a results-schema change fixes a defect on purpose, and each such
+// edit is listed here.
+//
+// Exceptions:
+//
+//	2026-10-15, results schema 5: Observe on a tracked key returned the
+//	count at the key's pre-sift heap position — a smaller child's, when
+//	the key sifted down — so Graphene and AQUA could trigger one
+//	activation late. It now returns Count(key).
 
 import "container/heap"
 
@@ -59,7 +65,7 @@ func (m *refMisraGries) Observe(key int) int {
 	if pos, ok := m.index[key]; ok {
 		m.entries[pos].count++
 		heap.Fix((*refMGHeap)(m), pos)
-		return m.entries[pos].count
+		return m.Count(key)
 	}
 	if len(m.entries) < m.capacity {
 		// heap.Push without boxing the entry into an interface: append,

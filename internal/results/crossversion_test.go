@@ -14,19 +14,21 @@ import (
 	"breakhammer/internal/stats"
 )
 
-// parentStore is a shard written by the commit before stats.Histogram's
-// JSON codec was rewritten by hand (92107d9: encoding/json over a
-// map[string]int64): two exact points, one sampled point and one raw
-// table from real simulations, plus a stale-schema record, a garbage line
-// and a torn tail. It is a recording — regenerate it only with a schema
-// bump.
+// parentStore is a recorded shard: two exact points, one sampled point and
+// one raw table from real simulations at results schema 5, plus records
+// of schemas 4 and 3 (lines the schema-4 and schema-3 code wrote), a
+// garbage line and a torn tail. It was first written by the commit before
+// stats.Histogram's JSON codec was rewritten by hand (92107d9), and
+// re-recorded with the schema-5 bump. It is a recording — regenerate it
+// only with a schema bump.
 const parentStore = "testdata/parent-store"
 
 // TestParentWrittenStoreReplays is the cross-version contract of the
-// codec: a store written by the parent loads with the parent's own counts,
-// and re-Putting every decoded record writes back the very bytes the
-// parent wrote — so a cache directory moves between the two revisions in
-// either direction without a point re-simulating.
+// codec: a recorded store loads with its recorded counts — older schemas
+// skipped, not misread — and re-Putting every decoded record writes back
+// the very bytes that were recorded, so a cache directory moves between
+// revisions of one schema in either direction without a point
+// re-simulating.
 func TestParentWrittenStoreReplays(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join(parentStore, "shard-ab.jsonl"))
 	if err != nil {
@@ -40,9 +42,10 @@ func TestParentWrittenStoreReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// What the parent's own Open reports for this shard.
-	if st := s.Stats(); st.Loaded != 4 || st.Skipped != 3 {
-		t.Fatalf("loaded %d, skipped %d; the parent loads 4 and skips 3", st.Loaded, st.Skipped)
+	// The four schema-5 records load; the schema-4 and schema-3 records,
+	// the garbage line and the torn tail are skipped.
+	if st := s.Stats(); st.Loaded != 4 || st.Skipped != 4 {
+		t.Fatalf("loaded %d, skipped %d; the recording loads 4 and skips 4", st.Loaded, st.Skipped)
 	}
 
 	rewritten, err := Open(t.TempDir())

@@ -35,6 +35,17 @@ import (
 //
 // Version history:
 //
+//	5: known-wrong behaviours fixed in one deliberate shift, Result's shape
+//	   unchanged. Fast-forward activations enter through the channels'
+//	   activate hooks (memctrl.Controller.Activated), so BreakHammer hears
+//	   of them before the mechanism, as in detailed spans, and the row
+//	   census counts them; fast-forward steps end at throttling-window
+//	   boundaries whether or not BreakHammer is on; LLC writebacks belong
+//	   to no thread (-1) instead of thread 0; the LLC's refusal counters
+//	   count episodes, not attempts; the DRAM device keeps tWTR_L/tCCD_L
+//	   per bank group; MisraGries.Observe returns the key's count, so
+//	   Graphene and AQUA no longer trigger one activation late; and a
+//	   sampled BlockHammer run is refused rather than run without its gate.
 //	4: interval-sampled simulation (internal/sampling): sim.Result
 //	   gained the Sampling summary, sim.MixResult the WS/Unfairness
 //	   confidence bands, and records the top-level "sampled" marker.
@@ -51,7 +62,7 @@ import (
 //	   slightly re-times multi-channel simulations; pre-batch
 //	   multi-channel records are unreproducible and must not be served.
 //	1: initial persistent store.
-const SchemaVersion = 4
+const SchemaVersion = 5
 
 // Key returns the content address of one experiment point: a hex SHA-256
 // over the schema version and the canonical fingerprint of (config,

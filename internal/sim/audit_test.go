@@ -10,7 +10,9 @@ package sim
 // event of each kind in each scope, not against the device's
 // last-command-only state. So it sees a device that forgets a clause, a
 // scheduler that slips a command past the device, and rules the device
-// never stated (see TestAuditKnownLaxWTRL).
+// never stated (it convicted the device's old last-write-only tWTR_L; see
+// TestAuditKnownLaxWTRL and the second tWTR_L row of
+// TestAuditCheckerCatches).
 //
 // Fields of dram.Timing without a rule here: TCK (the unit, not a
 // constraint), REFW (the window N_RH is counted over — the RowHammer-safety
@@ -486,6 +488,9 @@ func TestAuditCheckerCatches(t *testing.T) {
 		{"tCCD_L-WR", nil, []auditCmd{{ACT, 0, 7, 0}, {ACT, 1, 7, 12}, {WR, 0, 7, 100}, {WR, 1, 7, 100 + tm.CCDL - 1}}},
 		{"tCCD_S-WR", shortBurst, []auditCmd{{ACT, 0, 7, 0}, {ACT, g1, 7, 12}, {WR, 0, 7, 100}, {WR, g1, 7, 100 + tm.CCDS - 1}}},
 		{"tWTR_L", nil, []auditCmd{{ACT, 0, 7, 0}, {WR, 0, 7, 100}, {RD, 0, 7, 100 + tm.CWL + tm.BL + tm.WTRL - 1}}},
+		// A write to another group in between hides nothing (the device
+		// once admitted this RD at 160, tWTR_S after the g1 write).
+		{"tWTR_L", nil, []auditCmd{{ACT, 0, 7, 0}, {ACT, g1, 7, 12}, {WR, 0, 7, 100}, {WR, g1, 7, 108}, {RD, 0, 7, 100 + tm.CWL + tm.BL + tm.WTRL - 1}}},
 		{"tWTR_S", nil, []auditCmd{{ACT, 0, 7, 0}, {ACT, g1, 7, 12}, {WR, 0, 7, 100}, {RD, g1, 7, 100 + tm.CWL + tm.BL + tm.WTRS - 1}}},
 		{"tRTW", nil, []auditCmd{{ACT, 0, 7, 0}, {ACT, g1, 7, 12}, {RD, 0, 7, 100}, {WR, g1, 7, 100 + tm.RTW - 1}}},
 		{"bus-RD", longBurst, []auditCmd{{ACT, 0, 7, 0}, {ACT, g1, 7, 12}, {RD, 0, 7, 100}, {RD, g1, 7, 100 + tm.CCDS}}},
@@ -532,16 +537,13 @@ func TestAuditCheckerCatches(t *testing.T) {
 	}
 }
 
-// TestAuditKnownLaxWTRL is the named known failure of the device the
-// pairwise judge finds on paper and no simulated stream has exercised
-// (ROADMAP item 3): the device's write-to-read turnaround looks only at the
-// channel's *last* write, so after WR g0 @100 and WR g1 @108 it admits RD g0
-// at 160 (tWTR_S after the g1 write) where the same-group tWTR_L after the
-// g0 write asks for 170. The stream below is issued through a real device —
-// Issue panics on what the device calls illegal — and the checker convicts
-// its last command of exactly tWTR_L. The fix changes device semantics, the
-// frozen reference and likely goldens: it is item 3's, and when it lands
-// this test turns into a panic and becomes a row of TestAuditCheckerCatches.
+// TestAuditKnownLaxWTRL keeps the stream that once exposed the device's
+// write-to-read laxity: its turnaround looked only at the channel's *last*
+// write, so after WR g0 @100 and WR g1 @108 it admitted RD g0 at 160
+// (tWTR_S after the g1 write) where the same-group tWTR_L after the g0
+// write asks for 170. Issued through a real device, the device must now
+// refuse the RD at 160, and the RD at the cycle it does name must leave
+// the pairwise judge with nothing to convict.
 func TestAuditKnownLaxWTRL(t *testing.T) {
 	cfg, tm := dram.Default(), dram.DDR5()
 	dev, err := dram.NewDevice(cfg, tm)
@@ -558,9 +560,16 @@ func TestAuditKnownLaxWTRL(t *testing.T) {
 	if k.total != 0 {
 		t.Fatalf("the set-up is already illegal: %v", k.first)
 	}
-	dev.Issue(dram.CmdRD, g0, 160)
-	if k.violations["tWTR_L"] != 1 || k.total != 1 {
-		t.Fatalf("want exactly one tWTR_L violation, got %v", k.violations)
+	lax := 108 + tm.CWL + tm.BL + tm.WTRS
+	if dev.CanIssue(dram.CmdRD, g0, lax) {
+		t.Fatalf("device admits RD g0 at %d, tWTR_S after the g1 write", lax)
 	}
-	t.Logf("known lax: %s", k.first[0])
+	at := dev.EarliestIssue(dram.CmdRD, g0)
+	if want := 100 + tm.CWL + tm.BL + tm.WTRL; at != want {
+		t.Fatalf("RD g0 earliest at %d, want %d (tWTR_L after the g0 write)", at, want)
+	}
+	dev.Issue(dram.CmdRD, g0, at)
+	if k.total != 0 {
+		t.Fatalf("RD g0 at %d convicted: %v", at, k.violations)
+	}
 }

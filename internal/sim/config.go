@@ -40,8 +40,8 @@ type Config struct {
 	// DisableSkipAhead runs the one detailed driver (System.runDetailed)
 	// in lockstep: no core sleeps and no idle span is skipped, in exact
 	// runs and in a sampled run's warm-up and detail spans alike. It
-	// selects no second implementation and changes no result beyond the
-	// LLC's retry counters, so Fingerprint ignores it. It is kept as the
+	// selects no second implementation and changes no result, so
+	// Fingerprint ignores it. It is kept as the
 	// differential oracle of TestSkipAheadMatchesEveryCycle and because
 	// the repository benchmark (bench/) times the skip-ahead win with it.
 	DisableSkipAhead bool
@@ -83,7 +83,7 @@ type Config struct {
 	MaxCycles   int64 // hard simulation cap
 	Seed        int64
 
-	// RowCensus makes the run count demand activations per DRAM row, on
+	// RowCensus makes the run count activations per DRAM row, on
 	// every channel, and report the summary as Result.RowCensus (Table 3's
 	// ACT-64+/128+/512+ columns). It costs a map update per activation, so
 	// the hook is installed only when set. Unset, the field is absent from
@@ -172,6 +172,12 @@ func (c Config) Validate() error {
 	}
 	if err := c.Sampling.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
+	}
+	if c.Sampling.Enabled && c.Mechanism == "blockhammer" {
+		// Fast-forward schedules nothing, so BlockHammer's ActGate never
+		// delays an activation there: the run would be thousands of times
+		// off, not approximate.
+		return fmt.Errorf("sim: BlockHammer cannot run sampled: no ActGate runs in fast-forward; run it exact")
 	}
 	return nil
 }

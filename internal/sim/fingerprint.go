@@ -33,9 +33,8 @@ func (c Config) normalizedForFingerprint() Config {
 	c.Channels = c.channels()
 	// Parallel ticking and lockstep execution are execution strategies,
 	// not simulated systems: serial and parallel runs are bit-identical,
-	// a lockstep run differs from a skip-ahead one only in the LLC's
-	// diagnostic retry counters, so they must share one fingerprint (and
-	// therefore one results-store key).
+	// and so are lockstep and skip-ahead runs, so they must share one
+	// fingerprint (and therefore one results-store key).
 	c.ParallelChannels = false
 	c.DisableSkipAhead = false
 	c.BHWindow = c.bhWindow()

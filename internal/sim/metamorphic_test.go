@@ -87,19 +87,9 @@ func mustRun(t *testing.T, cfg Config, mix workload.Mix) Result {
 
 // TestBreakHammerUnreachableIsBaseMechanism: with TH_threat so high that
 // no thread is ever a suspect, BreakHammer only watches — mech+BH is the
-// bare mechanism, byte for byte, in every field but BreakHammer's own.
-//
-// Sampled runs hold it only while no throttling window ends inside the
-// run, so their rows push the window out of reach and the relation as
-// stated is landed skipped.
+// bare mechanism, byte for byte, in every field but BreakHammer's own,
+// with its throttling windows rotating through sampled runs too.
 func TestBreakHammerUnreachableIsBaseMechanism(t *testing.T) {
-	t.Run("sampled, windows rotating", func(t *testing.T) {
-		t.Skip("known failure: runFFSpan ends a fast-forward step at every BreakHammer window boundary, and where a " +
-			"step ends changes how replaySpan interleaves the cores' accesses in the functional LLC and row table — " +
-			"a BreakHammer that does nothing but rotate windows moves a sampled run's cycles, hits and actions " +
-			"(graphene, 1 channel: 260096 -> 272464 cycles). The fix re-times every sampled run with BreakHammer, " +
-			"so it belongs with ROADMAP item 3's deliberate golden move; then drop the BHWindow override below")
-	})
 	mix := workload.AttackMixes(1)[0]
 	for _, cfg := range metamorphicConfigs() {
 		t.Run(configLabel(cfg), func(t *testing.T) {
@@ -107,9 +97,6 @@ func TestBreakHammerUnreachableIsBaseMechanism(t *testing.T) {
 			base := mustRun(t, cfg, mix)
 			cfg.BreakHammer = true
 			cfg.BHThreat = 1e18
-			if cfg.Sampling.Enabled {
-				cfg.BHWindow = cfg.MaxCycles + 1
-			}
 			with := mustRun(t, cfg, mix)
 			if with.BH == nil {
 				t.Fatal("BreakHammer run carries no BreakHammer stats")
@@ -122,6 +109,70 @@ func TestBreakHammerUnreachableIsBaseMechanism(t *testing.T) {
 			with.BH = nil
 			for _, d := range differingFields(t, base, with) {
 				t.Errorf("an idle BreakHammer changed the run: %s", d)
+			}
+		})
+	}
+}
+
+// discardIssuer takes a shadow mechanism's preventive requests and does
+// nothing with them.
+type discardIssuer struct{}
+
+func (discardIssuer) RequestVRR(int, []int)          {}
+func (discardIssuer) RequestRFM(int)                 {}
+func (discardIssuer) RequestAux(int)                 {}
+func (discardIssuer) RequestMigration(int, int, int) {}
+func (discardIssuer) RequestBackoff(int, int)        {}
+
+// TestModeAgreement: every activation of a run, detailed or fast-forward,
+// reaches the channels' activate hooks — the one stream the mechanism and
+// BreakHammer observe. A fresh instance of the run's mechanism, with the
+// channel's seed, registered on every channel through the public
+// AddActivateHook and acting into a sink, therefore sees exactly what the
+// wired instance sees and takes as many preventive actions: the shadows'
+// sum is Result.Actions, exact and sampled. The mechanisms are the
+// trackers whose actions follow from the activation stream alone.
+func TestModeAgreement(t *testing.T) {
+	mix := mustMix(t, "HHMA")
+	for _, cfg := range metamorphicConfigs() {
+		switch cfg.Mechanism {
+		case "graphene", "twice", "hydra", "aqua":
+		default:
+			continue
+		}
+		cfg.BreakHammer = true
+		t.Run(configLabel(cfg), func(t *testing.T) {
+			t.Parallel()
+			sys, err := NewSystem(cfg, mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shadows []mitigation.Mechanism
+			for ch := 0; ch < sys.Memory().Channels(); ch++ {
+				m, err := mitigation.New(cfg.Mechanism, mitigation.Params{
+					NRH:         cfg.NRH,
+					BlastRadius: cfg.BlastRadius,
+					Banks:       cfg.DRAM.TotalBanks(),
+					RowsPerBank: cfg.DRAM.RowsPerBank,
+					Threads:     len(mix.Specs),
+					REFW:        cfg.Timing.REFW,
+					REFI:        cfg.Timing.REFI,
+					RC:          cfg.Timing.RC,
+					Seed:        cfg.Seed + int64(ch)*0x9e3779b9,
+				}, discardIssuer{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Memory().Channel(ch).AddActivateHook(m.OnActivate)
+				shadows = append(shadows, m)
+			}
+			res := sys.Run()
+			var shadow int64
+			for _, m := range shadows {
+				shadow += m.Actions()
+			}
+			if shadow != res.Actions {
+				t.Errorf("an outside observer of the activation stream counts %d preventive actions, the run %d", shadow, res.Actions)
 			}
 		})
 	}
@@ -160,19 +211,11 @@ func TestThreadPermutationEquivariance(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		writeFrac float64
-		skip      string
 	}{
 		{name: "read-only"},
-		{name: "write-heavy", writeFrac: 0.25,
-			skip: "known failure: cache.LLC.writeback and LLC.Tick call EnqueueWrite(line, 0), so whoever sits in slot 0 " +
-				"is charged every writeback's activation whoever dirtied the line — the workload moved to slot 1 leaves " +
-				"its writeback ACTs (and their BreakHammer score) behind on an idle thread (graphene, 1 channel: " +
-				"DemandACTs [945 0 0 0] -> [25 0 920 0]). ROADMAP item 3 removes it; then delete this skip"},
+		{name: "write-heavy", writeFrac: 0.25},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.skip != "" {
-				t.Skip(tc.skip)
-			}
 			active := workload.ClassSpec(workload.High, 0, 11)
 			active.WriteFrac = tc.writeFrac
 			mix := workload.Mix{Name: tc.name, Specs: []workload.Spec{active, idle(1), idle(2), idle(3)}}

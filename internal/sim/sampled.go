@@ -31,7 +31,7 @@ import (
 //
 // The per-interval feedback seam fires at exactly the same cycles as in
 // an exact run: fast-forward steps never jump past a pending fbNext
-// deadline (nor a BreakHammer window boundary or a functional-refresh
+// deadline (nor a throttling-window boundary or a functional-refresh
 // deadline), so deliverFeedback runs at the identical cadence.
 
 // ffQuantum caps a fast-forward step: finish checks, BreakHammer ticks
@@ -132,9 +132,10 @@ func (ff *ffState) refresh() {
 
 // access routes one functional memory access through the shadow row
 // table: a bank whose open row differs (or is closed) takes an
-// activation, which feeds the channel's mitigation mechanism and
-// BreakHammer's ledger at the given cycle — the same observation
-// surface the detailed controller's activate hooks drive.
+// activation at the given cycle, reported through the owning channel's
+// activate hooks (memctrl.Controller.Activated) — the one door the
+// detailed controller's ACTs use too, so the mechanism, BreakHammer and
+// every other observer see it once, in the detailed order.
 func (ff *ffState) access(line uint64, thread int, now int64) {
 	s := ff.sys
 	addr := s.mem.Mapper().Map(line)
@@ -142,12 +143,7 @@ func (ff *ffState) access(line uint64, thread int, now int64) {
 		return // shadow row hit: no activation
 	}
 	ff.rows[addr.Channel][addr.Bank] = addr.Row
-	if len(s.mechs) > 0 {
-		s.mechs[addr.Channel].OnActivate(addr.Bank, addr.Row, thread, now)
-	}
-	if s.bh != nil {
-		s.bh.OnActivate(thread)
-	}
+	s.mem.Channel(addr.Channel).Activated(addr.Bank, addr.Row, thread, now)
 }
 
 // runSampled is the sampled-mode main loop. It walks the cycle-pure
@@ -268,9 +264,7 @@ func (s *System) drainDetailed(from int64) int64 {
 		for _, c := range s.cores {
 			c.DrainTick(cycle)
 		}
-		if s.bh != nil {
-			s.bh.Tick(cycle)
-		}
+		s.rotateWindow(cycle)
 		cycle++
 	}
 	return cycle
@@ -286,15 +280,19 @@ func (s *System) coresDrained() bool {
 }
 
 // runFFSpan covers [from, to) functionally. Steps are bounded by every
-// cycle-stamped obligation — feedback deadlines, BreakHammer window
+// cycle-stamped obligation — feedback deadlines, throttling-window
 // boundaries, functional refresh, the step quantum — so those all fire
-// at exactly the cycles the detailed driver would fire them at.
+// at exactly the cycles the detailed driver would fire them at. Where a
+// step ends decides how replaySpan interleaves the cores' accesses, so
+// the window boundaries bound it whether or not BreakHammer is on: step
+// ends are a function of the configuration alone.
 func (s *System) runFFSpan(ff *ffState, from, to int64) int64 {
 	// The detailed spans before this one performed real refreshes;
 	// resume the functional schedule at the next deadline.
 	for ff.nextRefresh <= from {
 		ff.nextRefresh += s.cfg.Timing.REFI
 	}
+	window := s.cfg.bhWindow()
 	cycle := from
 	for cycle < to {
 		stepEnd := cycle + ffQuantum
@@ -304,10 +302,8 @@ func (s *System) runFFSpan(ff *ffState, from, to int64) int64 {
 		if ff.nextRefresh > cycle && ff.nextRefresh < stepEnd {
 			stepEnd = ff.nextRefresh
 		}
-		if s.bh != nil {
-			if w := s.bh.NextWindow(); w > cycle && w < stepEnd {
-				stepEnd = w
-			}
+		if w := (cycle/window + 1) * window; w < stepEnd {
+			stepEnd = w
 		}
 		if s.hasFb {
 			for i, obs := range s.fbObs {
@@ -323,9 +319,7 @@ func (s *System) runFFSpan(ff *ffState, from, to int64) int64 {
 			ff.nextRefresh += s.cfg.Timing.REFI
 		}
 		s.deliverFeedback(stepEnd)
-		if s.bh != nil {
-			s.bh.Tick(stepEnd)
-		}
+		s.rotateWindow(stepEnd)
 		ff.ffCycles += stepEnd - cycle
 		cycle = stepEnd
 		if s.benignFinished() {
@@ -358,9 +352,7 @@ func (ff *ffState) replaySpan(from, to int64) {
 				ff.access(line, i, to)
 			}
 			if victimDirty {
-				// The detailed LLC enqueues evicted dirty lines as
-				// thread-0 writebacks; mirror that attribution.
-				ff.access(victim, 0, to)
+				ff.access(victim, -1, to)
 			}
 			retired += bubbles + 1
 			return bubbles, !hit && !write

@@ -67,6 +67,10 @@ func TestValidateRejectsBadMachine(t *testing.T) {
 		"zero window":                 func(c *Config) { c.Core.WindowSize = 0 },
 		"zero issue width":            func(c *Config) { c.Core.IssueWidth = 0 },
 		"zero MaxCycles":              func(c *Config) { c.MaxCycles = 0 },
+		"sampled blockhammer": func(c *Config) {
+			c.Mechanism = "blockhammer"
+			c.Sampling = sampledTestConfig(1).Sampling
+		},
 	} {
 		c := tinyConfig()
 		breakIt(&c)

@@ -38,8 +38,8 @@ type System struct {
 	benign    []bool
 	latencies []*stats.Histogram
 
-	// rowACTs counts demand activations per (channel, bank, row); nil
-	// unless Config.RowCensus asked for the census.
+	// rowACTs counts activations per (channel, bank, row); nil unless
+	// Config.RowCensus asked for the census.
 	rowACTs map[[3]int]int64
 
 	// Adaptive-source feedback: fbObs[i] is non-nil when thread i's
@@ -347,9 +347,11 @@ type Result struct {
 }
 
 // RowCensus summarises how hard the run hit individual DRAM rows: how
-// many rows, over every channel, took at least 64, 128 and 512 demand
-// activations in the whole run. A sampled run counts the activations of
-// its detailed spans only, like the other event counters.
+// many rows, over every channel, took at least 64, 128 and 512
+// activations in the whole run. It counts what the channels' activate
+// hooks see, so a sampled run's fast-forward activations count too (they
+// enter through memctrl.Controller.Activated), unlike the controller's
+// event counters, which see detailed spans only.
 type RowCensus struct {
 	Over64, Over128, Over512 int
 }
@@ -409,9 +411,9 @@ func (s *System) Run() Result {
 //
 // Under lockstep the first and third level are off: every core ticks on
 // every cycle. Cycles the driver never executes are exactly the cycles a
-// lockstep run executes as no-ops, so both produce identical simulations
-// (only the LLC's retry counters, which count attempts on ticked cycles,
-// differ).
+// lockstep run executes as no-ops, so both produce identical simulations,
+// down to the LLC's refusal counters (one count per episode, whatever
+// number of ticked retries it lasted).
 func (s *System) runDetailed(from, to int64) int64 {
 	// The sleep set is stale on entry: a fast-forward span has moved every
 	// core's stream since it was last valid. wakeAll also carries a
@@ -441,7 +443,7 @@ func (s *System) runDetailed(from, to int64) int64 {
 				s.coreWake[i] = c.NextWake(cycle)
 			}
 		}
-		wakeAll = s.bh != nil && s.bh.Tick(cycle)
+		wakeAll = s.rotateWindow(cycle)
 
 		if cycle&finishCheckMask == 0 && s.benignFinished() {
 			return cycle
@@ -467,6 +469,12 @@ func (s *System) runDetailed(from, to int64) int64 {
 		cycle = wake
 	}
 	return cycle
+}
+
+// rotateWindow ends BreakHammer's throttling window when it expires at
+// cycle, and reports whether it did (false when BreakHammer is off).
+func (s *System) rotateWindow(cycle int64) bool {
+	return s.bh != nil && s.bh.Tick(cycle)
 }
 
 // nextWake gathers the earliest wake-up signal across all components.
