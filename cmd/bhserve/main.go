@@ -54,7 +54,6 @@ func main() {
 		cacheDir   = flag.String("cache-dir", "", "results store directory shared with bhsweep/bhsim (empty: memory-only, nothing survives a restart)")
 		jobs       = flag.Int("jobs", 0, "configuration points simulated concurrently per figure job (0 = auto)")
 		figureJobs = flag.Int("figure-jobs", 2, "figure jobs computed concurrently")
-		compact    = flag.Bool("compact", true, "compact the store's shards at startup (drops superseded records)")
 
 		fleetFigs = flag.String("fleet", "", "coordinate a distributed sweep fleet for these experiments (comma-separated names or 'all'); `bhsweep -worker <url>` processes join and drain the points")
 		fleetTTL  = flag.Duration("fleet-ttl", 0, "fleet lease TTL: a worker silent this long loses its point to another worker (0 = 2m)")
@@ -91,29 +90,6 @@ func main() {
 	} else {
 		st := store.Stats()
 		log.Printf("store %s: %d record(s) loaded, %d skipped", *cacheDir, st.Loaded, st.Skipped)
-		if *compact {
-			// Opportunistic startup compaction: a long-running server is
-			// the natural owner of the shards' housekeeping — but never
-			// while other workers hold claims, since compaction rewrites
-			// shards from this process's snapshot and would drop records
-			// a mid-sweep fleet appends concurrently.
-			live, err := store.LiveClaims(0)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if live > 0 {
-				log.Printf("skipping startup compaction: %d live claim(s) — another worker is mid-sweep", live)
-			} else {
-				res, err := store.Compact()
-				if err != nil {
-					log.Fatal(err)
-				}
-				if res.Dropped > 0 {
-					log.Printf("compacted %d shard(s): dropped %d superseded line(s), kept %d record(s)",
-						res.Shards, res.Dropped, res.Kept)
-				}
-			}
-		}
 	}
 
 	runner := exp.NewRunnerWithStore(opts, store)

@@ -5,10 +5,9 @@
 // content-addressed store (see internal/results): repeated invocations
 // perform zero simulations, and an interrupted sweep resumes where it
 // died. -jobs bounds how many points simulate concurrently; -resume=false
-// ignores (and supersedes) previously cached points; -compact rewrites
-// the store's shards dropping superseded records and exits. Workers (or
-// a bhserve instance) sharing one cache directory coordinate through
-// claim files, so a fleet splits a sweep without duplicating points.
+// ignores (and supersedes) previously cached points. Workers (or a
+// bhserve instance) sharing one cache directory coordinate through claim
+// files, so a fleet splits a sweep without duplicating points.
 //
 // With -worker, bhsweep instead joins a distributed sweep fleet: it
 // leases configuration points from a `bhserve -fleet` coordinator over
@@ -25,7 +24,6 @@
 //	bhsweep -cache-dir ~/.bhcache      # persistent, resumable sweep
 //	bhsweep -cache-dir c -jobs 4 -json # bounded pool, JSON export
 //	bhsweep -cache-dir c -paper        # paper-scale preset (cluster days)
-//	bhsweep -cache-dir c -compact      # maintenance: compact the shards
 //	bhsweep -worker http://host:8077   # join a sweep fleet as a worker
 //	bhsweep -sample -figs 8,9          # interval sampling: ~5-10x faster,
 //	                                   # metrics carry 95% confidence bands
@@ -73,7 +71,6 @@ func main() {
 		resume     = flag.Bool("resume", true, "with -cache-dir: serve previously completed points from the cache (false recomputes and supersedes them)")
 		jobs       = flag.Int("jobs", 0, "configuration points simulated concurrently (0 = auto: ~GOMAXPROCS/4, since each point also parallelizes across its mixes)")
 		progress   = flag.Bool("progress", true, "stream per-point progress (with ETA) to stderr")
-		compact    = flag.Bool("compact", false, "with -cache-dir: compact the store's shards (drop superseded records) and exit")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 
@@ -99,23 +96,6 @@ func main() {
 	if *quick && *paper {
 		log.Fatal("-quick and -paper are mutually exclusive")
 	}
-	if *compact {
-		if *cacheDir == "" {
-			log.Fatal("-compact requires -cache-dir")
-		}
-		store, err := results.Open(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := store.Compact()
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("compacted %s: %d shard(s), kept %d record(s), dropped %d superseded line(s)",
-			*cacheDir, res.Shards, res.Kept, res.Dropped)
-		return
-	}
-
 	if *worker != "" {
 		// The coordinator's options define the sweep wholesale: any
 		// sweep-shaping flag alongside -worker would silently not apply,

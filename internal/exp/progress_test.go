@@ -372,17 +372,28 @@ func TestResetRecomputesDespiteDiskRecords(t *testing.T) {
 		t.Errorf("reset sweep executed %d points, want %d (disk records resurrected)", got, want)
 	}
 
-	// The duplicates are live on disk; compaction collapses them.
+	// Both generations stay on disk; a fresh open loads them all and
+	// serves the recomputed ones.
 	store3, err := results.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := store3.Compact()
-	if err != nil {
-		t.Fatal(err)
+	if got, want := store3.Stats().Loaded, int64(4*len(points)); got != want { // a point + an elapsed record each, twice
+		t.Errorf("fresh open loaded %d records, want %d", got, want)
 	}
-	if res.Dropped != int64(2*len(points)) { // one point + one elapsed record each
-		t.Errorf("compaction dropped %d lines, want %d", res.Dropped, 2*len(points))
+	for _, p := range points {
+		key, err := r2.PointKey(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok3 := store3.Elapsed(key)
+		want, ok2 := store2.Elapsed(key)
+		if !ok3 || !ok2 || got != want {
+			t.Errorf("point %s: fresh open serves elapsed %v (%v), want the recomputed %v (%v)", key[:8], got, ok3, want, ok2)
+		}
+		if _, ok := store3.Get(key); !ok {
+			t.Errorf("point %s missing after a fresh open", key[:8])
+		}
 	}
 }
 

@@ -1,10 +1,15 @@
 package results
 
 import (
+	"crypto/rand"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -28,8 +33,11 @@ const DefaultClaimTTL = 30 * time.Minute
 // a point that legitimately simulates for hours is never mistaken for
 // an abandoned one — the staleness test measures time since the last
 // heartbeat, not since the claim was taken. A holder that goes silent
-// (a crashed process, a remote worker that stopped heartbeating its
-// lease) lets the file age out and the claim expires normally.
+// (a hung process, a remote worker that stopped heartbeating its lease)
+// lets the file age out and the claim expires normally. A holder that
+// died on this host loses the claim at once: the file names its owner
+// (host, pid, a per-process nonce), and a claim whose owner is provably
+// gone is stolen without waiting out the TTL.
 type Claim struct {
 	store *Store
 	key   string
@@ -42,9 +50,10 @@ type Claim struct {
 // non-nil Claim when acquired, (nil, nil) when another worker — in this
 // process or, via a claim file in the cache directory, in another
 // process — currently holds it, and an error only on I/O failure. A
-// persistent claim file older than ttl (<= 0 means DefaultClaimTTL) is
-// treated as abandoned and stolen. The caller must Release the claim
-// once the point's record is in the store.
+// persistent claim file older than ttl (<= 0 means DefaultClaimTTL), or
+// one whose owner is dead (see ownerDead), is treated as abandoned and
+// stolen. The caller must Release the claim once the point's record is
+// in the store.
 func (s *Store) TryClaim(key string, ttl time.Duration) (*Claim, error) {
 	if key == "" {
 		return nil, fmt.Errorf("results: refusing to claim an empty key")
@@ -89,14 +98,62 @@ func (c *Claim) Heartbeat() {
 	os.Chtimes(c.path, now, now)
 }
 
+// claimOwner is a claim file's content: which process took the claim.
+type claimOwner struct {
+	Host  string `json:"host"`
+	PID   int    `json:"pid"`
+	Nonce string `json:"nonce"`
+	Start string `json:"start"`
+}
+
+// claimHost and claimNonce identify this process in the claim files it
+// writes. The nonce tells this process from an earlier one that ran
+// under the same pid, as a restarted container's server usually does.
+var (
+	claimHost, _ = os.Hostname()
+	claimNonce   = newClaimNonce()
+)
+
+func newClaimNonce() string {
+	b := make([]byte, 8)
+	rand.Read(b) // on failure the zero nonce only forgoes the same-pid steal
+	return hex.EncodeToString(b)
+}
+
+// ownerDead reports whether a claim file's content names a process that
+// provably no longer holds it: one on this host that is either this
+// process's pid under another nonce, or no running process at all.
+// Anything it cannot prove — a foreign host, a live or unsignalable pid,
+// an old-format or unparseable file — reads as alive, and the claim is
+// respected until its TTL.
+func ownerDead(content []byte) bool {
+	var o claimOwner
+	if json.Unmarshal(content, &o) != nil || o.Host == "" || o.Host != claimHost || o.PID <= 0 || o.Nonce == "" {
+		return false
+	}
+	if o.PID == os.Getpid() {
+		return o.Nonce != claimNonce
+	}
+	p, err := os.FindProcess(o.PID)
+	if err != nil {
+		return false
+	}
+	return errors.Is(p.Signal(syscall.Signal(0)), os.ErrProcessDone)
+}
+
 // takeClaimFile creates path exclusively, stealing it first when it is
-// older than ttl. It retries once so that losing a race against another
-// process's expiry-removal still gets a clean answer.
+// older than ttl or its owner is dead (ownerDead). It retries once so
+// that losing a race against another process's removal still gets a
+// clean answer.
 func takeClaimFile(path string, ttl time.Duration) (bool, error) {
 	for attempt := 0; attempt < 2; attempt++ {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 		if err == nil {
-			fmt.Fprintf(f, "{\"pid\":%d,\"start\":%q}\n", os.Getpid(), time.Now().UTC().Format(time.RFC3339))
+			owner, _ := json.Marshal(claimOwner{Host: claimHost, PID: os.Getpid(), Nonce: claimNonce,
+				Start: time.Now().UTC().Format(time.RFC3339)}) // strings and an int always marshal
+			// A failed write leaves a file no one can parse, which is
+			// respected until its TTL: the claim still holds.
+			f.Write(append(owner, '\n'))
 			return true, f.Close()
 		}
 		if !os.IsExist(err) {
@@ -107,7 +164,13 @@ func takeClaimFile(path string, ttl time.Duration) (bool, error) {
 			continue // the holder released between our open and stat; retry
 		}
 		if time.Since(st.ModTime()) <= ttl {
-			return false, nil // live claim held elsewhere
+			content, rerr := os.ReadFile(path)
+			if rerr != nil {
+				continue // released between the stat and the read; retry
+			}
+			if !ownerDead(content) {
+				return false, nil // live claim held elsewhere
+			}
 		}
 		// Abandoned claim: remove (best effort — another stealer may beat
 		// us to it) and retry the exclusive create.
@@ -141,38 +204,4 @@ func (c *Claim) Release() {
 // claimPath maps a key to its claim file under the claims/ subdirectory.
 func (s *Store) claimPath(key string) string {
 	return filepath.Join(s.dir, "claims", key+".claim")
-}
-
-// LiveClaims counts claim files younger than ttl (<= 0 means
-// DefaultClaimTTL) in the cache directory — evidence that other workers
-// are simulating right now. Compaction callers use it to skip the
-// destructive pass while a fleet is mid-sweep: every in-flight point
-// holds its claim across the write of its record, so "no live claims"
-// means no concurrent appends from points in progress. A memory-only
-// store reports zero.
-func (s *Store) LiveClaims(ttl time.Duration) (int, error) {
-	if s.dir == "" {
-		return 0, nil
-	}
-	if ttl <= 0 {
-		ttl = DefaultClaimTTL
-	}
-	entries, err := os.ReadDir(filepath.Join(s.dir, "claims"))
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("results: %w", err)
-	}
-	live := 0
-	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil {
-			continue // claim released between ReadDir and stat
-		}
-		if time.Since(info.ModTime()) <= ttl {
-			live++
-		}
-	}
-	return live, nil
 }

@@ -1,7 +1,11 @@
 package results
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -202,35 +206,67 @@ func TestClaimHeartbeatKeepsAlive(t *testing.T) {
 	c3.Heartbeat() // harmless on a released claim
 }
 
-// TestLiveClaims: held claims count, released and stale ones don't.
-func TestLiveClaims(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
+// TestClaimDeadOwnerStolen: a live (younger than the TTL) claim file is
+// stolen at once when it provably names a dead owner on this host — a
+// reaped process, or this process's pid under an earlier process's
+// nonce — and respected whenever that cannot be proved.
+func TestClaimDeadOwnerStolen(t *testing.T) {
+	child := exec.Command(os.Args[0], "-test.run=^$")
+	if err := child.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.LiveClaims(time.Minute); err != nil || n != 0 {
-		t.Fatalf("empty dir LiveClaims = (%d, %v), want 0", n, err)
+	reaped := child.ProcessState.Pid()
+	owner := func(host string, pid int, nonce string) string {
+		b, err := json.Marshal(claimOwner{Host: host, PID: pid, Nonce: nonce, Start: "2026-01-01T00:00:00Z"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	c, err := s.TryClaim(testKey, time.Minute)
-	if err != nil || c == nil {
-		t.Fatal("claim not granted")
-	}
-	if n, _ := s.LiveClaims(time.Minute); n != 1 {
-		t.Fatalf("held claim not counted: %d", n)
-	}
-	stale := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(s.claimPath(testKey), stale, stale); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := s.LiveClaims(time.Minute); n != 0 {
-		t.Fatalf("stale claim counted as live: %d", n)
-	}
-	c.Release()
-	if n, _ := s.LiveClaims(time.Minute); n != 0 {
-		t.Fatalf("released claim counted as live: %d", n)
-	}
-	if n, err := NewMemory().LiveClaims(time.Minute); err != nil || n != 0 {
-		t.Fatalf("memory store LiveClaims = (%d, %v)", n, err)
+	for _, tc := range []struct {
+		name    string
+		content string
+		stolen  bool
+	}{
+		{"reaped child", owner(claimHost, reaped, "earlier"), true},
+		{"this pid, foreign nonce", owner(claimHost, os.Getpid(), "earlier"), true},
+		{"this process", owner(claimHost, os.Getpid(), claimNonce), false},
+		{"another host", owner("elsewhere.invalid", reaped, "earlier"), false},
+		{"live pid", owner(claimHost, os.Getppid(), "earlier"), false},
+		{"old format", fmt.Sprintf(`{"pid":%d,"start":"2026-01-01T00:00:00Z"}`, reaped), false},
+		{"unparseable", "{torn", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := s.claimPath(testKey)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(tc.content+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, err := s.TryClaim(testKey, time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c != nil; got != tc.stolen {
+				t.Fatalf("claim held by %s: granted = %v, want %v", tc.content, got, tc.stolen)
+			}
+			if c == nil {
+				return
+			}
+			defer c.Release()
+			var o claimOwner
+			if b, err := os.ReadFile(path); err != nil || json.Unmarshal(b, &o) != nil {
+				t.Fatalf("stolen claim file unreadable: %v", err)
+			}
+			if o.Host != claimHost || o.PID != os.Getpid() || o.Nonce != claimNonce {
+				t.Fatalf("stolen claim names %+v, not this process", o)
+			}
+		})
 	}
 }
 

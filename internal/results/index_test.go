@@ -2,6 +2,7 @@ package results
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -69,11 +70,16 @@ type handleModel struct {
 }
 
 // TestIndexDifferentialRandomOps drives two Store handles over one
-// directory through random interleavings of Put/PutRaw/Reload/Compact/
-// SyncIndex/Reset/claim churn and asserts, at every checkpoint, that
-// Has/GetRaw/Coverage agree exactly with a fresh linear rescan of the
-// shards (or, for a handle that called Reset, with its own post-reset
-// writes).
+// directory through random interleavings of Put/PutRaw/Reload/SyncIndex/
+// Reset/claim churn and a third writer's raw appends, and asserts, at
+// every checkpoint, that Has/GetRaw/Coverage agree exactly with a fresh
+// linear rescan of the shards (or, for a handle that called Reset, with
+// its own post-reset writes). The third writer appends corrupt lines to
+// the handles' shard, and records for its own keys — sometimes in two
+// halves, with any number of operations and checkpoints in between — to
+// a shard the handles never write, so a pending half glues onto no
+// handle's record. The incremental reader's corrupt-line and torn-tail
+// rules thereby run under interleaving, not only at Open.
 func TestIndexDifferentialRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -98,6 +104,23 @@ func TestIndexDifferentialRandomOps(t *testing.T) {
 			for i := range allKeys {
 				allKeys[i] = idxKey(i)
 			}
+			thirdKeys := make([]string, 4)
+			for i := range thirdKeys {
+				thirdKeys[i] = fmt.Sprintf("ff%062x", i)
+			}
+			checkKeys := append(append([]string(nil), allKeys...), thirdKeys...)
+			thirdShard := filepath.Join(dir, "shard-ff.jsonl")
+			var pendingTail []byte // the rest of a half-appended record
+			rawAppend := func(path string, b []byte) {
+				f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				if _, err := f.Write(b); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for op := 0; op < 240; op++ {
 				hi := rng.Intn(2)
 				h, m := handles[hi], models[hi]
@@ -118,7 +141,7 @@ func TestIndexDifferentialRandomOps(t *testing.T) {
 						m.raws[key+"-raw"] = true
 					}
 				case 4: // Reload (must never report a key the oracle lacks)
-					h.Reload(key)
+					h.Reload(checkKeys[rng.Intn(len(checkKeys))])
 				case 5: // claim churn
 					c, err := h.TryClaim(key, time.Minute)
 					if err != nil {
@@ -131,19 +154,24 @@ func TestIndexDifferentialRandomOps(t *testing.T) {
 					if err := h.SyncIndex(); err != nil {
 						t.Fatal(err)
 					}
-				case 7: // Compact. Compaction rewrites shards from the
-					// compacting handle's memory, so its contract requires
-					// that memory to mirror disk first — real callers
-					// compact right after Open (bhserve startup). Model
-					// that by syncing before compacting; a reset handle
-					// has forfeited that mirror and must not compact.
-					if !m.reset {
-						if err := h.SyncIndex(); err != nil {
+				case 7: // third writer: finish a half-appended record, or
+					// append a corrupt line or the first half of a record
+					switch {
+					case pendingTail != nil:
+						rawAppend(thirdShard, pendingTail)
+						pendingTail = nil
+					case rng.Intn(2) == 0:
+						rawAppend(h.shardPath(key), []byte("{corrupt\n"))
+					default:
+						line, err := json.Marshal(record{Schema: SchemaVersion,
+							Key: thirdKeys[rng.Intn(len(thirdKeys))], Results: sampleResults(rng.Intn(5))})
+						if err != nil {
 							t.Fatal(err)
 						}
-						if _, err := h.Compact(); err != nil {
-							t.Fatal(err)
-						}
+						line = append(line, '\n')
+						cut := 1 + rng.Intn(len(line)-2) // inside the JSON: the half never parses
+						rawAppend(thirdShard, line[:cut])
+						pendingTail = line[cut:]
 					}
 				case 8: // Reset, at most once, on handle b only, so handle
 					// a keeps exercising the full-equivalence branch
@@ -176,7 +204,7 @@ func TestIndexDifferentialRandomOps(t *testing.T) {
 					if m.reset {
 						wantPts, wantRaws = m.points, m.raws
 					}
-					for _, k := range allKeys {
+					for _, k := range checkKeys {
 						if got, want := h.Has(k), wantPts[k]; got != want {
 							t.Fatalf("op %d handle %d (reset=%v): Has(%s) = %v, oracle %v",
 								op, i, m.reset, k[:8], got, want)
@@ -187,12 +215,12 @@ func TestIndexDifferentialRandomOps(t *testing.T) {
 						}
 					}
 					wantCov := 0
-					for _, k := range allKeys {
+					for _, k := range checkKeys {
 						if wantPts[k] {
 							wantCov++
 						}
 					}
-					if got := h.Coverage(allKeys); got != wantCov {
+					if got := h.Coverage(checkKeys); got != wantCov {
 						t.Fatalf("op %d handle %d: Coverage = %d, oracle %d", op, i, got, wantCov)
 					}
 				}
@@ -314,53 +342,56 @@ func TestReloadPollsWithoutRescans(t *testing.T) {
 	}
 }
 
-// TestCompactMaintainsIndexOffsets: compaction updates the high-water
-// marks, so the compacting handle's next sync reads nothing, and a
-// second handle whose offsets now exceed the shrunken shards re-reads
-// them idempotently without losing records.
-func TestCompactMaintainsIndexOffsets(t *testing.T) {
+// TestShrunkShardIsRereadFromZero: shards only grow, so a shard found
+// shorter than a handle's high-water mark was truncated by hand. The
+// handle re-reads it from zero and keeps every record still on disk.
+func TestShrunkShardIsRereadFromZero(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []string
-	for i := 0; i < 20; i++ {
-		k := idxKey(i)
-		keys = append(keys, k)
-		// Two puts per key: compaction will drop the superseded halves,
-		// shrinking every shard.
-		if err := a.Put(k, sampleResults(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Put(k, sampleResults(i+100)); err != nil {
+	for i := 0; i < 4; i++ {
+		if err := a.Put(idxKey(i), sampleResults(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b, err := Open(dir)
+	b, err := Open(dir) // its mark sits at the end of all four records
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Compact()
+	path := a.shardPath(idxKey(0))
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dropped == 0 {
-		t.Fatal("compaction dropped nothing; the test set up no shrink")
-	}
-	if err := a.SyncIndex(); err != nil {
+	// Keep the first record only, then append a new one: the shard is
+	// still shorter than b's mark, so b must not seek past its end.
+	first := data[:bytes.IndexByte(data, '\n')+1]
+	if err := os.WriteFile(path, first, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Stats().ShardReads; got != 0 {
-		t.Fatalf("compacting handle re-read %d shards after its own compaction, want 0", got)
+	if err := a.Put(idxKey(9), sampleResults(9)); err != nil {
+		t.Fatal(err)
 	}
-	// The other handle sees shrunken shards: offsets reset, full re-read,
-	// and every key survives.
+	if st, _ := os.Stat(path); st.Size() >= int64(len(data)) {
+		t.Fatalf("shard did not shrink: %d >= %d bytes", st.Size(), len(data))
+	}
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := b.SyncIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Coverage(keys); got != len(keys) {
-		t.Fatalf("post-compaction coverage on second handle = %d, want %d", got, len(keys))
+	if !b.Has(idxKey(9)) {
+		t.Fatal("handle with a mark past the shrunk shard's end missed the new record")
+	}
+	if !fresh.Has(idxKey(0)) || fresh.Has(idxKey(1)) || !fresh.Has(idxKey(9)) {
+		t.Fatal("fresh handle does not see exactly the records left on disk")
+	}
+	if got := b.Stats().ShardReads; got != 1 {
+		t.Fatalf("re-reading the shrunk shard took %d reads, want 1", got)
 	}
 }
 
@@ -449,67 +480,93 @@ func TestRawKeysPrefix(t *testing.T) {
 	}
 }
 
-// TestReplacedShardScanCountsNothing: a scan that ran against a shard
-// replaced between the stat and the open is thrown away, so the records
-// and junk it walked must not reach Stats either — the next sync reads
-// the replacement from zero and counts them then, once.
-func TestReplacedShardScanCountsNothing(t *testing.T) {
+// TestShardsOnlyGrow pins the store's append-only invariant: after every
+// operation that touches the cache directory, each shard's earlier
+// contents are a byte prefix of its current contents, no shard
+// disappears, and the directory holds nothing but shards and claim
+// files — no temp file, no marker.
+func TestShardsOnlyGrow(t *testing.T) {
 	dir := t.TempDir()
-	keyA, keyB, keyC := "ab"+fmt.Sprintf("%062x", 1), "ab"+fmt.Sprintf("%062x", 2), "ab"+fmt.Sprintf("%062x", 3)
-	w, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put(keyA, sampleResults(1)); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir) // has read A: a non-zero offset into the shard
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put(keyB, sampleResults(2)); err != nil {
-		t.Fatal(err)
-	}
-	path := s.shardPath(keyA)
-	stale, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The replacement keeps A's line (so the stale offset lands on a line
-	// boundary), drops B, and adds one record and one line of junk.
-	lineC, err := s.encode(record{Schema: SchemaVersion, Key: keyC, Results: sampleResults(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	off := s.shardOff[path]
-	s.mu.Unlock()
-	replacement := append(append(append([]byte(nil), old[:off]...), lineC...), "junk\n"...)
-	if err := os.WriteFile(path+".new", replacement, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(path+".new", path); err != nil {
-		t.Fatal(err)
+	snaps := map[string][]byte{}
+	check := func(after string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, e := range entries {
+			name := e.Name()
+			if e.IsDir() && name == "claims" {
+				claims, err := os.ReadDir(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range claims {
+					if c.IsDir() || filepath.Ext(c.Name()) != ".claim" {
+						t.Fatalf("after %s: unexpected %q under claims/", after, c.Name())
+					}
+				}
+				continue
+			}
+			if ok, _ := filepath.Match("shard-*.jsonl", name); !ok || e.IsDir() {
+				t.Fatalf("after %s: unexpected %q in the cache directory", after, name)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(data, snaps[name]) {
+				t.Fatalf("after %s: %s was rewritten, not appended to", after, name)
+			}
+			snaps[name] = data
+			seen[name] = true
+		}
+		for name := range snaps {
+			if !seen[name] {
+				t.Fatalf("after %s: %s disappeared", after, name)
+			}
+		}
 	}
 
-	s.mu.Lock()
-	err = s.readShardLocked(path, stale)
-	s.mu.Unlock()
+	a, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Loaded != 1 || st.Skipped != 0 || s.Has(keyC) {
-		t.Fatalf("discarded scan leaked into the store: loaded %d skipped %d has(C) %v, want 1, 0, false", st.Loaded, st.Skipped, s.Has(keyC))
-	}
-	if err := s.SyncIndex(); err != nil {
+	b, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Loaded != 3 || st.Skipped != 1 || !s.Has(keyC) || s.Has(keyB) {
-		t.Fatalf("resync of the replacement: loaded %d skipped %d has(C) %v has(B) %v, want 3, 1, true, false",
-			st.Loaded, st.Skipped, s.Has(keyC), s.Has(keyB))
+	keyA, keyB := testKey, "ab"+testKey[2:]
+	var claim *Claim
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"Put", func() error { return a.Put(keyA, sampleResults(1)) }},
+		{"Put to another shard", func() error { return a.Put(keyB, sampleResults(2)) }},
+		{"PutRaw", func() error { return a.PutRaw(keyA+"-raw", json.RawMessage(`{"v":1}`)) }},
+		{"RecordElapsed", func() error { return a.RecordElapsed(keyA, time.Second) }},
+		{"claim take", func() (err error) { claim, err = a.TryClaim(keyA, time.Minute); return err }},
+		{"claim heartbeat", func() error { claim.Heartbeat(); return nil }},
+		{"claim release", func() error { claim.Release(); return nil }},
+		{"second handle's SyncIndex", b.SyncIndex},
+		{"second handle's Reload", func() error { b.Reload(keyB); return nil }},
+		{"Reset+Put", func() error { a.Reset(); return a.Put(keyA, sampleResults(3)) }},
+		{"reopen+Put", func() error {
+			c, err := Open(dir)
+			if err != nil {
+				return err
+			}
+			return c.Put(keyB, sampleResults(4))
+		}},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		check(step.name)
+	}
+	if len(snaps) != 2 {
+		t.Fatalf("steps wrote %d shards, want 2", len(snaps))
 	}
 }

@@ -43,8 +43,7 @@ func TestSampledExactKeysDistinct(t *testing.T) {
 
 // TestSampledMarkerOnShardLine checks the record-level marker: a Put of
 // sampled results stamps "sampled":true on the shard line, an exact Put
-// omits it, Compact's rewrite keeps both that way, and both records —
-// summary included — survive a reopen.
+// omits it, and both records — summary included — survive a reopen.
 func TestSampledMarkerOnShardLine(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -100,18 +99,11 @@ func TestSampledMarkerOnShardLine(t *testing.T) {
 	}
 	checkMarkers("after Put")
 
-	// Compaction rewrites every line (bhserve does it at each startup);
-	// the rewritten lines must say what the appended ones said.
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	checkMarkers("after Compact")
-
 	reopened, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMarkers("after Compact and reopen")
+	checkMarkers("after reopen")
 	rs, ok := reopened.Get(sampledKey)
 	if !ok {
 		t.Fatal("sampled record lost on reopen")

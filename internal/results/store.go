@@ -6,12 +6,14 @@
 //
 // Layout: the cache directory holds shards named "shard-xx.jsonl", where
 // xx is the first byte of the key in hex. Each line is one self-contained
-// record {schema, key, results}. Records are appended in a single write
-// (atomic on POSIX for append-mode files), and loads tolerate torn or
-// corrupted lines by skipping them — a crash mid-write costs at most the
-// record being written. Records whose schema version differs from
-// SchemaVersion are ignored at load, which is how code changes that alter
-// simulation semantics invalidate stale caches.
+// record {schema, key, results}. Shards only grow: records are appended
+// in a single write (atomic on POSIX for append-mode files) and never
+// rewritten or deleted. Loads tolerate torn or corrupted lines by
+// skipping them — a crash mid-write costs at most the record being
+// written and the next one appended to its shard, which lands on the
+// torn line. Records whose schema version differs from SchemaVersion
+// are ignored at load, which is how code changes that alter simulation
+// semantics invalidate stale caches.
 package results
 
 import (
@@ -87,7 +89,7 @@ type Stats struct {
 	Written int64 // records persisted by Put
 	// Loaded counts the current-schema record lines read from the shards,
 	// by Open and by every later Reload or SyncIndex that found new bytes
-	// — superseded duplicates and lines re-read after a compaction
+	// — superseded duplicates and lines re-read after a shard shrank
 	// included. Reset zeroes it.
 	Loaded int64
 	// Skipped counts what those same reads ignored: corrupt or
@@ -96,10 +98,9 @@ type Stats struct {
 	// that a later read picks up whole).
 	Skipped int64
 	// ShardReads counts shard-content reads performed after Open: tail
-	// reads by Reload and SyncIndex when a shard grew (or was rewritten)
-	// since it was last read. A warm store answering membership queries
-	// — Has, Coverage — performs zero; the regression tests pin
-	// that.
+	// reads by Reload and SyncIndex when a shard grew since it was last
+	// read. A warm store answering membership queries — Has, Coverage —
+	// performs zero; the regression tests pin that.
 	ShardReads int64
 }
 
@@ -111,20 +112,18 @@ type Stats struct {
 type Store struct {
 	dir string // "" = memory-only
 
-	mu           sync.Mutex
-	mem          map[string][]sim.MixResult // simulation-point namespace
-	rawMem       map[string]json.RawMessage // raw namespace
-	shardOff     map[string]int64           // shard path -> bytes already read
-	shardIdent   map[string]os.FileInfo     // shard path -> file identity when shardOff was recorded
-	compactEpoch string                     // content of the compact-epoch marker when offsets were recorded
-	inflight     map[string]bool            // keys claimed by TryClaim and not yet released
-	reset        bool                       // Reset was called: records on disk are invalidated
-	hits         int64
-	misses       int64
-	written      int64
-	loaded       int64
-	skipped      int64
-	shardReads   int64
+	mu         sync.Mutex
+	mem        map[string][]sim.MixResult // simulation-point namespace
+	rawMem     map[string]json.RawMessage // raw namespace
+	shardOff   map[string]int64           // shard path -> bytes already read
+	inflight   map[string]bool            // keys claimed by TryClaim and not yet released
+	reset      bool                       // Reset was called: records on disk are invalidated
+	hits       int64
+	misses     int64
+	written    int64
+	loaded     int64
+	skipped    int64
+	shardReads int64
 }
 
 // record is one JSONL line: either a simulation-point record (Results
@@ -145,30 +144,14 @@ type record struct {
 	Sampled bool `json:"sampled,omitempty"`
 }
 
-// pointRecord builds the shard record of a simulation point. Put and
-// Compact both write exactly this, so a rewritten line carries what the
-// appended one did — the sampled marker included, which is set when any
-// mix result carries a sampling summary.
-func pointRecord(key string, rs []sim.MixResult) record {
-	rec := record{Schema: SchemaVersion, Key: key, Results: rs}
-	for _, r := range rs {
-		if r.Sampled() {
-			rec.Sampled = true
-			break
-		}
-	}
-	return rec
-}
-
 // newStore returns an empty store over dir ("" = memory-only).
 func newStore(dir string) *Store {
 	return &Store{
-		dir:        dir,
-		mem:        make(map[string][]sim.MixResult),
-		rawMem:     make(map[string]json.RawMessage),
-		shardOff:   make(map[string]int64),
-		shardIdent: make(map[string]os.FileInfo),
-		inflight:   make(map[string]bool),
+		dir:      dir,
+		mem:      make(map[string][]sim.MixResult),
+		rawMem:   make(map[string]json.RawMessage),
+		shardOff: make(map[string]int64),
+		inflight: make(map[string]bool),
 	}
 }
 
@@ -182,11 +165,10 @@ func NewMemory() *Store { return newStore("") }
 // shards hold: an empty store brought up to date by the same reader that
 // keeps it current afterwards (SyncIndex), from offset zero. Later records
 // win over earlier ones with the same key, so recomputed points (e.g.
-// after a -resume=false run) supersede their predecessors without
-// compaction. Corrupt lines (torn writes, truncation, garbage) and records
-// from other schema versions are counted in Stats.Skipped and otherwise
-// ignored — a damaged shard degrades to recomputing its points, never to
-// an error.
+// after a -resume=false run) supersede their predecessors. Corrupt lines
+// (torn writes, truncation, garbage) and records from other schema
+// versions are counted in Stats.Skipped and otherwise ignored — a
+// damaged shard degrades to recomputing its points, never to an error.
 func Open(dir string) (*Store, error) {
 	s := newStore(dir)
 	if dir == "" {
@@ -267,7 +249,6 @@ func (s *Store) Reload(key string) ([]sim.MixResult, bool) {
 		s.misses++
 		return nil, false
 	}
-	s.checkEpochLocked()
 	if err := s.syncShardLocked(s.shardPath(key)); err != nil {
 		return nil, false
 	}
@@ -304,7 +285,14 @@ func (s *Store) Put(key string, rs []sim.MixResult) error {
 	if key == "" || len(rs) == 0 {
 		return fmt.Errorf("results: refusing to store empty key or empty results")
 	}
-	line, err := s.encode(pointRecord(key, rs))
+	rec := record{Schema: SchemaVersion, Key: key, Results: rs}
+	for _, r := range rs {
+		if r.Sampled() {
+			rec.Sampled = true
+			break
+		}
+	}
+	line, err := s.encode(rec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mem[key] = rs
@@ -391,7 +379,6 @@ func (s *Store) Reset() {
 	s.mem = make(map[string][]sim.MixResult)
 	s.rawMem = make(map[string]json.RawMessage)
 	s.shardOff = make(map[string]int64)
-	s.shardIdent = make(map[string]os.FileInfo)
 	s.loaded = 0
 	s.reset = true
 }
