@@ -15,9 +15,10 @@ import (
 	"breakhammer/internal/stats"
 )
 
-// claimPoll is how soon a waiting consumer asks again while a pending
-// point is pinned by a claim this queue does not own (another queue, in
-// this process or another): nothing signals that holder's completion.
+// claimPoll is the longest a consumer told to wait sleeps before asking
+// again. Nothing wakes a remote worker or a point pinned by another
+// queue's claim when the point finishes or its lease is stolen, so the
+// wait is short whatever the TTL.
 const claimPoll = 200 * time.Millisecond
 
 // ErrLeaseLost answers a token the queue no longer knows — expired and
@@ -190,9 +191,10 @@ func (q *Queue) Close() {
 func (q *Queue) Lease(_ context.Context, worker string) (Lease, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	// Come back around one heartbeat interval from now: early enough to
-	// pick up a stolen lease promptly.
-	retry := q.ttl / 4
+	// Come back within one heartbeat interval, and within claimPoll: early
+	// enough to pick up a stolen lease promptly, and to learn promptly that
+	// a peer finished the last point.
+	retry := min(q.ttl/4, claimPoll)
 	if q.closed {
 		return Lease{Wait: true, RetryNS: int64(retry)}, nil
 	}
@@ -219,7 +221,6 @@ func (q *Queue) Lease(_ context.Context, worker string) (Lease, error) {
 		if claim == nil {
 			// Someone else is computing it: leave it pending (the sync
 			// collects it once their record lands), offer the next.
-			retry = min(retry, claimPoll)
 			continue
 		}
 		// The claim was granted after the lookup missed, but the previous

@@ -348,6 +348,28 @@ func TestQueueForeignClaimMeansWait(t *testing.T) {
 	}
 }
 
+// TestQueueWaitRetryIsShortAtLongTTL: at a fleet-sized TTL, a consumer
+// that finds the last point leased to a peer is told to come back within
+// claimPoll, not a quarter of the TTL: a remote worker has nothing else to
+// wake it when the peer finishes, and would idle that long past the end.
+func TestQueueWaitRetryIsShortAtLongTTL(t *testing.T) {
+	store, err := results.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunnerWithStore(tinyOptions(), store)
+	q, err := NewQueue(r, r.PointsFor([]string{"13"})[:1], 2*time.Minute, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.now = (&fakeClock{t: time.Unix(1_700_000_000, 0)}).Now
+	mustLease(t, q, "a")
+	l, err := q.Lease(context.Background(), "b")
+	if err != nil || !l.Wait || time.Duration(l.RetryNS) > claimPoll {
+		t.Errorf("Lease(b) = %+v, %v; want Wait with a retry of at most %v", l, err, claimPoll)
+	}
+}
+
 // TestQueueLateSubscriberSeesEachPointOnce: history then live, no
 // duplicates, no gaps.
 func TestQueueLateSubscriberSeesEachPointOnce(t *testing.T) {

@@ -1,6 +1,7 @@
 package results
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -177,6 +178,71 @@ func TestCorruptedShardRecovery(t *testing.T) {
 	}
 	if s2.Len() != 2 {
 		t.Errorf("Len = %d, want 2 (stale/torn records must not load)", s2.Len())
+	}
+}
+
+// TestNonCanonicalHistogramSkipped: a histogram is read back only in the
+// bytes its MarshalJSON writes. A shard line whose histogram carries the
+// same values, re-indented onto one line, is still valid JSON, but it is
+// counted as skipped and its point is not served (it recomputes), while
+// the untouched record beside it loads.
+func TestNonCanonicalHistogramSkipped(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.FastConfig()
+	keyA := mustKey(t, cfg, workload.AttackMixes(1))
+	keyB := mustKey(t, cfg, workload.BenignMixes(1))
+	resA := sampleResults(1)
+	for key, rs := range map[string][]sim.MixResult{keyA: resA, keyB: sampleResults(2)} {
+		if err := s.Put(key, rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	canonical, err := json.Marshal(resA[0].Latency[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, canonical, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	oneLine := bytes.ReplaceAll(indented.Bytes(), []byte("\n"), []byte(" "))
+	shards, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := 0
+	for _, shard := range shards {
+		data, err := os.ReadFile(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(data, canonical); n > 0 {
+			edited += n
+			if err := os.WriteFile(shard, bytes.ReplaceAll(data, canonical, oneLine), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if edited != 1 {
+		t.Fatalf("found point A's histogram %d times in the shards, want once", edited)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.Loaded != 1 || st.Skipped != 1 {
+		t.Errorf("loaded %d, skipped %d; want the re-indented record skipped", st.Loaded, st.Skipped)
+	}
+	if _, ok := s2.Get(keyA); ok {
+		t.Error("the record with a re-indented histogram is served")
+	}
+	if _, ok := s2.Get(keyB); !ok {
+		t.Error("the untouched record was lost")
 	}
 }
 

@@ -152,9 +152,7 @@ func TestFrontEndsAgree(t *testing.T) {
 	// Front-end 3: a fleet of two workers.
 	coordRunner := newRunner()
 	prewarmed := coordRunner.Executed()
-	// A short TTL keeps a worker told to wait (retry TTL/4) from idling
-	// long after its peer finishes the last point.
-	coord, err := fleet.NewCoordinator(coordRunner, []string{name}, 4*time.Second)
+	coord, err := fleet.NewCoordinator(coordRunner, []string{name}, fleet.DefaultLeaseTTL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -245,6 +246,58 @@ func TestThreadPermutationEquivariance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestThreadPermutationTolerance is the permutation relation over a general
+// mix, where it cannot be exact: in HHMA every thread is memory-active, and
+// cores that issue in the same cycle are served in core-index order, so a
+// rotation of the slots trades some IPC between the threads and moves the
+// preventive-action count. It bounds how much, over exact graphene and PRAC
+// with BreakHammer on one and four channels, each bound 1.5× the worst
+// drift measured on this grid:
+//
+//   - a thread's IPC: worst 9.05 % (PRAC, one channel) → 13.6 %;
+//   - Result.Actions: worst 260 % (PRAC, one channel, 5 → 18 actions; the
+//     other three configurations move by at most one action) → 390 %;
+//   - a thread's RBMPKI: worst 3.40 % (graphene, one channel, the attacker)
+//     → 5.1 %.
+//
+// IPC and actions at those bounds do not see a workload that loses its
+// stream when it moves (permuted without the seed adjustment: IPC drifts
+// 3.8–7.2 %, actions 0.6–60 %); its row-buffer misses do, at 6.3–8.1 %.
+func TestThreadPermutationTolerance(t *testing.T) {
+	const maxIPCDrift, maxActionsDrift, maxRBMPKIDrift = 0.136, 3.9, 0.051
+	mix := mustMix(t, "HHMA")
+	perm := []int{1, 2, 3, 0}
+	for _, cfg := range metamorphicConfigs() {
+		if cfg.Sampling.Enabled || cfg.Mechanism != "graphene" && cfg.Mechanism != "prac" {
+			continue
+		}
+		cfg.BreakHammer = true
+		t.Run(configLabel(cfg), func(t *testing.T) {
+			t.Parallel()
+			a, b := mustRun(t, cfg, mix), mustRun(t, cfg, permuted(mix, perm))
+			for i, to := range perm {
+				if d := relDrift(a.IPC[i], b.IPC[to]); d > maxIPCDrift {
+					t.Errorf("thread %d moved to slot %d: IPC %g -> %g, drift %.4f over %.4f", i, to, a.IPC[i], b.IPC[to], d, maxIPCDrift)
+				}
+				if d := relDrift(a.RBMPKI[i], b.RBMPKI[to]); d > maxRBMPKIDrift {
+					t.Errorf("thread %d moved to slot %d: RBMPKI %g -> %g, drift %.4f over %.4f", i, to, a.RBMPKI[i], b.RBMPKI[to], d, maxRBMPKIDrift)
+				}
+			}
+			if d := relDrift(float64(a.Actions), float64(b.Actions)); d > maxActionsDrift {
+				t.Errorf("actions %d -> %d, drift %.4f over %.4f", a.Actions, b.Actions, d, maxActionsDrift)
+			}
+		})
+	}
+}
+
+// relDrift is |b-a| relative to a.
+func relDrift(a, b float64) float64 {
+	if a == b {
+		return 0
+	}
+	return math.Abs(b-a) / math.Abs(a)
 }
 
 // TestActionsMonotoneInNRH: a deterministic tracker configured against a

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -25,23 +24,6 @@ import (
 // and "overflow" omitted when empty, counts keyed by decimal index in
 // string-sorted order, floats in encoding/json's format), every shard ever
 // written holds them, and a store re-Put must reproduce them.
-
-// histogramFields are the wire field names, in the order MarshalJSON
-// writes them; a field's position is its bit in the decoder's seen mask.
-var histogramFields = [...]string{"width", "buckets", "counts", "overflow", "count", "sum", "max"}
-
-const (
-	fieldWidth = iota
-	fieldBuckets
-	fieldCounts
-	fieldOverflow
-	fieldCount
-	fieldSum
-	fieldMax
-
-	fieldUnknown = -1 // no such field: its value is skipped
-	fieldFolded  = -2 // a known name in another case: see fieldIndex
-)
 
 // MarshalJSON encodes the histogram in a sparse, shape-preserving form.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
@@ -120,144 +102,172 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// UnmarshalJSON restores a histogram written by MarshalJSON, in one pass
-// over data: fields in any order, unknown fields skipped, whitespace
-// tolerated, counts read pair by pair into the bucket slice. It accepts
-// no input encoding/json would reject for the reference codec, and on
-// everything it accepts it yields the same histogram; where the two would
-// be hard to keep in step it is deliberately stricter — a repeated field,
-// a field name differing from a known one only by case, a name or bucket
-// key spelt with an escape, a bucket key Itoa would not print ("07", "+7")
-// and a null where a number belongs are all errors, none of which
-// MarshalJSON writes. On error h is left untouched; the store counts the
-// record as skipped and recomputes the point.
+// UnmarshalJSON restores a histogram from exactly the bytes MarshalJSON
+// writes, and from nothing else: decoding succeeds only if MarshalJSON of
+// the result gives back data byte for byte. The input is therefore read as
+// a fixed sequence — the fields in MarshalJSON's order with no whitespace,
+// "counts" only with at least one non-zero bucket, keyed in the
+// string-sorted order appendCounts emits, "overflow" only when non-zero,
+// every number spelt as appendFloat or strconv.AppendInt spells it — with
+// the counts read pair by pair into the bucket slice. Every stored
+// histogram was written through encoding/json, which compacts a
+// Marshaler's output, so it is in this form. On error h is left
+// untouched; the store counts the record as skipped and recomputes the
+// point.
 func (h *Histogram) UnmarshalJSON(data []byte) error {
-	c := cursor{data: data}
+	r := wireReader{data: data}
 	var out Histogram
-	var seen uint
-	deferred := -1 // where a counts object that preceded "buckets" starts
-
-	if err := c.open('{'); err != nil {
-		return err
+	out.width = r.float(`{"width":`)
+	size := r.integer(`,"buckets":`)
+	if r.err != nil {
+		return r.err
 	}
-	for more := !c.close('}'); more; {
-		key, err := c.key()
-		if err != nil {
-			return err
-		}
-		field := fieldIndex(key)
-		switch {
-		case field == fieldFolded:
-			return fmt.Errorf("stats: histogram field %q differs from a known one only by case", key)
-		case field >= 0 && seen&(1<<field) != 0:
-			return fmt.Errorf("stats: duplicate histogram field %q", key)
-		case field >= 0:
-			seen |= 1 << field
-		}
-		switch field {
-		case fieldWidth:
-			out.width, err = c.float()
-		case fieldSum:
-			out.sum, err = c.float()
-		case fieldMax:
-			out.max, err = c.float()
-		case fieldBuckets:
-			var n int64
-			if n, err = c.integer(); err == nil && n != int64(int(n)) {
-				err = fmt.Errorf("stats: histogram bucket count %d out of range", n)
+	if out.width <= 0 || size <= 0 || size != int64(int(size)) {
+		return fmt.Errorf("stats: bad histogram shape %gx%d in JSON", out.width, size)
+	}
+	out.size = int(size)
+	if r.literal(`,"counts":{`) {
+		var prev []byte // the previous bucket key, where it stands in data
+		for more := true; more; more = r.literal(",") {
+			key := r.key()
+			i, ok := bucketIndex(key, out.size)
+			if !ok || bytes.Compare(prev, key) >= 0 {
+				r.fail("bucket key out of range or out of order")
 			}
-			out.size = int(n)
-		case fieldOverflow:
-			out.overflow, err = c.integer()
-		case fieldCount:
-			out.count, err = c.integer()
-		case fieldCounts:
-			if seen&(1<<fieldBuckets) != 0 {
-				err = c.counts(&out)
-			} else {
-				// The range check needs the shape: validate the syntax now,
-				// read the pairs once the object has been walked.
-				deferred = c.pos
-				err = c.skipValue(0)
+			prev = key
+			v := r.integer("")
+			if v == 0 {
+				r.fail("zero bucket count")
+				break
 			}
-		default:
-			err = c.skipValue(0)
+			if i >= len(out.buckets) {
+				out.grow(i + 1)
+			}
+			out.buckets[i] = v
 		}
-		if err != nil {
-			return err
-		}
-		if more, err = c.next('}'); err != nil {
-			return err
+		r.expect("}")
+	}
+	if r.literal(`,"overflow":`) {
+		if out.overflow = r.integer(""); out.overflow == 0 {
+			r.fail("zero overflow")
 		}
 	}
-	if c.skipSpace(); c.pos != len(c.data) {
-		return c.errorf("trailing data after histogram")
+	out.count = r.integer(`,"count":`)
+	out.sum = r.float(`,"sum":`)
+	out.max = r.float(`,"max":`)
+	r.expect("}")
+	if r.pos != len(data) {
+		r.fail("trailing data after histogram")
 	}
-	if out.width <= 0 || out.size <= 0 {
-		return fmt.Errorf("stats: bad histogram shape %gx%d in JSON", out.width, out.size)
-	}
-	if deferred >= 0 {
-		c.pos = deferred
-		if err := c.counts(&out); err != nil {
-			return err
-		}
+	if r.err != nil {
+		return r.err
 	}
 	*h = out
 	return nil
 }
 
-// fieldIndex maps a wire field name to its index in histogramFields,
-// fieldUnknown for any other name, and fieldFolded for a name encoding/json
-// would still match to a known field (it folds case) but this decoder
-// would skip.
-func fieldIndex(key []byte) int {
-	for i, name := range histogramFields {
-		if string(key) == name {
-			return i
-		}
-	}
-	for _, name := range histogramFields {
-		if bytes.EqualFold(key, []byte(name)) {
-			return fieldFolded
-		}
-	}
-	return fieldUnknown
+// wireReader reads canonical histogram bytes front to back. The first
+// mismatch is kept in err, and every read after it consumes nothing and
+// returns zero.
+type wireReader struct {
+	data []byte
+	pos  int
+	err  error
 }
 
-// counts reads a counts object — "<index>":<count> pairs, or null — into
-// h's buckets, growing them to the highest non-zero index. A repeated
-// index keeps its last count, as a map decode would.
-func (c *cursor) counts(h *Histogram) error {
-	if c.literal("null") {
+// fail records the first mismatch, at the current offset.
+func (r *wireReader) fail(msg string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("stats: histogram JSON offset %d: %s", r.pos, msg)
+	}
+}
+
+// literal consumes s if the input continues with it.
+func (r *wireReader) literal(s string) bool {
+	rest := r.data[r.pos:]
+	if r.err != nil || len(rest) < len(s) || string(rest[:len(s)]) != s {
+		return false
+	}
+	r.pos += len(s)
+	return true
+}
+
+// expect consumes s or fails.
+func (r *wireReader) expect(s string) {
+	if !r.literal(s) {
+		r.fail("want " + s)
+	}
+}
+
+// key consumes a quoted bucket key and the colon after it.
+func (r *wireReader) key() []byte {
+	r.expect(`"`)
+	end := bytes.IndexByte(r.data[r.pos:], '"')
+	if r.err != nil || end < 0 {
+		r.fail("unterminated bucket key")
 		return nil
 	}
-	if err := c.open('{'); err != nil {
-		return err
-	}
-	for more := !c.close('}'); more; {
-		key, err := c.key()
-		if err != nil {
-			return err
-		}
-		i, ok := bucketIndex(key, h.size)
-		if !ok {
-			return fmt.Errorf("stats: bad histogram bucket index %q", key)
-		}
-		v, err := c.integer()
-		if err != nil {
-			return err
-		}
-		if i >= len(h.buckets) && v != 0 {
-			h.grow(i + 1)
-		}
-		if i < len(h.buckets) {
-			h.buckets[i] = v
-		}
-		if more, err = c.next('}'); err != nil {
-			return err
+	key := r.data[r.pos : r.pos+end]
+	r.pos += end
+	r.expect(`":`)
+	return key
+}
+
+// number consumes the run of bytes that can spell a number.
+func (r *wireReader) number() []byte {
+	start := r.pos
+	for ; r.pos < len(r.data); r.pos++ {
+		if c := r.data[r.pos]; (c < '0' || c > '9') && c != '-' && c != '+' && c != '.' && c != 'e' {
+			break
 		}
 	}
-	return nil
+	return r.data[start:r.pos]
+}
+
+// integer consumes prefix, then an integer spelt as strconv.AppendInt
+// spells it: a minus sign only before a non-zero value, and no leading
+// zero.
+func (r *wireReader) integer(prefix string) int64 {
+	r.expect(prefix)
+	if r.err != nil {
+		return 0
+	}
+	neg := r.literal("-")
+	start := r.pos
+	var v uint64
+	for ; r.pos < len(r.data) && r.pos-start < 19 && '0' <= r.data[r.pos] && r.data[r.pos] <= '9'; r.pos++ {
+		v = v*10 + uint64(r.data[r.pos]-'0')
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	if n := r.pos - start; n == 0 || r.data[start] == '0' && (n > 1 || neg) || v > limit {
+		r.fail("want an integer in canonical form")
+		return 0
+	}
+	if neg {
+		return -int64(v)
+	}
+	return int64(v)
+}
+
+// float consumes prefix, then a finite number spelt as appendFloat spells
+// it.
+func (r *wireReader) float(prefix string) float64 {
+	r.expect(prefix)
+	if r.err != nil {
+		return 0
+	}
+	tok := r.number()
+	f, err := strconv.ParseFloat(string(tok), 64)
+	var buf [32]byte
+	if err != nil || !bytes.Equal(appendFloat(buf[:0], f), tok) {
+		r.pos -= len(tok)
+		r.fail("want a number in canonical form")
+		return 0
+	}
+	return f
 }
 
 // bucketIndex parses a counts key: exactly what strconv.Itoa prints for an
@@ -274,267 +284,4 @@ func bucketIndex(key []byte, size int) (int, bool) {
 		i = i*10 + int(ch-'0')
 	}
 	return i, i < size
-}
-
-// cursor is a position in a JSON text with the few strict, allocation-free
-// reads the histogram decoder needs. Every read rejects what encoding/json's
-// scanner rejects.
-type cursor struct {
-	data []byte
-	pos  int
-}
-
-// maxSkipDepth bounds the nesting of a skipped unknown field's value, as
-// encoding/json bounds every document's.
-const maxSkipDepth = 10000
-
-var errUnexpectedEnd = errors.New("stats: unexpected end of histogram JSON")
-
-func (c *cursor) errorf(format string, args ...any) error {
-	return fmt.Errorf("stats: histogram JSON offset %d: %s", c.pos, fmt.Sprintf(format, args...))
-}
-
-func (c *cursor) skipSpace() {
-	for c.pos < len(c.data) {
-		switch c.data[c.pos] {
-		case ' ', '\t', '\r', '\n':
-			c.pos++
-		default:
-			return
-		}
-	}
-}
-
-// peek skips whitespace and returns the next byte without consuming it.
-func (c *cursor) peek() (byte, error) {
-	c.skipSpace()
-	if c.pos >= len(c.data) {
-		return 0, errUnexpectedEnd
-	}
-	return c.data[c.pos], nil
-}
-
-// open consumes the opening bracket of an object or array.
-func (c *cursor) open(bracket byte) error {
-	ch, err := c.peek()
-	if err != nil {
-		return err
-	}
-	if ch != bracket {
-		return c.errorf("%q where %q belongs", ch, bracket)
-	}
-	c.pos++
-	return nil
-}
-
-// close consumes bracket if it comes next: the object or array is empty.
-func (c *cursor) close(bracket byte) bool {
-	if ch, err := c.peek(); err != nil || ch != bracket {
-		return false
-	}
-	c.pos++
-	return true
-}
-
-// next consumes what follows an element: a comma (more elements follow)
-// or the closing bracket.
-func (c *cursor) next(bracket byte) (more bool, err error) {
-	ch, err := c.peek()
-	if err != nil {
-		return false, err
-	}
-	if ch != ',' && ch != bracket {
-		return false, c.errorf("%q after a value", ch)
-	}
-	c.pos++
-	return ch == ',', nil
-}
-
-// literal consumes word if it comes next.
-func (c *cursor) literal(word string) bool {
-	c.skipSpace()
-	if !bytes.HasPrefix(c.data[c.pos:], []byte(word)) {
-		return false
-	}
-	c.pos += len(word)
-	return true
-}
-
-// str consumes a string and returns the bytes between its quotes, still
-// escaped, and whether any escape occurred.
-func (c *cursor) str() (raw []byte, escaped bool, err error) {
-	if err := c.open('"'); err != nil {
-		return nil, false, err
-	}
-	start := c.pos
-	for c.pos < len(c.data) {
-		switch ch := c.data[c.pos]; {
-		case ch == '"':
-			c.pos++
-			return c.data[start : c.pos-1], escaped, nil
-		case ch < ' ':
-			return nil, false, c.errorf("control character in string")
-		case ch == '\\':
-			escaped = true
-			if err := c.escape(); err != nil {
-				return nil, false, err
-			}
-		default:
-			c.pos++
-		}
-	}
-	return nil, false, errUnexpectedEnd
-}
-
-// escape consumes one backslash escape.
-func (c *cursor) escape() error {
-	if c.pos+1 >= len(c.data) {
-		return errUnexpectedEnd
-	}
-	switch c.data[c.pos+1] {
-	case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-		c.pos += 2
-		return nil
-	case 'u':
-		if c.pos+6 > len(c.data) {
-			return errUnexpectedEnd
-		}
-		for _, ch := range c.data[c.pos+2 : c.pos+6] {
-			if !('0' <= ch && ch <= '9' || 'a' <= ch && ch <= 'f' || 'A' <= ch && ch <= 'F') {
-				return c.errorf("bad \\u escape")
-			}
-		}
-		c.pos += 6
-		return nil
-	}
-	return c.errorf("bad escape")
-}
-
-// key consumes an object key and the colon after it. Keys spelt with an
-// escape are rejected: comparing them would need unescaping, and nothing
-// this package writes has one.
-func (c *cursor) key() ([]byte, error) {
-	raw, escaped, err := c.str()
-	if err != nil {
-		return nil, err
-	}
-	if escaped {
-		return nil, c.errorf("escape in key %q", raw)
-	}
-	ch, err := c.peek()
-	if err != nil {
-		return nil, err
-	}
-	if ch != ':' {
-		return nil, c.errorf("%q after a key", ch)
-	}
-	c.pos++
-	return raw, nil
-}
-
-// number consumes a number token (JSON's grammar, nothing more) and
-// reports whether it is spelt as an integer.
-func (c *cursor) number() (tok []byte, integral bool, err error) {
-	if _, err := c.peek(); err != nil {
-		return nil, false, err
-	}
-	start := c.pos
-	digits := func() int {
-		from := c.pos
-		for c.pos < len(c.data) && '0' <= c.data[c.pos] && c.data[c.pos] <= '9' {
-			c.pos++
-		}
-		return c.pos - from
-	}
-	if c.data[c.pos] == '-' {
-		c.pos++
-	}
-	if c.pos < len(c.data) && c.data[c.pos] == '0' {
-		c.pos++
-	} else if digits() == 0 {
-		return nil, false, c.errorf("no number here")
-	}
-	integral = true
-	if c.pos < len(c.data) && c.data[c.pos] == '.' {
-		integral = false
-		c.pos++
-		if digits() == 0 {
-			return nil, false, c.errorf("no digits after the decimal point")
-		}
-	}
-	if c.pos < len(c.data) && (c.data[c.pos] == 'e' || c.data[c.pos] == 'E') {
-		integral = false
-		c.pos++
-		if c.pos < len(c.data) && (c.data[c.pos] == '+' || c.data[c.pos] == '-') {
-			c.pos++
-		}
-		if digits() == 0 {
-			return nil, false, c.errorf("no digits in the exponent")
-		}
-	}
-	return c.data[start:c.pos], integral, nil
-}
-
-// integer consumes a number that must fit an int64.
-func (c *cursor) integer() (int64, error) {
-	tok, integral, err := c.number()
-	if err != nil {
-		return 0, err
-	}
-	if !integral {
-		return 0, c.errorf("%s where an integer belongs", tok)
-	}
-	return strconv.ParseInt(string(tok), 10, 64)
-}
-
-// float consumes a number that must fit a float64.
-func (c *cursor) float() (float64, error) {
-	tok, _, err := c.number()
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseFloat(string(tok), 64)
-}
-
-// skipValue consumes one value of any kind, validating it.
-func (c *cursor) skipValue(depth int) error {
-	if depth > maxSkipDepth {
-		return c.errorf("nested too deeply")
-	}
-	ch, err := c.peek()
-	if err != nil {
-		return err
-	}
-	switch ch {
-	case '"':
-		_, _, err := c.str()
-		return err
-	case '{', '[':
-		closing := ch + 2 // '}' follows '{' and ']' follows '[' by two
-		c.pos++
-		for more := !c.close(closing); more; {
-			if ch == '{' {
-				if _, _, err := c.str(); err != nil {
-					return err
-				}
-				if err := c.open(':'); err != nil {
-					return err
-				}
-			}
-			if err := c.skipValue(depth + 1); err != nil {
-				return err
-			}
-			if more, err = c.next(closing); err != nil {
-				return err
-			}
-		}
-		return nil
-	case 't', 'f', 'n':
-		if c.literal("true") || c.literal("false") || c.literal("null") {
-			return nil
-		}
-		return c.errorf("bad literal")
-	}
-	_, _, err = c.number()
-	return err
 }

@@ -204,27 +204,29 @@ func shardHistograms(t testing.TB) []string {
 
 // TestHistogramDecoderAcceptance is the half of the contract the fuzz
 // target cannot state (a decoder that rejected everything would pass it):
-// these inputs must decode, to what the reference decodes them to.
+// real shard excerpts and MarshalJSON's output for every shape
+// TestHistogramMatchesReference drives must decode, to what the reference
+// decodes them to, and marshal back to the same bytes.
 func TestHistogramDecoderAcceptance(t *testing.T) {
 	inputs := shardHistograms(t)
-	for _, s := range shardHistograms(t) {
-		var indented bytes.Buffer
-		if err := json.Indent(&indented, []byte(s), " ", "\t"); err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewSource(23))
+	for _, shape := range []struct {
+		width float64
+		size  int
+	}{{1, 16384}, {1, 100}, {2.5, 40}, {0.5, 7}, {1, 1}, {1e-7, 12}, {3e21, 3}} {
+		ceiling := shape.width * float64(shape.size)
+		for _, samples := range []int{0, 1, 3, 60, 2000} {
+			h := NewHistogram(shape.width, shape.size)
+			for i := 0; i < samples; i++ {
+				h.Add(sample(rng, shape.width, ceiling))
+			}
+			data, err := h.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, string(data))
 		}
-		inputs = append(inputs, indented.String())
 	}
-	inputs = append(inputs,
-		// reordered, counts before the shape that bounds them
-		`{"max":7,"counts":{"7":1,"3":2},"sum":13,"count":3,"overflow":0,"buckets":8,"width":1}`,
-		// unknown fields of every kind, whitespace everywhere
-		" {\n\"width\" : 2.5e0 ,\"later\":{\"a\":[1,true,null,\"x\\n\\u00e9\",{}],\"b\":-0.5E+3},\"buckets\":4,\r\n\"counts\":{ \"3\" : 9 } ,\"count\":9,\"sum\":1e1,\"max\":9.75,\"n\":null}\t",
-		// a repeated bucket keeps its last count, zero included
-		`{"width":1,"buckets":4,"counts":{"2":5,"1":1,"2":0},"count":1,"sum":1,"max":1}`,
-		`{"width":1,"buckets":4,"counts":null,"count":0,"sum":0,"max":0}`,
-		`{"width":1,"buckets":4,"counts":{},"count":0,"sum":-0,"max":0}`,
-		`{"width":1e-7,"buckets":1,"count":-0,"sum":1e+21,"max":1.5E-9}`,
-	)
 	for _, s := range inputs {
 		var h Histogram
 		var r refHistogram
@@ -235,14 +237,48 @@ func TestHistogramDecoderAcceptance(t *testing.T) {
 			t.Fatalf("rejected %s: %v", s, err)
 		}
 		requireSameAsReference(t, s, &h, &r)
+		if back, _ := h.MarshalJSON(); string(back) != s {
+			t.Fatalf("decoded %s\nmarshals back to %s", s, back)
+		}
 	}
 }
 
-// TestHistogramDecoderRejections lists what the decoder refuses although
-// (or because) encoding/json would not: each is either malformed or a
-// spelling the two codecs could be made to disagree on.
+// TestHistogramDecoderRejections lists what the decoder refuses: any input
+// MarshalJSON would not have written. The first list is spellings the
+// reference (encoding/json) accepts — each one edit away from canonical
+// bytes, so it shows the decoder is stricter — the second is malformed.
 func TestHistogramDecoderRejections(t *testing.T) {
-	for _, s := range []string{
+	shard := shardHistograms(t)[0]
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(shard), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	stricter := []string{
+		indented.String(),
+		`{"width":1, "buckets":4,"count":0,"sum":0,"max":0}`,
+		`{"buckets":4,"width":1,"counts":{"1":1,"3":2},"count":3,"sum":7,"max":3}`,
+		`{"width":1,"buckets":4,"counts":{"3":2,"1":1},"count":3,"sum":7,"max":3}`,
+		`{"width":1,"buckets":16,"counts":{"2":1,"10":1},"count":2,"sum":12,"max":10}`,
+		`{"width":1,"buckets":4,"counts":{"1":1,"3":2},"count":3,"sum":7,"max":3,"x":1}`,
+		`{"width":1,"buckets":4,"future":{"a":[1,true,null,"x\n"]},"count":0,"sum":0,"max":0}`,
+		`{"width":1,"buckets":4,"counts":{"1":1,"1":1,"3":2},"count":3,"sum":7,"max":3}`,
+		`{"width":1,"buckets":4,"counts":{"1":1,"2":0,"3":2},"count":3,"sum":7,"max":3}`,
+		`{"width":1,"buckets":4,"counts":null,"count":0,"sum":0,"max":0}`,
+		`{"width":1,"buckets":4,"counts":{},"count":0,"sum":0,"max":0}`,
+		`{"width":1,"buckets":4,"overflow":0,"count":0,"sum":0,"max":0}`,
+		`{"width":1,"buckets":4,"count":-0,"sum":0,"max":0}`,
+		`{"width":1,"buckets":4,"count":1,"sum":1.5e-9,"max":1.5E-9}`,
+		`{"width":2.5e0,"buckets":4,"count":0,"sum":0,"max":0}`,
+		`{"width":1,"buckets":4,"count":0,"sum":0.0,"max":0}`,
+		`{"width":1,"buckets":4,"count":0,"sum":0,"max":0}` + "\n",
+	}
+	for _, s := range stricter {
+		var r refHistogram
+		if err := r.UnmarshalJSON([]byte(s)); err != nil {
+			t.Errorf("the reference rejects %s too (%v): the row shows nothing", s, err)
+		}
+	}
+	malformed := []string{
 		``, `null`, `[]`, `7`, `{`, `{"width":1,"buckets":4`,
 		`{"width":1,"buckets":4,}`, `{"width":1,"buckets":4} x`,
 		`{"width":1,"buckets":4,"count":1.0}`, `{"width":1,"buckets":4,"count":1e2}`,
@@ -262,8 +298,9 @@ func TestHistogramDecoderRejections(t *testing.T) {
 		`{"width":1,"buckets":4,"x":"\q"}`, `{"width":1,"buckets":4,"x":"\u12g4"}`,
 		`{"width":1,"buckets":4,"x":[1,]}`, `{"width":1,"buckets":4,"x":{"a" 1}}`,
 		`{"width":1,"buckets":4,"x":-}`, `{"width":1,"buckets":4,"x":1.}`, `{"width":1,"buckets":4,"x":1e}`,
-		`{"width":1,"buckets":4,"x":` + strings.Repeat("[", maxSkipDepth+2) + strings.Repeat("]", maxSkipDepth+2) + `}`,
-	} {
+		`{"width":1,"buckets":4,"x":` + strings.Repeat("[", 10002) + strings.Repeat("]", 10002) + `}`,
+	}
+	for _, s := range append(stricter, malformed...) {
 		h := Histogram{width: 3, size: 3, count: 3}
 		if err := h.UnmarshalJSON([]byte(s)); err == nil {
 			t.Errorf("accepted %s", s)
@@ -276,7 +313,8 @@ func TestHistogramDecoderRejections(t *testing.T) {
 // FuzzHistogramJSON holds the decoder to its contract on arbitrary bytes:
 // either an error, or exactly the histogram the frozen reference decoder
 // (encoding/json, a map, a dense array) makes of the same input — never a
-// different one — and whatever either codec marshals, it accepts.
+// different one — whose MarshalJSON gives back the input byte for byte;
+// and whatever either codec marshals, it accepts.
 func FuzzHistogramJSON(f *testing.F) {
 	for _, s := range shardHistograms(f) {
 		f.Add([]byte(s))
@@ -319,6 +357,9 @@ func FuzzHistogramJSON(f *testing.F) {
 			t.Fatalf("accepted what the reference rejects (%v): %s", err, data)
 		}
 		requireSameAsReference(t, "decoded", &h, &r)
+		if back, err := h.MarshalJSON(); err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("accepted %s\nwhich marshals back to %s (%v)", data, back, err)
+		}
 		requireReadsOwnBytes(t, &r)
 	})
 }

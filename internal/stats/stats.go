@@ -1,7 +1,8 @@
 // Package stats implements the paper's evaluation metrics: weighted
 // speedup (system performance, §7), maximum slowdown on a benign
 // application (unfairness, §7), memory-latency percentiles (Figs. 11/17),
-// and small aggregation helpers (geometric mean, confidence intervals).
+// and small aggregation helpers (geometric mean, quartiles, Welford
+// confidence intervals).
 package stats
 
 import (
@@ -65,18 +66,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // RunningMean accumulates a streaming arithmetic mean without storing
 // samples. The zero value is ready to use. It backs the sweep ETA
 // estimator: per-point wall-clock samples trickle in as points finish,
@@ -98,23 +87,6 @@ func (m *RunningMean) N() int64 { return m.n }
 
 // Mean returns the current mean (0 before any sample).
 func (m *RunningMean) Mean() float64 { return m.mean }
-
-// MinMax returns the extrema of xs; (0,0) for empty input.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
 
 // Histogram is a fixed-width bucket histogram for memory latencies in
 // nanoseconds, with an overflow bucket. It answers percentile queries with
@@ -231,14 +203,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 		}
 	}
 	return float64(h.size) * h.width
-}
-
-// ConfidenceInterval returns the full min-max band around the mean, which
-// is how the paper draws its "100% confidence interval" error bars.
-func ConfidenceInterval(xs []float64) (mean, lo, hi float64) {
-	mean = Mean(xs)
-	lo, hi = MinMax(xs)
-	return mean, lo, hi
 }
 
 // Quartiles returns (Q1, median, Q3) of xs, the box edges of Fig. 19's

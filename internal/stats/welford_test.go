@@ -25,7 +25,11 @@ func TestWelfordAgainstDirect(t *testing.T) {
 			if got, want := w.N(), int64(len(tc.xs)); got != want {
 				t.Fatalf("N = %d, want %d", got, want)
 			}
-			mean := Mean(tc.xs)
+			var sum float64
+			for _, x := range tc.xs {
+				sum += x
+			}
+			mean := sum / float64(len(tc.xs))
 			if math.Abs(w.Mean()-mean) > 1e-9*math.Max(1, math.Abs(mean)) {
 				t.Errorf("Mean = %g, want %g", w.Mean(), mean)
 			}
