@@ -149,9 +149,16 @@ type Controller struct {
 	draining bool
 	capCount []int // per-bank consecutive column-over-row reorders
 
-	// Reusable candidate scratch for schedule(); see readyset.go.
-	colCands []cand
-	rowCands []cand
+	// The candidate table (see readyset.go): per bank of tabQ, what
+	// classify names and when it becomes legal. schedule picks from it
+	// and the sleep is its minimum; tabQ nil means stale. Nothing it reads
+	// changes without passing one of its doors: an issued command and a
+	// refresh deadline turning a rank pending drop it (Tick, tryRefresh),
+	// wake drops it, and admit replaces the enqueued bank's entries.
+	tab  []bankCands
+	tabQ *readyQueue
+
+	gateCands []gateCand // gateWalk's reusable scratch
 
 	// idleUntil is the controller's sleep: every Tick that runs the
 	// scheduler leaves here the exact first cycle at which any command it
@@ -159,9 +166,8 @@ type Controller struct {
 	// delivers read data until then. What can change that answer between
 	// Ticks either folds itself in (an accepted enqueue, see admit) or
 	// resets it to 0 through wake (a preventive or back-off request,
-	// SkipTo). sleepQ is the demand queue the answer was computed for.
+	// SkipTo).
 	idleUntil int64
-	sleepQ    *readyQueue
 
 	now   int64 // current cycle, updated by Tick
 	stats Stats
@@ -186,8 +192,8 @@ func New(cfg Config, dev *dram.Device, threads int) *Controller {
 		refPending:   make([]bool, ranks),
 		prevQ:        make([]prevFIFO, banks),
 		capCount:     make([]int, banks),
-		colCands:     make([]cand, 0, banks),
-		rowCands:     make([]cand, 0, banks),
+		tab:          make([]bankCands, banks),
+		gateCands:    make([]gateCand, 0, banks),
 		backoffUntil: -1,
 	}
 	for r := 0; r < ranks; r++ {
@@ -252,8 +258,9 @@ func (c *Controller) SetActGate(g ActGate) {
 	c.wake()
 }
 
-// wake ends the controller's sleep: the next Tick runs the full scheduler.
-func (c *Controller) wake() { c.idleUntil = 0 }
+// wake ends the controller's sleep and drops the candidate table: the next
+// Tick runs the full scheduler on a rebuilt table.
+func (c *Controller) wake() { c.idleUntil, c.tabQ = 0, nil }
 
 // Stats returns the controller counters.
 func (c *Controller) Stats() *Stats { return &c.stats }
@@ -426,6 +433,7 @@ func (c *Controller) Tick(nowCycle int64) bool {
 	}
 	if c.tryRefresh() || c.tryPreventive() || c.tryDemand() {
 		progress = true
+		c.tabQ = nil // a command changes what the table read; rebuilt below
 	}
 	if c.actGate == nil {
 		c.idleUntil = c.earliestCommand()
@@ -462,6 +470,7 @@ func (c *Controller) tryRefresh() bool {
 	for rank := range c.nextRef {
 		if !c.refPending[rank] && c.now >= c.nextRef[rank] {
 			c.refPending[rank] = true
+			c.tabQ = nil // the rank's banks lose their row commands
 		}
 		if !c.refPending[rank] {
 			continue
@@ -539,7 +548,11 @@ func (c *Controller) tryPreventive() bool {
 func (c *Controller) tryDemand() bool {
 	var q *readyQueue
 	q, c.draining = c.pickQueue()
-	return q != nil && c.schedule(q)
+	if q == nil {
+		return false
+	}
+	c.candidates(q)
+	return c.schedule(q)
 }
 
 // pickQueue applies the write-drain hysteresis to the current occupancies
@@ -575,12 +588,12 @@ func (c *Controller) drainNext() bool {
 // issue a command, given that nothing calls wake or admit in between: the
 // minimum of dram.Device.EarliestIssue over exactly the candidates
 // tryRefresh and tryPreventive consider (two short mirrors, below) and
-// the ones schedule reads off classify (earliestDemand reads the same
-// classification, so there is nothing to mirror). It never over-estimates
-// (that would change simulations); an answer at or before c.now just means
-// no sleep. It is exact up to one case, a refresh deadline, where the rank
-// turns pending but its REF may still have to wait — the Tick there
-// recomputes. It records the demand queue it assumed in sleepQ, for admit.
+// the ones schedule picks from — the candidate table of the queue the
+// next tryDemand selects, rebuilt here if the Tick issued, so there is
+// nothing to mirror. It never over-estimates (that would change
+// simulations); an answer at or before c.now just means no sleep. It is
+// exact up to one case, a refresh deadline, where the rank turns pending
+// but its REF may still have to wait — the Tick there recomputes.
 func (c *Controller) earliestCommand() int64 {
 	at := dram.Never
 	// tryRefresh: a rank turns pending at its deadline; a pending rank
@@ -613,28 +626,28 @@ func (c *Controller) earliestCommand() int64 {
 		}
 	}
 	// schedule, on the queue the next tryDemand selects.
-	c.sleepQ, _ = c.pickQueue()
-	if c.sleepQ != nil {
-		for _, b := range c.sleepQ.active {
-			at = min(at, c.earliestDemand(c.sleepQ, int(b)))
+	if q, _ := c.pickQueue(); q != nil {
+		c.candidates(q)
+		for _, b := range q.active {
+			at = min(at, c.tab[b].col.at, c.tab[b].row.at)
 		}
 	}
 	return at
 }
 
-// admit folds a request just pushed onto q's bank into the sleep. A
-// request appended to a bank can only add candidates to that bank (it is
-// younger than every request already there), so the bound is the minimum
-// of the old one and the bank's new share — unless the enqueue flips
-// which queue tryDemand selects, or lands on the queue it does not.
+// admit folds a request just pushed onto q's bank into the candidate
+// table and the sleep, asleep or awake. A request appended to a bank can
+// only change that bank's entries (it is younger than every request
+// already there, and classify reads no other bank), so refilling the bank
+// is a full rebuild's answer, and the bound is the minimum of the old one
+// and the bank's new share — unless the table is stale or the enqueue
+// flips which queue tryDemand selects (wake), or lands on the queue it
+// does not (nothing to do).
 func (c *Controller) admit(q *readyQueue, bank int) {
-	if c.idleUntil <= c.now {
-		return // not asleep: the next Tick runs the scheduler anyway
-	}
-	if picked, _ := c.pickQueue(); picked != c.sleepQ {
+	if picked, _ := c.pickQueue(); picked != c.tabQ {
 		c.wake()
 	} else if q == picked {
-		c.idleUntil = min(c.idleUntil, c.earliestDemand(q, bank))
+		c.idleUntil = min(c.idleUntil, c.fillBank(q, bank))
 	}
 }
 

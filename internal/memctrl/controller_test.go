@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/rand"
 	"testing"
 
 	"breakhammer/internal/dram"
@@ -295,6 +296,78 @@ func TestWritebackThreadNotAttributed(t *testing.T) {
 	for tid, n := range c.Stats().DemandACTs {
 		if n != 0 {
 			t.Errorf("DemandACTs[%d] = %d, want 0", tid, n)
+		}
+	}
+}
+
+// TestTickDoesNotAllocate guards the allocation-free path: with both
+// request queues held full, ungated and behind a stateful ActGate, a
+// warmed-up controller's Tick — admit's table patches, table rebuilds,
+// the one-scan pick, the gate walk, read delivery, preventive RFMs —
+// performs no heap allocation.
+func TestTickDoesNotAllocate(t *testing.T) {
+	for _, gated := range []bool{false, true} {
+		c := newTestController(t)
+		c.SetFillFunc(func(uint64) {})
+		if gated {
+			evals := 0
+			c.SetActGate(func(bank, row, thread int, now int64) bool {
+				evals++
+				return row%2 == 0 || evals%3 != 0
+			})
+		}
+		rng := rand.New(rand.NewSource(1))
+		now, line := int64(0), uint64(0)
+		tick := func() {
+			for i := 0; i < 4; i++ {
+				addr := dram.Addr{Bank: rng.Intn(8) * 2, Row: rng.Intn(6) * 37, Col: rng.Intn(8)}
+				if rng.Intn(4) == 0 {
+					c.EnqueueWriteAddr(line, -1, addr)
+				} else {
+					c.EnqueueReadAddr(line, rng.Intn(4), addr)
+				}
+				line++
+			}
+			if rng.Intn(256) == 0 {
+				c.RequestRFM(rng.Intn(8) * 2)
+			}
+			c.Tick(now)
+			now++
+		}
+		// Warm up to every high-water mark first: each bank's FIFOs and
+		// preventive FIFO grow once to a full queue's worth, then the
+		// random stream runs a while.
+		for b := 0; b < 8; b++ {
+			for i := 0; i < DefaultConfig().ReadQueue; i++ {
+				c.EnqueueReadAddr(line, 0, dram.Addr{Bank: b * 2, Row: i % 6 * 37})
+				c.EnqueueWriteAddr(line, -1, dram.Addr{Bank: b * 2, Row: i % 6 * 37})
+				c.RequestRFM(b * 2)
+				line++
+			}
+			for end := now + 200_000; now < end; now++ {
+				c.Tick(now)
+			}
+		}
+		for i := 0; i < 50_000; i++ {
+			tick()
+		}
+		// One run is a whole batch: AllocsPerRun divides its malloc count
+		// by the runs in integers, which would round a rare allocation
+		// away.
+		const batch = 20_000
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < batch; i++ {
+				tick()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("gated=%v: %.0f allocations in %d Ticks, want 0", gated, allocs, batch)
+		}
+		if r, _ := c.QueueOccupancy(); r < DefaultConfig().ReadQueue-4 {
+			t.Errorf("gated=%v: read queue holds %d: the profile does not keep it full", gated, r)
+		}
+		if gated && c.Stats().GatedACTs == 0 {
+			t.Error("the gate never rejected: the gated walk is not exercised")
 		}
 	}
 }

@@ -62,6 +62,12 @@ type diffProfile struct {
 	// deadlines. backoffIn overrides the 1-in-4096 back-off rate.
 	gapEvery, gapLen int64
 	backoffIn        int
+
+	// fillWB > 0: the fill of a line divisible by fillWB enqueues a
+	// writeback into the same controller from inside the fill callback,
+	// as the LLC does with a dirty victim — an enqueue that lands while
+	// the controller delivers read data, before its scheduler runs.
+	fillWB int
 }
 
 func diffProfiles() []diffProfile {
@@ -81,6 +87,10 @@ func diffProfiles() []diffProfile {
 		{name: "mid-sleep-requests", banks: 5, rows: 6, readProb: 0.7, enqProb: 0.02, prevProb: 0.002, backoff: true, backoffIn: 500, cycles: 80_000, burst: 2},
 		{name: "drain-flips", banks: 4, rows: 3, readProb: 0.5, enqProb: 0.12, prevProb: 0.005, cycles: 80_000, burst: 12},
 		{name: "gated-idle-gaps", banks: 4, rows: 6, readProb: 0.8, enqProb: 0.5, prevProb: 0.01, gate: true, cycles: 40_000, burst: 2, gapEvery: 8_000, gapLen: 6_000},
+		// Writebacks enqueued from inside the fill callback, into a
+		// controller that is mostly asleep or about to schedule.
+		{name: "reentrant-writebacks", banks: 5, rows: 6, readProb: 0.9, enqProb: 0.1, prevProb: 0.005, cycles: 60_000, burst: 3, fillWB: 2},
+		{name: "gated-reentrant-writebacks", banks: 4, rows: 5, readProb: 0.8, enqProb: 0.4, prevProb: 0.01, gate: true, backoff: true, cycles: 40_000, burst: 2, fillWB: 3},
 	}
 }
 
@@ -203,8 +213,18 @@ func refHarness(c *refController) *diffHarness {
 	}
 }
 
-func attachObservers(se *sideEffects, setFill func(func(uint64)), setLat func(LatencySink)) {
-	setFill(func(l uint64) { se.fills = append(se.fills, l) })
+// attachObservers records fills and latencies, and performs p's
+// reentrant writebacks through h.
+func attachObservers(se *sideEffects, p diffProfile, h *diffHarness, setFill func(func(uint64)), setLat func(LatencySink)) {
+	setFill(func(l uint64) {
+		se.fills = append(se.fills, l)
+		if p.fillWB > 0 && l%uint64(p.fillWB) == 0 {
+			addr := dram.Addr{Bank: int(l*7%uint64(p.banks)) * 2, Row: int(l*13%uint64(p.rows)) * 37, Col: int(l % 8)}
+			if !h.enqueueWrite(l|1<<40, -1, addr) {
+				se.rejects++
+			}
+		}
+	})
 	setLat(func(thread int, cycles int64) {
 		se.lats = append(se.lats, fmt.Sprintf("%d:%d", thread, cycles))
 	})
@@ -217,68 +237,77 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				devA, err := dram.NewDevice(dram.Default(), dram.DDR5())
-				if err != nil {
-					t.Fatal(err)
-				}
-				devB, err := dram.NewDevice(dram.Default(), dram.DDR5())
-				if err != nil {
-					t.Fatal(err)
-				}
-				var seA, seB sideEffects
-				recordDevice(t, devA, &seA)
-				recordDevice(t, devB, &seB)
-
-				prod := New(DefaultConfig(), devA, 4)
-				ref := newRefController(DefaultConfig(), devB, 4)
-				attachObservers(&seA, prod.SetFillFunc, prod.SetLatencySink)
-				attachObservers(&seB, ref.SetFillFunc, ref.SetLatencySink)
-				if p.gate {
-					prod.SetActGate(gateFn(&seA))
-					ref.SetActGate(gateFn(&seB))
-				}
-
-				progA := runDiffProfile(t, p, seed, prodHarness(prod), &seA)
-				progB := runDiffProfile(t, p, seed, refHarness(ref), &seB)
-
-				if !reflect.DeepEqual(progA, progB) {
-					t.Fatalf("seed %d: Tick progress sequences diverge", seed)
-				}
-				if len(seA.issues) != len(seB.issues) {
-					t.Fatalf("seed %d: issued %d commands, reference issued %d", seed, len(seA.issues), len(seB.issues))
-				}
-				for i := range seA.issues {
-					if seA.issues[i] != seB.issues[i] {
-						t.Fatalf("seed %d: command %d diverges: got %+v, reference %+v",
-							seed, i, seA.issues[i], seB.issues[i])
-					}
-				}
-				if !reflect.DeepEqual(seA.fills, seB.fills) {
-					t.Fatalf("seed %d: fill sequences diverge", seed)
-				}
-				if !reflect.DeepEqual(seA.lats, seB.lats) {
-					t.Fatalf("seed %d: latency sequences diverge", seed)
-				}
-				if !reflect.DeepEqual(seA.gates, seB.gates) {
-					t.Fatalf("seed %d: gate evaluation sequences diverge (%d vs %d evals)",
-						seed, len(seA.gates), len(seB.gates))
-				}
-				if seA.rejects != seB.rejects {
-					t.Fatalf("seed %d: enqueue rejections diverge: %d vs %d", seed, seA.rejects, seB.rejects)
-				}
-				if !reflect.DeepEqual(*prod.Stats(), *ref.Stats()) {
-					t.Fatalf("seed %d: stats diverge:\n got %+v\n ref %+v", seed, *prod.Stats(), *ref.Stats())
-				}
-				ra, wa := prod.QueueOccupancy()
-				rb, wb := ref.QueueOccupancy()
-				if ra != rb || wa != wb {
-					t.Fatalf("seed %d: occupancy diverges: (%d,%d) vs (%d,%d)", seed, ra, wa, rb, wb)
-				}
-				if prod.PendingPreventive() != ref.PendingPreventive() {
-					t.Fatalf("seed %d: pending preventive diverges", seed)
-				}
+				checkMatchesReference(t, p, seed)
 			}
 		})
+	}
+}
+
+// checkMatchesReference runs the production controller and the frozen
+// seed scheduler side by side through one profile and seed and fails
+// unless everything observable agrees.
+func checkMatchesReference(t *testing.T, p diffProfile, seed int64) {
+	t.Helper()
+	devA, err := dram.NewDevice(dram.Default(), dram.DDR5())
+	if err != nil {
+		t.Fatal(err)
+	}
+	devB, err := dram.NewDevice(dram.Default(), dram.DDR5())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seA, seB sideEffects
+	recordDevice(t, devA, &seA)
+	recordDevice(t, devB, &seB)
+
+	prod := New(DefaultConfig(), devA, 4)
+	ref := newRefController(DefaultConfig(), devB, 4)
+	hA, hB := prodHarness(prod), refHarness(ref)
+	attachObservers(&seA, p, hA, prod.SetFillFunc, prod.SetLatencySink)
+	attachObservers(&seB, p, hB, ref.SetFillFunc, ref.SetLatencySink)
+	if p.gate {
+		prod.SetActGate(gateFn(&seA))
+		ref.SetActGate(gateFn(&seB))
+	}
+
+	progA := runDiffProfile(t, p, seed, hA, &seA)
+	progB := runDiffProfile(t, p, seed, hB, &seB)
+
+	if !reflect.DeepEqual(progA, progB) {
+		t.Fatalf("seed %d: Tick progress sequences diverge", seed)
+	}
+	if len(seA.issues) != len(seB.issues) {
+		t.Fatalf("seed %d: issued %d commands, reference issued %d", seed, len(seA.issues), len(seB.issues))
+	}
+	for i := range seA.issues {
+		if seA.issues[i] != seB.issues[i] {
+			t.Fatalf("seed %d: command %d diverges: got %+v, reference %+v",
+				seed, i, seA.issues[i], seB.issues[i])
+		}
+	}
+	if !reflect.DeepEqual(seA.fills, seB.fills) {
+		t.Fatalf("seed %d: fill sequences diverge", seed)
+	}
+	if !reflect.DeepEqual(seA.lats, seB.lats) {
+		t.Fatalf("seed %d: latency sequences diverge", seed)
+	}
+	if !reflect.DeepEqual(seA.gates, seB.gates) {
+		t.Fatalf("seed %d: gate evaluation sequences diverge (%d vs %d evals)",
+			seed, len(seA.gates), len(seB.gates))
+	}
+	if seA.rejects != seB.rejects {
+		t.Fatalf("seed %d: enqueue rejections diverge: %d vs %d", seed, seA.rejects, seB.rejects)
+	}
+	if !reflect.DeepEqual(*prod.Stats(), *ref.Stats()) {
+		t.Fatalf("seed %d: stats diverge:\n got %+v\n ref %+v", seed, *prod.Stats(), *ref.Stats())
+	}
+	ra, wa := prod.QueueOccupancy()
+	rb, wb := ref.QueueOccupancy()
+	if ra != rb || wa != wb {
+		t.Fatalf("seed %d: occupancy diverges: (%d,%d) vs (%d,%d)", seed, ra, wa, rb, wb)
+	}
+	if prod.PendingPreventive() != ref.PendingPreventive() {
+		t.Fatalf("seed %d: pending preventive diverges", seed)
 	}
 }
 
@@ -302,8 +331,9 @@ func TestSchedulerMatchesReferenceEventMode(t *testing.T) {
 
 	prod := New(DefaultConfig(), devA, 4)
 	ref := newRefController(DefaultConfig(), devB, 4)
-	attachObservers(&seA, prod.SetFillFunc, prod.SetLatencySink)
-	attachObservers(&seB, ref.SetFillFunc, ref.SetLatencySink)
+	h, hRef := prodHarness(prod), refHarness(ref)
+	attachObservers(&seA, p, h, prod.SetFillFunc, prod.SetLatencySink)
+	attachObservers(&seB, p, hRef, ref.SetFillFunc, ref.SetLatencySink)
 	var acts []string
 	prod.AddActivateHook(func(bank, row, thread int, now int64) {
 		acts = append(acts, fmt.Sprintf("%d/%d/%d@%d", bank, row, thread, now))
@@ -315,7 +345,6 @@ func TestSchedulerMatchesReferenceEventMode(t *testing.T) {
 
 	buf := &EventBuffer{}
 	prod.SetEventBuffer(buf)
-	h := prodHarness(prod)
 	baseTick := h.tick
 	h.tick = func(now int64) bool {
 		prog := baseTick(now)
@@ -323,7 +352,7 @@ func TestSchedulerMatchesReferenceEventMode(t *testing.T) {
 		return prog
 	}
 	runDiffProfile(t, p, 7, h, &seA)
-	runDiffProfile(t, p, 7, refHarness(ref), &seB)
+	runDiffProfile(t, p, 7, hRef, &seB)
 
 	if !reflect.DeepEqual(seA.issues, seB.issues) {
 		t.Fatal("event-mode command streams diverge")

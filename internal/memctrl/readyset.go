@@ -1,6 +1,10 @@
 package memctrl
 
-import "breakhammer/internal/dram"
+import (
+	"math"
+
+	"breakhammer/internal/dram"
+)
 
 // This file implements the incremental FR-FCFS+Cap ready-sets that
 // replaced the seed tree's full-queue scans (kept verbatim as the oracle
@@ -18,16 +22,22 @@ import "breakhammer/internal/dram"
 //   - CanIssue(ACT) does not depend on the row, and CanIssue(PRE) only on
 //     the bank, so in pass 2 a bank is exhausted after its first failed
 //     attempt. An installed ActGate is the one exception, and a branch of
-//     the same oldest-first walker rather than a second one: the gate is
+//     pass 2 (gateWalk) rather than a second scheduler: the gate is
 //     stateful (BlockHammer counts every rejection), so a closed bank
-//     advances to its next request where the ungated walk drops the bank,
+//     advances to its next request where the ungated pick drops the bank,
 //     and every evaluation happens in the flat scan's order and count.
 //   - The cap rule and the bank-ownership rule are stated once, in
-//     classify. schedule collects both passes' candidates from it in one
-//     walk over the occupied banks (pass 1 commits nothing when it fails,
-//     so pass 2 would classify the same state), and the controller's sleep
-//     bound (earliestDemand) asks it the same question and only turns
-//     "what" into "when".
+//     classify, and read once per bank per state: fillBank turns what it
+//     names into the bank's row of a candidate table, with each
+//     candidate's legal-at cycle (dram.Device.EarliestIssue). schedule
+//     picks both passes from that table in one scan (pass 1 commits
+//     nothing when it fails, so pass 2 would classify the same state), and
+//     the controller's sleep is the table's minimum.
+//   - Legal-at cycles answer CanIssue: CanIssue is EarliestIssue <= now,
+//     and the device only changes when this controller issues to it. So a
+//     table built after one command stays exact, at every later cycle,
+//     until the next command or an input that changes what classify
+//     reads — the table's doors (see Controller.tab).
 //   - Taking the minimum arrival sequence across per-bank candidates
 //     reproduces the global FCFS scan order exactly, because requests
 //     enter the per-bank FIFOs in arrival order.
@@ -163,34 +173,23 @@ func (q *readyQueue) removeAt(bank, i int) {
 	}
 }
 
-// cand is one bank's entry in a scheduling pass: the request at idx of the
+// cand is one entry of the candidate table: the request at idx of its
 // bank's FIFO, ordered against other banks' entries by its arrival
-// sequence. In pass 2, open says the bank's row command is a PRE (an open
-// bank's oldest conflict) rather than an ACT (a closed bank's request).
+// sequence, and the first cycle its command is legal with the device
+// frozen (at; dram.Never: the bank has no such candidate). A row entry's
+// command is the PRE ahead of an open bank's oldest conflict (open) or a
+// closed bank's ACT.
 type cand struct {
+	at   int64
 	seq  uint64
-	bank int32
 	idx  int32
 	open bool
 }
 
-// oldest returns the position of the candidate that arrived first.
-// (Candidate counts are bounded by the bank count and tiny in practice;
-// most passes issue on the first pick, so nothing is sorted up front.)
-func oldest(cs []cand) int {
-	mi := 0
-	for i := 1; i < len(cs); i++ {
-		if cs[i].seq < cs[mi].seq {
-			mi = i
-		}
-	}
-	return mi
-}
-
-// drop removes the candidate at i (order is irrelevant: oldest rescans).
-func drop(cs []cand, i int) []cand {
-	cs[i] = cs[len(cs)-1]
-	return cs[:len(cs)-1]
+// bankCands is one occupied bank's row of the candidate table: its pass-1
+// column candidate and its pass-2 row candidate.
+type bankCands struct {
+	col, row cand
 }
 
 // classify is the one statement of FR-FCFS+Cap's per-bank rules. For an
@@ -200,9 +199,9 @@ func drop(cs []cand, i int) []cand {
 // preferred) and which request's row command comes next (next; -1: none,
 // or refresh or a queued preventive action owns the bank) — with open
 // true that command is the PRE ahead of the bank's oldest conflict, with
-// open false the ACT of a closed bank's oldest request. schedule issues
-// what classify names, earliestDemand asks when it becomes legal; neither
-// restates a rule.
+// open false the ACT of a closed bank's oldest request. fillBank is its
+// one caller: it turns "what" into "when", and schedule and the sleep
+// read the answer off the table; none of them restates a rule.
 func (c *Controller) classify(q *readyQueue, bank int) (hit, next int, open bool) {
 	fb := &q.banks[bank]
 	row, open := c.dev.OpenRow(bank)
@@ -217,6 +216,45 @@ func (c *Controller) classify(q *readyQueue, bank int) (hit, next int, open bool
 	return hit, next, open
 }
 
+// fillBank writes an occupied bank's row of the candidate table: what
+// classify names, and when each command becomes legal — EarliestIssue of
+// the hit's RD/WR, of the PRE, or of the ACT floored at backoffUntil (PRAC
+// back-off holds the ACT, and only the ACT). It returns the earlier of the
+// two cycles, the bank's share of the controller's sleep.
+func (c *Controller) fillBank(q *readyQueue, bank int) int64 {
+	hit, next, open := c.classify(q, bank)
+	reqs := q.banks[bank].reqs
+	e := &c.tab[bank]
+	e.col.at, e.row.at = dram.Never, dram.Never
+	if hit >= 0 {
+		r := reqs[hit]
+		e.col = cand{at: c.dev.EarliestIssue(columnCmd(r), r.Addr), seq: r.seq, idx: int32(hit)}
+	}
+	if next >= 0 {
+		r := reqs[next]
+		var at int64
+		if open {
+			at = c.dev.EarliestIssue(dram.CmdPRE, dram.Addr{Bank: bank})
+		} else {
+			at = max(c.dev.EarliestIssue(dram.CmdACT, r.Addr), c.backoffUntil)
+		}
+		e.row = cand{at: at, seq: r.seq, idx: int32(next), open: open}
+	}
+	return min(e.col.at, e.row.at)
+}
+
+// candidates makes the candidate table cover q, rebuilding it if it is
+// stale or covers the other queue.
+func (c *Controller) candidates(q *readyQueue) {
+	if c.tabQ == q {
+		return
+	}
+	c.tabQ = q
+	for _, b := range q.active {
+		c.fillBank(q, int(b))
+	}
+}
+
 // columnCmd is the column command that serves req.
 func columnCmd(req *Request) dram.Command {
 	if req.Write {
@@ -228,110 +266,122 @@ func columnCmd(req *Request) dram.Command {
 // schedule implements FR-FCFS with a cap on column-over-row reordering —
 // a row-hit request may bypass at most Cap older row-conflict requests to
 // the same bank before the oldest conflicting request is served first —
-// visiting only occupied banks whose device timing allows a command now.
-// Returns true if a command issued. Command-for-command identical to the
-// seed tree's full-queue scan (see refsched_test.go and the differential
-// tests that pin the equivalence).
+// picking from q's candidate table (see candidates). Returns true if a
+// command issued. Command-for-command identical to the seed tree's
+// full-queue scan (see refsched_test.go and the differential tests that
+// pin the equivalence).
 func (c *Controller) schedule(q *readyQueue) bool {
-	// One walk over the occupied banks collects both passes' candidates
-	// from classify. Banks blocked by refresh/RFM/VRR/MIG would fail every
-	// CanIssue and are pruned up front; PRAC back-off pauses new
-	// activations, not precharges.
-	cols, rows := c.colCands[:0], c.rowCands[:0]
-	backoff := c.now < c.backoffUntil
+	// One scan over the table finds both passes' picks: the oldest legal
+	// row-hit column command (pass 1) and the oldest legal row command
+	// (pass 2). A legal-at cycle answers CanIssue, so a bank blocked by
+	// refresh/RFM/VRR/MIG — or, for an ACT, the channel paused by PRAC
+	// back-off — simply has nothing legal yet.
+	col, row := int32(-1), int32(-1)
+	colSeq, rowSeq := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	for _, b := range q.active {
-		bank := int(b)
-		if c.dev.BankBlockedUntil(bank) > c.now {
-			continue
+		e := &c.tab[b]
+		if e.col.at <= c.now && e.col.seq < colSeq {
+			col, colSeq = b, e.col.seq
 		}
-		hit, next, open := c.classify(q, bank)
-		reqs := q.banks[bank].reqs
-		if hit >= 0 {
-			cols = append(cols, cand{seq: reqs[hit].seq, bank: b, idx: int32(hit)})
-		}
-		if next >= 0 && (open || !backoff) {
-			rows = append(rows, cand{seq: reqs[next].seq, bank: b, idx: int32(next), open: open})
+		if e.row.at <= c.now && e.row.seq < rowSeq {
+			row, rowSeq = b, e.row.seq
 		}
 	}
-	c.colCands, c.rowCands = cols, rows
 
-	// First pass: oldest issuable row-hit column command. CanIssue's
-	// verdict is bank-wide, so a failure moves on to the next bank's hit.
-	for len(cols) > 0 {
-		i := oldest(cols)
-		cd := cols[i]
-		bank := int(cd.bank)
+	if col >= 0 {
+		bank := int(col)
 		fb := &q.banks[bank]
-		req := fb.reqs[cd.idx]
-		cmd := columnCmd(req)
-		if !c.dev.CanIssue(cmd, req.Addr, c.now) {
-			cols = drop(cols, i)
-			continue
-		}
-		res := c.dev.Issue(cmd, req.Addr, c.now)
+		idx := c.tab[bank].col.idx
+		req := fb.reqs[idx]
+		res := c.dev.Issue(columnCmd(req), req.Addr, c.now)
 		if req.Thread >= 0 && !req.opened {
 			c.stats.RowHits[req.Thread]++
 		}
-		if f := fb.confIdx; f >= 0 && int32(f) < cd.idx {
+		if f := fb.confIdx; f >= 0 && int32(f) < idx {
 			c.capCount[bank]++
 		}
-		q.removeAt(bank, int(cd.idx))
+		q.removeAt(bank, int(idx))
 		c.completeColumn(req, res)
 		return true
 	}
 
-	// Second pass: the oldest request's row command, oldest first across
-	// banks. A failed attempt exhausts its bank — unless an ActGate is
+	// Pass 2 issues the oldest legal row command — unless an ActGate is
 	// installed, whose evaluations must keep the flat scan's order and
-	// count: a closed bank then advances to its next request, on a
-	// rejection and on a CanIssue(ACT) failure alike.
-	for len(rows) > 0 {
-		i := oldest(rows)
-		cd := &rows[i]
-		bank := int(cd.bank)
-		fb := &q.banks[bank]
-		if cd.open {
-			pre := dram.Addr{Bank: bank}
-			if c.dev.CanIssue(dram.CmdPRE, pre, c.now) {
-				c.dev.Issue(dram.CmdPRE, pre, c.now)
-				c.capCount[bank] = 0
-				return true
-			}
-		} else {
-			req := fb.reqs[cd.idx]
-			if c.actGate != nil && !c.actGate(bank, req.Addr.Row, req.Thread, c.now) {
-				c.stats.GatedACTs++
-			} else if c.dev.CanIssue(dram.CmdACT, req.Addr, c.now) {
-				c.issueACT(req, bank)
-				return true
-			}
-			if c.actGate != nil && int(cd.idx)+1 < len(fb.reqs) {
-				cd.idx++
-				cd.seq = fb.reqs[cd.idx].seq
-				continue
-			}
-		}
-		rows = drop(rows, i) // PRE and ACT legality ignore the row: bank exhausted
+	// count: gateWalk then picks the row command to issue.
+	var idx int32
+	if c.actGate != nil {
+		row, idx = c.gateWalk(q)
+	} else if row >= 0 {
+		idx = c.tab[row].row.idx
 	}
-	return false
+	if row < 0 {
+		return false
+	}
+	bank := int(row)
+	if c.tab[bank].row.open {
+		c.dev.Issue(dram.CmdPRE, dram.Addr{Bank: bank}, c.now)
+		c.capCount[bank] = 0
+		return true
+	}
+	c.issueACT(q.banks[bank].reqs[idx], bank)
+	return true
 }
 
-// earliestDemand is one occupied bank's share of earliestCommand: when
-// what classify names becomes legal. PRAC back-off holds the ACT, and only
-// the ACT, until backoffUntil.
-func (c *Controller) earliestDemand(q *readyQueue, bank int) int64 {
-	hit, next, open := c.classify(q, bank)
-	reqs := q.banks[bank].reqs
-	at := dram.Never
-	if hit >= 0 {
-		at = c.dev.EarliestIssue(columnCmd(reqs[hit]), reqs[hit].Addr)
+// gateCand is one row entry in gateWalk's scratch: a copy of a table
+// entry, and its bank.
+type gateCand struct {
+	cand
+	bank int32
+}
+
+// gateWalk is pass 2's branch for an installed ActGate. The gate is
+// stateful (BlockHammer counts every rejection), so it runs the flat
+// scan's walk: row entries oldest first across banks, where a closed
+// bank's entry — not blocked, channel not paused — advances to the bank's
+// next request after a rejection or after a pass its ACT cannot use yet,
+// instead of dropping the bank. It walks a copy of the entries, so the
+// table stays as it is, and returns the bank and request whose row command
+// issues (a legal PRE, or a legal ACT the gate passed), or bank -1. It
+// reads no legal-at cycle the ungated pick does not, and computes none.
+func (c *Controller) gateWalk(q *readyQueue) (bank, idx int32) {
+	paused := c.now < c.backoffUntil
+	walk := c.gateCands[:0]
+	for _, b := range q.active {
+		e := c.tab[b].row
+		switch {
+		case e.at == dram.Never:
+		case e.open && e.at > c.now: // an illegal PRE fails without side effects
+		case e.open || !paused && c.dev.BankBlockedUntil(int(b)) <= c.now:
+			walk = append(walk, gateCand{cand: e, bank: b})
+		}
 	}
-	if next >= 0 && open {
-		at = min(at, c.dev.EarliestIssue(dram.CmdPRE, dram.Addr{Bank: bank}))
-	} else if next >= 0 {
-		at = min(at, max(c.dev.EarliestIssue(dram.CmdACT, reqs[next].Addr), c.backoffUntil))
+	c.gateCands = walk
+	for len(walk) > 0 {
+		i := 0
+		for j := 1; j < len(walk); j++ {
+			if walk[j].seq < walk[i].seq {
+				i = j
+			}
+		}
+		gc := &walk[i]
+		if gc.open {
+			return gc.bank, gc.idx
+		}
+		reqs := q.banks[gc.bank].reqs
+		req := reqs[gc.idx]
+		if !c.actGate(int(gc.bank), req.Addr.Row, req.Thread, c.now) {
+			c.stats.GatedACTs++
+		} else if gc.at <= c.now {
+			return gc.bank, gc.idx
+		}
+		if gc.idx++; int(gc.idx) < len(reqs) {
+			gc.seq = reqs[gc.idx].seq
+			continue
+		}
+		walk[i] = walk[len(walk)-1] // bank walked to its end
+		walk = walk[:len(walk)-1]
 	}
-	return at
+	return -1, 0
 }
 
 // issueACT performs a demand activation for req and fires the activate

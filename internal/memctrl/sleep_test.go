@@ -34,14 +34,14 @@ func runSleepProfile(t *testing.T, p diffProfile, seed int64, poll, events bool)
 	r := &sleepRun{}
 	recordDevice(t, dev, &r.se)
 	c := New(DefaultConfig(), dev, 4)
-	attachObservers(&r.se, c.SetFillFunc, c.SetLatencySink)
+	h := prodHarness(c)
+	attachObservers(&r.se, p, h, c.SetFillFunc, c.SetLatencySink)
 	c.AddActivateHook(func(bank, row, thread int, now int64) {
 		r.acts = append(r.acts, actRec{bank, row, thread, now})
 	})
 	if p.gate {
 		c.SetActGate(gateFn(&r.se))
 	}
-	h := prodHarness(c)
 	tick := h.tick
 	if events {
 		c.SetEventBuffer(NewEventBuffer(16))
@@ -81,48 +81,58 @@ func TestSleepMatchesPolling(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				events := seed == 2 // second seed: deferred-event mode, as memsys batches run
-				a := runSleepProfile(t, p, seed, false, events)
-				b := runSleepProfile(t, p, seed, true, events)
-				for cycle := range a.progress {
-					if a.progress[cycle] != b.progress[cycle] {
-						t.Fatalf("seed %d: Tick verdict diverges at cycle %d: sleeping %v, polling %v",
-							seed, cycle, a.progress[cycle], b.progress[cycle])
-					}
-				}
-				for i := range a.se.issues {
-					if i >= len(b.se.issues) || a.se.issues[i] != b.se.issues[i] {
-						t.Fatalf("seed %d: command %d diverges: sleeping %+v, polling has %d commands",
-							seed, i, a.se.issues[i], len(b.se.issues))
-					}
-				}
-				if len(a.se.issues) != len(b.se.issues) {
-					t.Fatalf("seed %d: sleeping issued %d commands, polling %d", seed, len(a.se.issues), len(b.se.issues))
-				}
-				if !reflect.DeepEqual(a.se, b.se) {
-					t.Fatalf("seed %d: fill, latency, gate or rejection sequences diverge", seed)
-				}
-				if !reflect.DeepEqual(a.acts, b.acts) {
-					t.Fatalf("seed %d: activate-hook sequences diverge", seed)
-				}
-				if !reflect.DeepEqual(a.stats, b.stats) {
-					t.Fatalf("seed %d: stats diverge:\n sleeping %+v\n polling  %+v", seed, a.stats, b.stats)
-				}
-				if a.rq != b.rq || a.wq != b.wq || a.pending != b.pending {
-					t.Fatalf("seed %d: final occupancy diverges", seed)
-				}
-				if b.asleep != 0 {
-					t.Fatalf("seed %d: the polling controller slept through %d ticks", seed, b.asleep)
-				}
-				switch {
-				case p.gate && a.asleep != 0:
-					t.Fatalf("seed %d: a gated controller slept through %d ticks", seed, a.asleep)
-				case !p.gate && a.asleep < len(a.progress)/10:
+				a := checkSleepMatchesPolling(t, p, seed, events)
+				if !p.gate && a.asleep < len(a.progress)/10 {
 					t.Fatalf("seed %d: the sleep hardly engaged (%d of %d ticks): the test is vacuous",
 						seed, a.asleep, len(a.progress))
 				}
 			}
 		})
 	}
+}
+
+// checkSleepMatchesPolling runs one profile and seed on a sleeping
+// controller and on its forced-polling twin (which also rebuilds its
+// candidate table on every Tick), fails unless everything observable
+// agrees, and returns the sleeping run.
+func checkSleepMatchesPolling(t *testing.T, p diffProfile, seed int64, events bool) *sleepRun {
+	t.Helper()
+	a := runSleepProfile(t, p, seed, false, events)
+	b := runSleepProfile(t, p, seed, true, events)
+	for cycle := range a.progress {
+		if a.progress[cycle] != b.progress[cycle] {
+			t.Fatalf("seed %d: Tick verdict diverges at cycle %d: sleeping %v, polling %v",
+				seed, cycle, a.progress[cycle], b.progress[cycle])
+		}
+	}
+	for i := range a.se.issues {
+		if i >= len(b.se.issues) || a.se.issues[i] != b.se.issues[i] {
+			t.Fatalf("seed %d: command %d diverges: sleeping %+v, polling has %d commands",
+				seed, i, a.se.issues[i], len(b.se.issues))
+		}
+	}
+	if len(a.se.issues) != len(b.se.issues) {
+		t.Fatalf("seed %d: sleeping issued %d commands, polling %d", seed, len(a.se.issues), len(b.se.issues))
+	}
+	if !reflect.DeepEqual(a.se, b.se) {
+		t.Fatalf("seed %d: fill, latency, gate or rejection sequences diverge", seed)
+	}
+	if !reflect.DeepEqual(a.acts, b.acts) {
+		t.Fatalf("seed %d: activate-hook sequences diverge", seed)
+	}
+	if !reflect.DeepEqual(a.stats, b.stats) {
+		t.Fatalf("seed %d: stats diverge:\n sleeping %+v\n polling  %+v", seed, a.stats, b.stats)
+	}
+	if a.rq != b.rq || a.wq != b.wq || a.pending != b.pending {
+		t.Fatalf("seed %d: final occupancy diverges", seed)
+	}
+	if b.asleep != 0 {
+		t.Fatalf("seed %d: the polling controller slept through %d ticks", seed, b.asleep)
+	}
+	if p.gate && a.asleep != 0 {
+		t.Fatalf("seed %d: a gated controller slept through %d ticks", seed, a.asleep)
+	}
+	return a
 }
 
 // TestSleepWakesOnEveryInput checks the invalidation list one entry at a
