@@ -77,6 +77,20 @@ type Stats struct {
 	FillsDropped int64 // fills for lines nobody waits on (should stay 0)
 }
 
+// refusal is a thread's latest refused access. While the thread's
+// accepted-access count still equals at, a new refusal continues the same
+// episode (see Stats). standing says the thread's latest Read or Write
+// was this refusal. waits is the release count whose move may lift it —
+// the thread's own for a quota refusal, the total for a full MSHR file,
+// nil for a full read queue, which only memory progress drains — and mark
+// its value at the refusal.
+type refusal struct {
+	at       int64 // -1 before any refusal
+	standing bool
+	waits    *int64
+	mark     int64
+}
+
 type mshr struct {
 	line     uint64
 	thread   int // allocating thread (owns the quota slot)
@@ -113,10 +127,12 @@ type LLC struct {
 	pendingWB []uint64
 	wbHead    int
 
-	// refusedAt[t] is thread t's accepted-access count at its latest
-	// refusal (-1 before any): while it has not moved, a refusal continues
-	// the same episode (see Stats).
-	refusedAt []int64
+	// refused[t] is thread t's latest refusal (see refusal); releases and
+	// released[t] count the MSHRs released in total and of thread t's
+	// allocations, the events a refusal may wait on.
+	refused  []refusal
+	releases int64
+	released []int64
 
 	stats Stats
 }
@@ -133,10 +149,11 @@ func New(cfg Config, threads int, backend Backend) *LLC {
 		setMask:   uint64(sets - 1),
 		mshrShift: 64,
 		inUse:     make([]int, threads),
-		refusedAt: make([]int64, threads),
+		refused:   make([]refusal, threads),
+		released:  make([]int64, threads),
 	}
-	for t := range l.refusedAt {
-		l.refusedAt[t] = -1
+	for t := range l.refused {
+		l.refused[t].at = -1
 	}
 	size := 1
 	for ; size < 4*cfg.MSHRs; size *= 2 {
@@ -226,18 +243,46 @@ func (l *LLC) quotaFor(thread int) int {
 	return q
 }
 
-// refuse counts a refused access of thread in counter if it begins a
-// refusal episode: if the thread had an access accepted — a hit, a merge
-// or a miss, detailed or functional — since its previous refusal. Every
-// accepted access bumps one of the thread's five outcome counters, so the
-// accepting paths need no bookkeeping of their own.
-func (l *LLC) refuse(thread int, counter []int64) {
-	s := &l.stats
+// refuse records a refused access of thread that waits on the release
+// count waits (nil: on memory progress), and counts it in counter if it
+// begins a refusal episode: if the thread had an access accepted — a hit,
+// a merge or a miss, detailed or functional — since its previous refusal.
+// Every accepted access bumps one of the thread's five outcome counters,
+// so the accepting paths need no bookkeeping of their own.
+func (l *LLC) refuse(thread int, counter []int64, waits *int64) {
+	s, r := &l.stats, &l.refused[thread]
 	accepted := s.Hits[thread] + s.Misses[thread] + s.MSHRHits[thread] + s.WriteHits[thread] + s.WriteMisses[thread]
-	if l.refusedAt[thread] != accepted {
-		l.refusedAt[thread] = accepted
+	if r.at != accepted {
+		r.at = accepted
 		counter[thread]++
 	}
+	r.standing, r.waits = true, waits
+	if waits != nil {
+		r.mark = *waits
+	}
+}
+
+// RefusalLifted reports whether thread's latest refusal may have lifted,
+// so that a retry of the refused access could now be accepted;
+// memProgress says whether the memory side progressed since the refusal.
+// A quota refusal lifts only when an MSHR the thread allocated is
+// released, write-miss registers included (a quota only rises at a
+// BreakHammer window rotation, which this method does not see); a full
+// MSHR file lifts at any release; a full read queue only with memory
+// progress. It is false when the thread's latest Read or Write was
+// accepted: nothing in the LLC holds the thread back then. The answer
+// assumes no other thread accesses the refused line — threads own
+// disjoint address slices — since another thread's miss on it would turn
+// the refusal into a merge.
+func (l *LLC) RefusalLifted(thread int, memProgress bool) bool {
+	r := &l.refused[thread]
+	if !r.standing {
+		return false
+	}
+	if r.waits == nil {
+		return memProgress
+	}
+	return *r.waits != r.mark
 }
 
 // Read performs a demand read for a cache line. On ReadMiss and
@@ -245,6 +290,7 @@ func (l *LLC) refuse(thread int, counter []int64) {
 // caller should treat the data as ready HitLatency cycles later; on
 // ReadBlocked the caller must retry.
 func (l *LLC) Read(lineAddr uint64, thread int, done func()) ReadOutcome {
+	l.refused[thread].standing = false // unless refuse says otherwise
 	if i := l.lookup(lineAddr); i >= 0 {
 		l.touch(i)
 		l.stats.Hits[thread]++
@@ -259,15 +305,15 @@ func (l *LLC) Read(lineAddr uint64, thread int, done func()) ReadOutcome {
 	// Need a fresh MSHR: check total capacity, then the thread quota
 	// (BreakHammer's throttling point), then MC queue space.
 	if l.totalUsed >= l.cfg.MSHRs {
-		l.refuse(thread, l.stats.MSHRBlocks)
+		l.refuse(thread, l.stats.MSHRBlocks, &l.releases)
 		return ReadBlocked
 	}
 	if l.inUse[thread] >= l.quotaFor(thread) {
-		l.refuse(thread, l.stats.QuotaBlocks)
+		l.refuse(thread, l.stats.QuotaBlocks, &l.released[thread])
 		return ReadBlocked
 	}
 	if !l.backend.EnqueueRead(lineAddr, thread) {
-		l.refuse(thread, l.stats.QueueBlocks)
+		l.refuse(thread, l.stats.QueueBlocks, nil)
 		return ReadBlocked
 	}
 	m = l.allocMSHR(slot, lineAddr, thread, false)
@@ -281,6 +327,7 @@ func (l *LLC) Read(lineAddr uint64, thread int, done func()) ReadOutcome {
 // like a read (write-allocate) and marks the line dirty when it fills.
 // It returns false when the store could not be accepted (retry).
 func (l *LLC) Write(lineAddr uint64, thread int) bool {
+	l.refused[thread].standing = false // unless refuse says otherwise
 	if i := l.lookup(lineAddr); i >= 0 {
 		l.touch(i)
 		l.dirty[i] = true
@@ -294,15 +341,15 @@ func (l *LLC) Write(lineAddr uint64, thread int) bool {
 		return true
 	}
 	if l.totalUsed >= l.cfg.MSHRs {
-		l.refuse(thread, l.stats.MSHRBlocks)
+		l.refuse(thread, l.stats.MSHRBlocks, &l.releases)
 		return false
 	}
 	if l.inUse[thread] >= l.quotaFor(thread) {
-		l.refuse(thread, l.stats.QuotaBlocks)
+		l.refuse(thread, l.stats.QuotaBlocks, &l.released[thread])
 		return false
 	}
 	if !l.backend.EnqueueRead(lineAddr, thread) {
-		l.refuse(thread, l.stats.QueueBlocks)
+		l.refuse(thread, l.stats.QueueBlocks, nil)
 		return false
 	}
 	l.allocMSHR(slot, lineAddr, thread, true)
@@ -370,6 +417,8 @@ func (l *LLC) Fill(lineAddr uint64) {
 	l.removeMSHR(slot)
 	l.inUse[m.thread]--
 	l.totalUsed--
+	l.releases++
+	l.released[m.thread]++
 
 	if victim, dirty := l.place(lineAddr, m.wantFill); dirty {
 		l.writeback(victim)

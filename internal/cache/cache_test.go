@@ -512,3 +512,79 @@ func TestMissFillRoundTripDoesNotAllocate(t *testing.T) {
 		t.Fatalf("vacuous run: %+v", *s)
 	}
 }
+
+// TestRefusalLifted pins the refusal state the skip-ahead driver's
+// per-core sleep reads (sim.System.runDetailed): a quota refusal lifts
+// only at a release of an MSHR the thread allocated, a write miss's
+// included; a full MSHR file at any release; a full read queue only with
+// memory progress; and an accepted access ends the refusal.
+func TestRefusalLifted(t *testing.T) {
+	lifted := func(t *testing.T, l *LLC, thread int, memProgress, want bool) {
+		t.Helper()
+		if got := l.RefusalLifted(thread, memProgress); got != want {
+			t.Fatalf("RefusalLifted(%d, memProgress %v) = %v, want %v", thread, memProgress, got, want)
+		}
+	}
+	t.Run("quota", func(t *testing.T) {
+		l := New(smallConfig(), 2, &fakeBackend{})
+		l.SetQuotaProvider(fixedQuota{0: 1, 1: 4})
+		if !l.Write(0x100, 0) { // thread 0's one register: a write miss
+			t.Fatal("write miss refused")
+		}
+		l.Read(0x200, 1, nil)
+		l.Read(0x201, 1, nil)
+		if l.Read(0x300, 0, nil) != ReadBlocked {
+			t.Fatal("over-quota read accepted")
+		}
+		lifted(t, l, 0, true, false)
+		l.Fill(0x200) // another thread's release
+		lifted(t, l, 0, true, false)
+		l.Fill(0x100) // the thread's own write-miss register
+		lifted(t, l, 0, false, true)
+		if l.Read(0x300, 0, nil) != ReadMiss {
+			t.Fatal("retry after the own release refused")
+		}
+		lifted(t, l, 0, true, false)
+	})
+	t.Run("mshr-file", func(t *testing.T) {
+		l := New(smallConfig(), 2, &fakeBackend{})
+		for line := uint64(0x100); line < 0x104; line++ {
+			l.Read(line, 0, nil)
+		}
+		if l.Read(0x200, 1, nil) != ReadBlocked {
+			t.Fatal("read past a full MSHR file accepted")
+		}
+		lifted(t, l, 1, true, false)
+		l.Fill(0x102) // any thread's release
+		lifted(t, l, 1, false, true)
+	})
+	t.Run("queue", func(t *testing.T) {
+		be := &fakeBackend{rejectRead: true}
+		l := New(smallConfig(), 2, be)
+		l.Read(0x100, 0, nil)
+		l.Write(0x101, 1)
+		lifted(t, l, 0, false, false)
+		lifted(t, l, 0, true, true)
+		lifted(t, l, 1, false, false)
+		be.rejectRead = false
+		l.Read(0x200, 1, nil)
+		l.Fill(0x200) // a release without memory progress leaves it standing
+		lifted(t, l, 0, false, false)
+	})
+	t.Run("accepted", func(t *testing.T) {
+		be := &fakeBackend{}
+		l := New(smallConfig(), 2, be)
+		lifted(t, l, 0, true, false) // no refusal yet
+		l.Read(0x100, 0, nil)
+		l.Fill(0x100)
+		be.rejectRead = true
+		if l.Read(0x200, 0, nil) != ReadBlocked {
+			t.Fatal("read past a full queue accepted")
+		}
+		lifted(t, l, 0, true, true)
+		if l.Read(0x100, 0, nil) != ReadHit {
+			t.Fatal("hit refused")
+		}
+		lifted(t, l, 0, true, false)
+	})
+}

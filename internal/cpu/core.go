@@ -111,6 +111,7 @@ type Core struct {
 
 	quota       LoadQuota // optional LSU-level throttle (§4.4)
 	outstanding int       // unresolved (miss-backed) loads in flight
+	wakes       int64     // completion callbacks that can end a stall (Wakes)
 
 	target int64
 	stats  Stats
@@ -127,6 +128,9 @@ func New(id int, cfg Config, trace Trace, mem Memory, target int64) *Core {
 		l.complete = func() {
 			l.ready = true
 			c.outstanding--
+			if c.quota != nil || l == &c.loads[c.head] {
+				c.wakes++
+			}
 		}
 	}
 	c.stats.FinishedAt = -1
@@ -145,6 +149,15 @@ func (c *Core) SetLoadQuota(q LoadQuota) { c.quota = q }
 
 // Outstanding reports the unresolved (miss-backed) load count.
 func (c *Core) Outstanding() int { return c.outstanding }
+
+// Wakes counts the load-completion callbacks that can end a stall: the
+// head load's, since retire waits on it, and under an LSU quota any
+// load's, since each lowers Outstanding. A load behind the head can
+// neither retire nor make room before the head does. A stalled core whose
+// count has not moved since its last Tick, whose memory answers as
+// before, and that has not reached NextWake would make no progress on
+// another Tick.
+func (c *Core) Wakes() int64 { return c.wakes }
 
 // Stats returns the core's counters.
 func (c *Core) Stats() *Stats { return &c.stats }
@@ -190,9 +203,8 @@ func (c *Core) Tick(now int64) bool {
 // NextWake returns the next cycle at which this core could make progress
 // on its own (the head instruction's known completion time), assuming the
 // preceding Tick made no progress. Completions that arrive via memory
-// callbacks have no known time; those wake the system through memory
-// controller progress instead. Returns a very large value when the core
-// has no self-scheduled wake-up.
+// callbacks have no known time; those show in Wakes instead.
+// Returns a very large value when the core has no self-scheduled wake-up.
 func (c *Core) NextWake(now int64) int64 {
 	if c.count == 0 {
 		return now + 1 // empty window: the core will try to issue next cycle
@@ -202,20 +214,6 @@ func (c *Core) NextWake(now int64) int64 {
 		return l.readyAt
 	}
 	return int64(1) << 62
-}
-
-// WindowBlocked reports whether a Tick at now would be a no-op: the window
-// is full, its head is a load with no ready instructions before it whose
-// data has not arrived, and a fetched record waits to issue. Retire then
-// stops at the head and issue stops at the full window before it reaches
-// Memory, so the tick changes nothing but Stats.WindowStalls. It stays
-// true until the head load completes — at its known ready time or through
-// the Memory callback — so the skip-ahead driver need not wake the core
-// for memory-side progress that does not complete that load.
-func (c *Core) WindowBlocked(now int64) bool {
-	l := &c.loads[c.head]
-	return c.hasPending && c.count == len(c.loads) && c.nloads > 0 &&
-		l.before == 0 && !l.done(now)
 }
 
 // FFNext hands the core's next instruction-stream step to a functional

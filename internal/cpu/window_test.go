@@ -137,101 +137,6 @@ func TestWindowMatchesReference(t *testing.T) {
 	}
 }
 
-// countingTrace counts the records fetched from the trace it wraps.
-type countingTrace struct {
-	Trace
-	n int
-}
-
-func (t *countingTrace) Next() (int64, uint64, bool) {
-	t.n++
-	return t.Trace.Next()
-}
-
-// TestWindowBlockedTickIsNoOp pins what the skip-ahead driver's
-// window-blocked sleep rests on. Whenever WindowBlocked(now) holds, Tick(now)
-// reports no progress, calls neither Memory nor the trace, and changes no
-// field of the core but Stats.WindowStalls; and the condition only ends by
-// the head load completing, so the first cycle it is false after being
-// true is a cycle on which Tick retires. Random traces run against a
-// Memory that mixes timed hits, late callbacks and refusals.
-func TestWindowBlockedTickIsNoOp(t *testing.T) {
-	for _, cfg := range []Config{{WindowSize: 8, IssueWidth: 4}, {WindowSize: 3, IssueWidth: 5}, {WindowSize: 32, IssueWidth: 7}} {
-		for _, quota := range []int{0, 2} {
-			for seed := int64(1); seed <= 4; seed++ {
-				name := fmt.Sprintf("w%d-i%d-q%d-s%d", cfg.WindowSize, cfg.IssueWidth, quota, seed)
-				t.Run(name, func(t *testing.T) { windowBlockedNoOp(t, cfg, quota, seed) })
-			}
-		}
-	}
-}
-
-func windowBlockedNoOp(t *testing.T, cfg Config, quota int, seed int64) {
-	mem := &scriptMem{rng: rand.New(rand.NewSource(seed))}
-	tr := &countingTrace{Trace: &randTrace{rng: rand.New(rand.NewSource(seed + 100))}}
-	c := New(0, cfg, tr, mem, 1<<40)
-	if quota > 0 {
-		c.SetLoadQuota(fixedQuota(quota))
-	}
-	// state captures every field of the core but its fixed wiring, the
-	// window's entries included, with WindowStalls shifted by stalls.
-	type loadState struct {
-		before  int
-		ready   bool
-		readyAt int64
-	}
-	type coreState struct {
-		head, nloads, tail, count int
-		bubbles                   int64
-		pending                   memOp
-		hasPending                bool
-		outstanding               int
-		stats                     Stats
-		loads                     string
-	}
-	state := func(stalls int64) coreState {
-		loads := make([]loadState, len(c.loads))
-		for i, l := range c.loads {
-			loads[i] = loadState{l.before, l.ready, l.readyAt}
-		}
-		s := coreState{c.head, c.nloads, c.tail, c.count, c.bubbles, c.pending,
-			c.hasPending, c.outstanding, c.stats, fmt.Sprint(loads)}
-		s.stats.WindowStalls += stalls
-		return s
-	}
-	blocked, wasBlocked, unblocked := 0, false, 0
-	for now := int64(0); now < 20_000; now++ {
-		mem.fire(now)
-		if !c.WindowBlocked(now) {
-			retired := c.Retired()
-			progress := c.Tick(now)
-			if wasBlocked {
-				unblocked++
-				if !progress || c.Retired() == retired {
-					t.Fatalf("cycle %d: WindowBlocked ended but Tick retired nothing", now)
-				}
-			}
-			wasBlocked = false
-			continue
-		}
-		blocked++
-		wasBlocked = true
-		want, calls, fetched := state(1), len(mem.log), tr.n
-		if c.Tick(now) {
-			t.Fatalf("cycle %d: blocked Tick reported progress", now)
-		}
-		if len(mem.log) != calls || tr.n != fetched {
-			t.Fatalf("cycle %d: blocked Tick made %d Memory calls, fetched %d records", now, len(mem.log)-calls, tr.n-fetched)
-		}
-		if got := state(0); got != want {
-			t.Fatalf("cycle %d: blocked Tick changed the core\n got: %+v\nwant: %+v", now, got, want)
-		}
-	}
-	if blocked == 0 || unblocked == 0 || c.Retired() == 0 {
-		t.Fatalf("vacuous run: %d blocked cycles, %d unblocks, %d retired", blocked, unblocked, c.Retired())
-	}
-}
-
 func matchReference(t *testing.T, cfg Config, quota int, seed int64) {
 	const target = 20_000
 	type side struct {
@@ -311,7 +216,7 @@ func matchReference(t *testing.T, cfg Config, quota int, seed int64) {
 			compare()
 			if !progress && drive.Intn(2) == 0 {
 				// What the skip-ahead driver does with a stalled core:
-				// sleep until its own wake or memory progress.
+				// sleep until its own wake or the next callback.
 				wake := min(got.core.NextWake(now), got.mem.nextDue(), now+40)
 				now = max(now, wake-1)
 			}

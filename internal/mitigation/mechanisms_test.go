@@ -390,6 +390,23 @@ func TestPRACCountsPerRow(t *testing.T) {
 	if m.RowCount(5, 0) != 0 {
 		t.Error("untouched bank must report zero")
 	}
+	// Counters live in pages: rows on both sides of a page boundary, a
+	// bank's last row and the next bank's first row stay apart, in a bank
+	// whose row count is not a whole number of pages too.
+	p := testParams(1024)
+	p.RowsPerBank = 3*pracPageRows - 5
+	m = NewPRAC(p, &fakeIssuer{}, nil)
+	rows := [][2]int{{2, pracPageRows - 1}, {2, pracPageRows}, {2, p.RowsPerBank - 1}, {3, 0}}
+	for i, r := range rows {
+		for n := 0; n <= i; n++ {
+			m.OnActivate(r[0], r[1], 0, 0)
+		}
+	}
+	for i, r := range rows {
+		if got := m.RowCount(r[0], r[1]); got != i+1 {
+			t.Errorf("bank %d row %d: count %d, want %d", r[0], r[1], got, i+1)
+		}
+	}
 }
 
 func TestBlockHammerBlacklistsAndDelays(t *testing.T) {

@@ -9,14 +9,21 @@ package mitigation
 // commands per alert, the RowHammer-secure configuration from prior work
 // the paper cites (Canpolat et al., DRAMSec 2024).
 type PRAC struct {
-	params   Params
 	issuer   Issuer
 	obs      Observer
 	backoff  int // RFM commands issued per alert
 	alertThr int
-	counters [][]uint32 // [bank][row], allocated lazily per bank
-	actions  int64
+	// pages holds the per-row counters in pages of pracPageRows rows,
+	// bank by bank (bank*pagesPerBank + row/pracPageRows), each allocated
+	// zeroed on its first activation: a bank's whole counter array is
+	// RowsPerBank entries, most of which a run never touches.
+	pages        []*[pracPageRows]uint32
+	pagesPerBank int
+	actions      int64
 }
+
+// pracPageRows is the number of rows per counter page (4 KiB).
+const pracPageRows = 1024
 
 // pracBackoffRFMs is the number of RFM commands the controller issues in
 // response to one alert.
@@ -28,13 +35,14 @@ func NewPRAC(p Params, issuer Issuer, obs Observer) *PRAC {
 	if thr < 1 {
 		thr = 1
 	}
+	perBank := (p.RowsPerBank + pracPageRows - 1) / pracPageRows
 	return &PRAC{
-		params:   p,
-		issuer:   issuer,
-		obs:      orNop(obs),
-		backoff:  pracBackoffRFMs,
-		alertThr: thr,
-		counters: make([][]uint32, p.Banks),
+		issuer:       issuer,
+		obs:          orNop(obs),
+		backoff:      pracBackoffRFMs,
+		alertThr:     thr,
+		pages:        make([]*[pracPageRows]uint32, p.Banks*perBank),
+		pagesPerBank: perBank,
 	}
 }
 
@@ -49,25 +57,27 @@ func (m *PRAC) Actions() int64 { return m.actions }
 
 // RowCount returns a row's current activation count (testing hook).
 func (m *PRAC) RowCount(bank, row int) int {
-	if m.counters[bank] == nil {
+	pg := m.pages[bank*m.pagesPerBank+row/pracPageRows]
+	if pg == nil {
 		return 0
 	}
-	return int(m.counters[bank][row])
+	return int(pg[row%pracPageRows])
 }
 
 // OnActivate implements Mechanism.
 func (m *PRAC) OnActivate(bank, row, thread int, now int64) {
-	if m.counters[bank] == nil {
-		m.counters[bank] = make([]uint32, m.params.RowsPerBank)
+	pg := &m.pages[bank*m.pagesPerBank+row/pracPageRows]
+	if *pg == nil {
+		*pg = new([pracPageRows]uint32)
 	}
-	c := m.counters[bank]
-	c[row]++
-	if int(c[row]) < m.alertThr {
+	c := &(*pg)[row%pracPageRows]
+	*c++
+	if int(*c) < m.alertThr {
 		return
 	}
 	// Alert: the chip refreshes this aggressor's neighbourhood during the
 	// back-off, so the aggressor's counter resets.
-	c[row] = 0
+	*c = 0
 	m.issuer.RequestBackoff(bank, m.backoff)
 	m.actions++
 	m.obs.OnPreventiveAction(now)

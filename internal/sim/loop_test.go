@@ -4,7 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"breakhammer/internal/scenario"
+	"breakhammer/internal/workload"
+	"breakhammer/internal/workload/sourcetest"
 )
 
 // TestSkipAheadMatchesEveryCycle verifies the central claim of the
@@ -13,9 +19,13 @@ import (
 // the differential oracle; the JSON of the complete Result must match,
 // counters included — the LLC counts a stalled core's refusals once per
 // episode, not once per ticked retry. The sampled row checks skip-ahead
-// inside warm-up and detail spans; the
-// 4-channel row has its fills, and so the completions that end a core's
-// window-blocked sleep, replayed from the channels' event buffers.
+// inside warm-up and detail spans; the 4-channel row has its fills, and
+// so the completions that wake a sleeping core, replayed from the
+// channels' event buffers. The last two rows reach the refusal kinds the
+// others barely see, each waking a core by its own clause of
+// cache.LLC.RefusalLifted: "queue" shrinks the controller's queues until
+// every thread meets a full read queue, "benign-quota" makes BreakHammer
+// suspect (and throttle) a benign thread too.
 func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 	for _, tc := range []struct {
 		mech     string
@@ -24,6 +34,7 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 		lsu      bool
 		sampled  bool
 		channels int
+		variant  string // "queue" or "benign-quota"; see above
 	}{
 		{mech: "none", mix: "HHMM"},
 		{mech: "graphene", mix: "MLLA", bh: true},
@@ -34,9 +45,14 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 		{mech: "graphene", mix: "MLLA", bh: true, sampled: true},
 		{mech: "prac", mix: "MLLA", channels: 4},
 		{mech: "graphene", mix: "HHMA", bh: true},
+		{mech: "graphene", mix: "HHMA", bh: true, variant: "queue"},
+		{mech: "graphene", mix: "HHMM", bh: true, variant: "benign-quota"},
 	} {
 		tc := tc
 		name := tc.mech + "/" + tc.mix
+		if tc.variant != "" {
+			name += "/" + tc.variant
+		}
 		if tc.lsu {
 			name += "/lsu"
 		}
@@ -59,14 +75,22 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 			if tc.lsu {
 				cfg.ThrottleAt = "lsu"
 			}
+			switch tc.variant {
+			case "queue":
+				cfg.MC.ReadQueue, cfg.MC.WriteQueue, cfg.MC.WriteHi, cfg.MC.WriteLo = 8, 8, 6, 2
+			case "benign-quota":
+				cfg.BHThreat, cfg.BHOutlier = 0.5, 0.01
+			}
 			mix := mustMix(t, tc.mix)
+			var res Result
 			run := func(lockstep bool) []byte {
 				cfg.DisableSkipAhead = lockstep
 				sys, err := NewSystem(cfg, mix)
 				if err != nil {
 					t.Fatal(err)
 				}
-				raw, err := json.Marshal(sys.Run())
+				res = sys.Run()
+				raw, err := json.Marshal(res)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,7 +99,64 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 			if skip, every := run(false), run(true); !bytes.Equal(skip, every) {
 				t.Errorf("skip-ahead diverged from lockstep:\nskip:     %.400s\nlockstep: %.400s", skip, every)
 			}
+			cs := res.CacheStats
+			switch tc.variant {
+			case "queue":
+				for thread, n := range cs.QueueBlocks {
+					if n == 0 {
+						t.Errorf("thread %d never met a full read queue: QueueBlocks %v", thread, cs.QueueBlocks)
+					}
+				}
+			case "benign-quota":
+				if benign := cs.QuotaBlocks[0] + cs.QuotaBlocks[1] + cs.QuotaBlocks[2] + cs.QuotaBlocks[3]; benign == 0 {
+					t.Errorf("no benign thread met its quota: QuotaBlocks %v", cs.QuotaBlocks)
+				}
+			}
 		})
+	}
+}
+
+// TestThreadSlicesAreDisjoint pins what runDetailed's per-core sleep (old
+// rule and new) rests on: threads own disjoint address slices, so no
+// thread's access can turn another thread's refused line into a hit or a
+// merge without a wake — if two threads shared a line, one's MSHR
+// allocation could end the other's refusal unseen. The slices are
+// disjoint by construction; every source kind — each mix letter, the
+// rotating attacker, a trace replay cursor and every scenario strategy —
+// must keep 100 K records inside its thread's slice at every thread index
+// an 8-core mix uses.
+func TestThreadSlicesAreDisjoint(t *testing.T) {
+	const threads, records = 8, 100_000
+	for th := 0; th < threads; th++ {
+		if end, next := workload.BaseLine(th)+workload.ThreadSpanLines, workload.BaseLine(th+1); end > next {
+			t.Fatalf("thread %d's slice ends at %#x, past thread %d's base %#x", th, end, th+1, next)
+		}
+	}
+	mix, err := workload.ParseMix("HMLA", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := append(mix.Specs,
+		workload.RotatingAttackerSpec(0, 2, 500, 5),
+		workload.RotatingAttackerSpec(1, 2, 500, 5))
+	path := filepath.Join(t.TempDir(), "slices.trace")
+	// Addresses far outside any one slice: the cursor must confine them.
+	data := "3 0x40 R\n0 0xdeadbeef000 W\n12 0x7fffffffffff R\n1 0x0 R\n7 0x123456789a W\n"
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	specs = append(specs, workload.TraceSpec(path, 0))
+	for _, name := range scenario.Strategies() {
+		spec, err := scenario.StrategySpec(name, 0, 128, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	for _, spec := range specs {
+		for th := 0; th < threads; th++ {
+			sourcetest.Confined(t, spec, th, records)
+		}
 	}
 }
 

@@ -31,9 +31,11 @@ type System struct {
 	lockstep bool
 
 	// runDetailed's per-core sleep set: asleep[i] marks a core whose last
-	// Tick made no progress, coreWake[i] its self-scheduled wake-up cycle.
-	asleep   []bool
-	coreWake []int64
+	// Tick made no progress, coreWake[i] its self-scheduled wake-up cycle,
+	// wakesSeen[i] its cpu.Core.Wakes count then.
+	asleep    []bool
+	coreWake  []int64
+	wakesSeen []int64
 
 	benign    []bool
 	latencies []*stats.Histogram
@@ -219,6 +221,7 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 	s.fbStep = make([]int64, threads)
 	s.asleep = make([]bool, threads)
 	s.coreWake = make([]int64, threads)
+	s.wakesSeen = make([]int64, threads)
 	for i, spec := range mix.Specs {
 		// NewSource hands trace-backed specs an independent replay cursor
 		// (shared records, private position), scenario specs their
@@ -382,19 +385,20 @@ func (s *System) Run() Result {
 // check boundary at which every benign core was done. It is event-
 // batched at three levels, all exact:
 //
-// Per-core sleep: a core whose Tick made no progress is frozen — it can
-// only be unblocked by memory-side progress (a fill freeing an MSHR, a
-// queue draining, a quota restored at a BreakHammer window rotation) or
-// by its own head instruction's known completion time. Until one of
-// those fires, its Tick would be a pure no-op, so the driver stops
-// calling it. Cores cannot unblock each other directly: every inter-core
-// interaction (MSHR pool, queues, quotas) changes only through the
-// memory subsystem, the LLC or BreakHammer. Memory-side progress does not
-// wake a core whose full window waits on its head load
-// (cpu.Core.WindowBlocked): that tick would not reach the LLC, and the
-// load's completion — delivered by this cycle's memory tick, inline or
-// replayed from a channel's event buffer — clears the condition before
-// the check.
+// Per-core sleep: a core whose Tick made no progress is frozen until one
+// of its own events fires, and until then its Tick would be a pure no-op,
+// so the driver stops calling it. The wake set: a BreakHammer window
+// rotation (it may restore quotas); the core's NextWake (its head load's
+// known completion time); a completion callback for its head load, or
+// under an LSU quota for any of its loads (cpu.Core.Wakes, delivered by
+// this cycle's memory tick, inline or replayed from a channel's event
+// buffer); and the LLC reporting that the core's latest refusal may have
+// lifted (cache.LLC.RefusalLifted: a quota refusal at a release of an
+// MSHR the thread allocated, a full MSHR file at any release, a full read
+// queue at any memory progress). Nothing else can unblock a core: quotas
+// only fall within a window, and since threads own disjoint address
+// slices no other thread's access turns a refused line into a hit or a
+// merge.
 //
 // Per-controller sleep: a memory controller whose scheduler found nothing
 // legal knows the exact first cycle at which any command it could pick
@@ -402,12 +406,15 @@ func (s *System) Run() Result {
 // (memctrl.Controller.Tick). This level lives inside the controller, so
 // lockstep runs and the benchmark's shadow rig get it too.
 //
-// Global skip: on a cycle where no component makes progress the whole
-// system is provably frozen until some wake-up signal fires (a read-data
-// arrival, the end of a controller's sleep — its next legal command or
-// refresh deadline —, a core's known completion time, a throttling window
-// boundary, a feedback delivery), so the driver jumps straight to the
-// earliest one, never past to.
+// Global skip: the cores tick after the memory side, so a memory event
+// wakes every core it can unblock in the cycle it happens. After a cycle
+// on which no core progressed and no window rotated, every core sleeps,
+// and the whole system is frozen until some wake-up signal fires (a
+// read-data arrival, the end of a controller's sleep — its next legal
+// command or refresh deadline —, a core's known completion time, a
+// throttling window boundary, a feedback delivery), whether or not the
+// memory side progressed; the driver jumps straight to the earliest one,
+// never past to. Only core progress and a rotation advance by one cycle.
 //
 // Under lockstep the first and third level are off: every core ticks on
 // every cycle. Cycles the driver never executes are exactly the cycles a
@@ -431,7 +438,11 @@ func (s *System) runDetailed(from, to int64) int64 {
 		coreProgress := false
 		for i, c := range s.cores {
 			if s.asleep[i] {
-				if !wakeAll && cycle < s.coreWake[i] && (!memProgress || c.WindowBlocked(cycle)) {
+				// Load completions and MSHR releases happen only in the
+				// memory tick, so without memory progress only the first
+				// two clauses can fire.
+				if !wakeAll && cycle < s.coreWake[i] && (!memProgress ||
+					c.Wakes() == s.wakesSeen[i] && !s.llc.RefusalLifted(i, memProgress)) {
 					continue
 				}
 				s.asleep[i] = false
@@ -441,6 +452,7 @@ func (s *System) runDetailed(from, to int64) int64 {
 			} else if !s.lockstep {
 				s.asleep[i] = true
 				s.coreWake[i] = c.NextWake(cycle)
+				s.wakesSeen[i] = c.Wakes()
 			}
 		}
 		wakeAll = s.rotateWindow(cycle)
@@ -448,7 +460,7 @@ func (s *System) runDetailed(from, to int64) int64 {
 		if cycle&finishCheckMask == 0 && s.benignFinished() {
 			return cycle
 		}
-		if s.lockstep || memProgress || coreProgress || wakeAll {
+		if s.lockstep || coreProgress || wakeAll {
 			cycle++
 			continue
 		}
@@ -479,7 +491,10 @@ func (s *System) rotateWindow(cycle int64) bool {
 
 // nextWake gathers the earliest wake-up signal across all components.
 // It is called only when every core just failed to progress, so
-// coreWake[i] holds each core's self-scheduled wake-up.
+// coreWake[i] holds each core's self-scheduled wake-up. The memory side
+// may have progressed on this cycle: a controller's sleep bound is kept
+// by every door that can move it (memctrl.Controller.NextWake), so it
+// holds after a progressing tick as well.
 func (s *System) nextWake(now int64) int64 {
 	wake := s.mem.NextWake(now)
 	for _, w := range s.coreWake {

@@ -48,8 +48,8 @@ type record struct {
 func Run(t *testing.T, spec workload.Spec) {
 	t.Helper()
 	for _, thread := range []int{0, 3} {
-		a := draw(t, spec, thread)
-		b := draw(t, spec, thread)
+		a := draw(t, spec, thread, pulls)
+		b := draw(t, spec, thread, pulls)
 		if len(a) != len(b) {
 			t.Fatalf("%s thread %d: two builds drew %d vs %d records", spec.Name, thread, len(a), len(b))
 		}
@@ -59,28 +59,41 @@ func Run(t *testing.T, spec workload.Spec) {
 					spec.Name, thread, i, a[i], b[i])
 			}
 		}
-		base := workload.BaseLine(thread)
-		for i, r := range a {
-			if r.line < base || r.line >= base+workload.ThreadSpanLines {
-				t.Fatalf("%s thread %d: record %d line %#x escapes the thread's slice [%#x, %#x)",
-					spec.Name, thread, i, r.line, base, base+workload.ThreadSpanLines)
-			}
-		}
+		confined(t, spec, thread, a)
 	}
 	roundTrip(t, spec)
 }
 
-// draw builds a fresh source for (spec, thread) and captures its stream,
-// delivering the synthetic feedback schedule to observers.
-func draw(t *testing.T, spec workload.Spec, thread int) []record {
+// Confined asserts the confinement contract alone over a longer stream:
+// n records drawn from a fresh source for (spec, thread), driven through
+// the same synthetic feedback schedule, all lie in the thread's slice.
+func Confined(t *testing.T, spec workload.Spec, thread, n int) {
+	t.Helper()
+	confined(t, spec, thread, draw(t, spec, thread, n))
+}
+
+func confined(t *testing.T, spec workload.Spec, thread int, recs []record) {
+	t.Helper()
+	base := workload.BaseLine(thread)
+	for i, r := range recs {
+		if r.line < base || r.line >= base+workload.ThreadSpanLines {
+			t.Fatalf("%s thread %d: record %d line %#x escapes the thread's slice [%#x, %#x)",
+				spec.Name, thread, i, r.line, base, base+workload.ThreadSpanLines)
+		}
+	}
+}
+
+// draw builds a fresh source for (spec, thread) and captures n records of
+// its stream, delivering the synthetic feedback schedule to observers.
+func draw(t *testing.T, spec workload.Spec, thread, n int) []record {
 	t.Helper()
 	src, err := workload.NewSource(spec, thread)
 	if err != nil {
 		t.Fatalf("%s thread %d: NewSource: %v", spec.Name, thread, err)
 	}
 	obs, _ := src.(workload.FeedbackObserver)
-	out := make([]record, 0, pulls)
-	for i := 0; i < pulls; i++ {
+	out := make([]record, 0, n)
+	for i := 0; i < n; i++ {
 		if obs != nil && i%feedbackEvery == 0 {
 			obs.ObserveFeedback(syntheticFeedback(i / feedbackEvery))
 		}
