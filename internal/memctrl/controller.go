@@ -152,9 +152,12 @@ type Controller struct {
 	// The candidate table (see readyset.go): per bank of tabQ, what
 	// classify names and when it becomes legal. schedule picks from it
 	// and the sleep is its minimum; tabQ nil means stale. Nothing it reads
-	// changes without passing one of its doors: an issued command and a
-	// refresh deadline turning a rank pending drop it (Tick, tryRefresh),
-	// wake drops it, and admit replaces the enqueued bank's entries.
+	// changes without passing one of its doors: an issued command patches
+	// the entries it can move (patch, at every dram.Device.Issue call
+	// site), a refresh deadline turning a rank pending refills the rank
+	// (tryRefresh), admit refills the enqueued bank, and wake drops the
+	// table. candidates rebuilds a dropped table, or one that covers the
+	// queue the write drain no longer selects.
 	tab  []bankCands
 	tabQ *readyQueue
 
@@ -420,7 +423,8 @@ func (c *Controller) SkipTo(now int64) {
 // refresh, preventive and device state, and until that cycle re-running
 // them on the same state could only reach the verdict "nothing legal".
 // Any lower bound would keep every Tick's verdict identical; an exact one
-// means the controller wakes only to issue.
+// means the controller wakes only to issue. The command a Tick issues has
+// already patched the candidate table, so the bound reads it as it is.
 func (c *Controller) Tick(nowCycle int64) bool {
 	c.now = nowCycle
 	progress := c.deliverResponses() // a fill may enqueue a writeback and end the sleep
@@ -433,7 +437,6 @@ func (c *Controller) Tick(nowCycle int64) bool {
 	}
 	if c.tryRefresh() || c.tryPreventive() || c.tryDemand() {
 		progress = true
-		c.tabQ = nil // a command changes what the table read; rebuilt below
 	}
 	if c.actGate == nil {
 		c.idleUntil = c.earliestCommand()
@@ -470,7 +473,7 @@ func (c *Controller) tryRefresh() bool {
 	for rank := range c.nextRef {
 		if !c.refPending[rank] && c.now >= c.nextRef[rank] {
 			c.refPending[rank] = true
-			c.tabQ = nil // the rank's banks lose their row commands
+			c.refillRank(rank) // the rank's banks lose their row commands
 		}
 		if !c.refPending[rank] {
 			continue
@@ -482,6 +485,7 @@ func (c *Controller) tryRefresh() bool {
 			c.stats.Refreshes++
 			c.refPending[rank] = false
 			c.nextRef[rank] += c.tREFI
+			c.patch(dram.CmdREF, base)
 			return true
 		}
 		// Close any open row in the rank so REF becomes legal.
@@ -492,6 +496,7 @@ func (c *Controller) tryRefresh() bool {
 			pre := dram.Addr{Bank: b}
 			if c.dev.CanIssue(dram.CmdPRE, pre, c.now) {
 				c.dev.Issue(dram.CmdPRE, pre, c.now)
+				c.patch(dram.CmdPRE, b)
 				return true
 			}
 		}
@@ -516,6 +521,7 @@ func (c *Controller) tryPreventive() bool {
 			pre := dram.Addr{Bank: bank}
 			if c.dev.CanIssue(dram.CmdPRE, pre, c.now) {
 				c.dev.Issue(dram.CmdPRE, pre, c.now)
+				c.patch(dram.CmdPRE, bank)
 				return true
 			}
 			continue
@@ -538,6 +544,7 @@ func (c *Controller) tryPreventive() bool {
 		case dram.CmdAUX:
 			c.stats.AuxAccesses++
 		}
+		c.patch(act.cmd, bank)
 		return true
 	}
 	return false
@@ -589,11 +596,12 @@ func (c *Controller) drainNext() bool {
 // minimum of dram.Device.EarliestIssue over exactly the candidates
 // tryRefresh and tryPreventive consider (two short mirrors, below) and
 // the ones schedule picks from — the candidate table of the queue the
-// next tryDemand selects, rebuilt here if the Tick issued, so there is
-// nothing to mirror. It never over-estimates (that would change
-// simulations); an answer at or before c.now just means no sleep. It is
-// exact up to one case, a refresh deadline, where the rank turns pending
-// but its REF may still have to wait — the Tick there recomputes.
+// next tryDemand selects (rebuilt here only if it is stale or covers the
+// other queue), so there is nothing to mirror. It never over-estimates
+// (that would change simulations); an answer at or before c.now just
+// means no sleep. It is exact up to one case, a refresh deadline, where
+// the rank turns pending but its REF may still have to wait — the Tick
+// there recomputes.
 func (c *Controller) earliestCommand() int64 {
 	at := dram.Never
 	// tryRefresh: a rank turns pending at its deadline; a pending rank

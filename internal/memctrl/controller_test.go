@@ -300,11 +300,16 @@ func TestWritebackThreadNotAttributed(t *testing.T) {
 	}
 }
 
-// TestTickDoesNotAllocate guards the allocation-free path: with both
-// request queues held full, ungated and behind a stateful ActGate, a
-// warmed-up controller's Tick — admit's table patches, table rebuilds,
-// the one-scan pick, the gate walk, read delivery, preventive RFMs —
-// performs no heap allocation.
+// TestTickDoesNotAllocate guards the allocation-free path: with the read
+// queue held full, writes arriving slowly enough for the write drain to
+// come and go, and every kind of preventive action arriving now and then,
+// a warmed-up controller's Tick, ungated and behind a stateful ActGate —
+// admit's bank refills, the patches after demand, refresh and preventive
+// commands, table rebuilds, the one-scan pick, the gate walk, read
+// delivery — performs no heap allocation. The table is checked against a
+// rebuild after every Tick (tableWatch, which allocates nothing either),
+// and the measured batch must have patched a current table after every
+// kind of command and after a rank turning refresh-pending.
 func TestTickDoesNotAllocate(t *testing.T) {
 	for _, gated := range []bool{false, true} {
 		c := newTestController(t)
@@ -316,22 +321,33 @@ func TestTickDoesNotAllocate(t *testing.T) {
 				return row%2 == 0 || evals%3 != 0
 			})
 		}
+		h := prodHarness(c)
+		w := watchTable(t, c, h, nil)
 		rng := rand.New(rand.NewSource(1))
 		now, line := int64(0), uint64(0)
+		vrr := make([]int, 2)
 		tick := func() {
 			for i := 0; i < 4; i++ {
 				addr := dram.Addr{Bank: rng.Intn(8) * 2, Row: rng.Intn(6) * 37, Col: rng.Intn(8)}
-				if rng.Intn(4) == 0 {
-					c.EnqueueWriteAddr(line, -1, addr)
+				if rng.Intn(128) == 0 {
+					h.enqueueWrite(line, -1, addr)
 				} else {
-					c.EnqueueReadAddr(line, rng.Intn(4), addr)
+					h.enqueueRead(line, rng.Intn(4), addr)
 				}
 				line++
 			}
-			if rng.Intn(256) == 0 {
-				c.RequestRFM(rng.Intn(8) * 2)
+			switch bank := rng.Intn(8) * 2; rng.Intn(2048) {
+			case 0:
+				h.requestRFM(bank)
+			case 1:
+				vrr[0], vrr[1] = rng.Intn(64), rng.Intn(64)
+				h.requestVRR(bank, vrr)
+			case 2:
+				h.requestAux(bank)
+			case 3:
+				h.requestMig(bank, rng.Intn(64), 1024+rng.Intn(64))
 			}
-			c.Tick(now)
+			h.tick(now)
 			now++
 		}
 		// Warm up to every high-water mark first: each bank's FIFOs and
@@ -339,13 +355,13 @@ func TestTickDoesNotAllocate(t *testing.T) {
 		// random stream runs a while.
 		for b := 0; b < 8; b++ {
 			for i := 0; i < DefaultConfig().ReadQueue; i++ {
-				c.EnqueueReadAddr(line, 0, dram.Addr{Bank: b * 2, Row: i % 6 * 37})
-				c.EnqueueWriteAddr(line, -1, dram.Addr{Bank: b * 2, Row: i % 6 * 37})
-				c.RequestRFM(b * 2)
+				h.enqueueRead(line, 0, dram.Addr{Bank: b * 2, Row: i % 6 * 37})
+				h.enqueueWrite(line, -1, dram.Addr{Bank: b * 2, Row: i % 6 * 37})
+				h.requestRFM(b * 2)
 				line++
 			}
 			for end := now + 200_000; now < end; now++ {
-				c.Tick(now)
+				h.tick(now)
 			}
 		}
 		for i := 0; i < 50_000; i++ {
@@ -355,6 +371,7 @@ func TestTickDoesNotAllocate(t *testing.T) {
 		// by the runs in integers, which would round a rare allocation
 		// away.
 		const batch = 20_000
+		w.covered = patchCoverage{}
 		allocs := testing.AllocsPerRun(1, func() {
 			for i := 0; i < batch; i++ {
 				tick()
@@ -368,6 +385,11 @@ func TestTickDoesNotAllocate(t *testing.T) {
 		}
 		if gated && c.Stats().GatedACTs == 0 {
 			t.Error("the gate never rejected: the gated walk is not exercised")
+		}
+		for k, n := range w.covered {
+			if n == 0 {
+				t.Errorf("gated=%v: no %s patched a current table in the measured batch: the pin does not cover that patch", gated, patchKindNames[k])
+			}
 		}
 	}
 }

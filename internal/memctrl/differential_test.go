@@ -230,23 +230,177 @@ func attachObservers(se *sideEffects, p diffProfile, h *diffHarness, setFill fun
 	})
 }
 
+// patchKind is a door of the candidate table that a command or a refresh
+// deadline passes, as the coverage guard counts it.
+type patchKind int
+
+const (
+	patchRD patchKind = iota
+	patchWR
+	patchACT
+	patchDemandPRE
+	patchRefreshPRE
+	patchPreventivePRE
+	patchREF
+	patchPending // a refresh deadline turns a rank pending
+	patchVRR
+	patchRFM
+	patchMIG
+	patchAUX
+	numPatchKinds
+)
+
+var patchKindNames = [numPatchKinds]string{
+	"RD", "WR", "ACT", "demand PRE", "refresh PRE", "preventive PRE",
+	"REF", "rank turning pending", "VRR", "RFM", "MIG", "AUX",
+}
+
+// patchCoverage counts, per door, the patches tableMatchesRebuild checked.
+type patchCoverage [numPatchKinds]int
+
+func (pc *patchCoverage) add(o patchCoverage) {
+	for k, n := range o {
+		pc[k] += n
+	}
+}
+
+// tableWatch holds a production controller's candidate table to
+// tableMatchesRebuild after every Tick and counts the patches that check
+// saw: a door passed while the table was current, with no rebuild between
+// it and the Tick's end.
+type tableWatch struct {
+	c       *Controller
+	covered patchCoverage
+	door    *readyQueue // tabQ when the Tick reached tryRefresh
+	cmd     patchKind   // the Tick's command; -1 for none
+	cmdRank int
+	cmdTab  *readyQueue // tabQ when the command issued
+	pending []bool      // refPending before the Tick
+}
+
+// watchTable installs a tableWatch on c through h: it wraps h's Tick and
+// enqueues, and takes over c's device issue hook, recording the command
+// stream into se (nil: record nothing, and allocate nothing).
+func watchTable(t *testing.T, c *Controller, h *diffHarness, se *sideEffects) *tableWatch {
+	w := &tableWatch{c: c, cmd: -1, pending: make([]bool, len(c.refPending))}
+	c.dev.SetIssueHook(func(cmd dram.Command, addr dram.Addr, now int64) {
+		if se != nil {
+			se.issues = append(se.issues, issueRec{cmd: cmd, bank: addr.Bank, row: addr.Row, col: addr.Col, at: now})
+		}
+		w.cmd, w.cmdRank, w.cmdTab = w.kindOf(cmd, addr.Bank), c.dev.RankOf(addr.Bank), c.tabQ
+	})
+	for _, enq := range []*func(uint64, int, dram.Addr) bool{&h.enqueueRead, &h.enqueueWrite} {
+		inner := *enq
+		*enq = func(line uint64, thread int, addr dram.Addr) bool {
+			ok := inner(line, thread, addr)
+			w.door = c.tabQ // a writeback from a fill lands before tryRefresh
+			return ok
+		}
+	}
+	tick := h.tick
+	h.tick = func(now int64) bool {
+		copy(w.pending, c.refPending)
+		w.door, w.cmd = c.tabQ, -1
+		prog := tick(now)
+		if err := tableMatchesRebuild(c); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+		w.count()
+		return prog
+	}
+	return w
+}
+
+// kindOf names the door a command about to issue to bank passes. A PRE to
+// a pending rank is refresh's (tryRefresh would have issued any PRE
+// there that tryPreventive finds legal), one to a bank with a queued
+// preventive action is tryPreventive's (classify withholds demand row
+// commands there), and any other is demand's.
+func (w *tableWatch) kindOf(cmd dram.Command, bank int) patchKind {
+	switch cmd {
+	case dram.CmdRD:
+		return patchRD
+	case dram.CmdWR:
+		return patchWR
+	case dram.CmdACT:
+		return patchACT
+	case dram.CmdREF:
+		return patchREF
+	case dram.CmdVRR:
+		return patchVRR
+	case dram.CmdRFM:
+		return patchRFM
+	case dram.CmdMIG:
+		return patchMIG
+	case dram.CmdAUX:
+		return patchAUX
+	}
+	switch {
+	case w.c.refPending[w.c.dev.RankOf(bank)]:
+		return patchRefreshPRE
+	case w.c.prevQ[bank].len() > 0:
+		return patchPreventivePRE
+	}
+	return patchDemandPRE
+}
+
+// count credits the Tick's doors whose patch the table check just saw:
+// tabQ is the same queue at the door and at the Tick's end (no hook in
+// these harnesses wakes the controller inside a Tick, so the table was not
+// rebuilt in between).
+func (w *tableWatch) count() {
+	tab := w.c.tabQ
+	if tab == nil {
+		return
+	}
+	if w.cmd >= 0 && w.cmdTab == tab {
+		w.covered[w.cmd]++
+	}
+	if w.door != tab {
+		return
+	}
+	for r, was := range w.pending {
+		if !was && (w.c.refPending[r] || w.cmd == patchREF && w.cmdRank == r) {
+			w.covered[patchPending]++
+		}
+	}
+}
+
 // TestSchedulerMatchesReference is the byte-identical contract between
 // the incremental ready-set scheduler and the seed full-scan scheduler.
+// After every Tick the production controller's candidate table must also
+// equal a rebuild; the guard at the end fails as vacuous unless, across
+// the profiles, that check saw a patch after every kind of command and
+// after a rank turning refresh-pending.
 func TestSchedulerMatchesReference(t *testing.T) {
+	var covered patchCoverage
+	ran := 0
 	for _, p := range diffProfiles() {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
+			ran++
 			for seed := int64(1); seed <= 3; seed++ {
-				checkMatchesReference(t, p, seed)
+				covered.add(checkMatchesReference(t, p, seed))
 			}
 		})
+	}
+	if ran < len(diffProfiles()) || t.Failed() {
+		return // a filtered or failed run has no coverage to judge
+	}
+	for k, n := range covered {
+		t.Logf("%s: %d checked patches", patchKindNames[k], n)
+		if n == 0 {
+			t.Errorf("no profile patched a current table after %s: the per-Tick table check is vacuous there", patchKindNames[k])
+		}
 	}
 }
 
 // checkMatchesReference runs the production controller and the frozen
 // seed scheduler side by side through one profile and seed and fails
-// unless everything observable agrees.
-func checkMatchesReference(t *testing.T, p diffProfile, seed int64) {
+// unless everything observable agrees and the production controller's
+// table equals a rebuild after every Tick. It returns the patches that
+// table check saw.
+func checkMatchesReference(t *testing.T, p diffProfile, seed int64) patchCoverage {
 	t.Helper()
 	devA, err := dram.NewDevice(dram.Default(), dram.DDR5())
 	if err != nil {
@@ -257,12 +411,12 @@ func checkMatchesReference(t *testing.T, p diffProfile, seed int64) {
 		t.Fatal(err)
 	}
 	var seA, seB sideEffects
-	recordDevice(t, devA, &seA)
 	recordDevice(t, devB, &seB)
 
 	prod := New(DefaultConfig(), devA, 4)
 	ref := newRefController(DefaultConfig(), devB, 4)
 	hA, hB := prodHarness(prod), refHarness(ref)
+	watch := watchTable(t, prod, hA, &seA)
 	attachObservers(&seA, p, hA, prod.SetFillFunc, prod.SetLatencySink)
 	attachObservers(&seB, p, hB, ref.SetFillFunc, ref.SetLatencySink)
 	if p.gate {
@@ -309,6 +463,7 @@ func checkMatchesReference(t *testing.T, p diffProfile, seed int64) {
 	if prod.PendingPreventive() != ref.PendingPreventive() {
 		t.Fatalf("seed %d: pending preventive diverges", seed)
 	}
+	return watch.covered
 }
 
 // TestSchedulerMatchesReferenceEventMode re-runs the hot profile with the

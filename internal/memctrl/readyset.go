@@ -35,9 +35,12 @@ import (
 //     the controller's sleep is the table's minimum.
 //   - Legal-at cycles answer CanIssue: CanIssue is EarliestIssue <= now,
 //     and the device only changes when this controller issues to it. So a
-//     table built after one command stays exact, at every later cycle,
-//     until the next command or an input that changes what classify
-//     reads — the table's doors (see Controller.tab).
+//     table stays exact, at every later cycle, until a command or an input
+//     changes what classify or EarliestIssue reads — the table's doors
+//     (see Controller.tab). A command writes little of that state, so it
+//     patches the table rather than dropping it: patch re-reads exactly
+//     the entries the command can move, and a rebuild happens only after
+//     wake or a write-drain flip of the selected queue.
 //   - Taking the minimum arrival sequence across per-bank candidates
 //     reproduces the global FCFS scan order exactly, because requests
 //     enter the per-bank FIFOs in arrival order.
@@ -244,7 +247,7 @@ func (c *Controller) fillBank(q *readyQueue, bank int) int64 {
 }
 
 // candidates makes the candidate table cover q, rebuilding it if it is
-// stale or covers the other queue.
+// stale (wake) or covers the other queue (a write-drain flip).
 func (c *Controller) candidates(q *readyQueue) {
 	if c.tabQ == q {
 		return
@@ -252,6 +255,78 @@ func (c *Controller) candidates(q *readyQueue) {
 	c.tabQ = q
 	for _, b := range q.active {
 		c.fillBank(q, int(b))
+	}
+}
+
+// patch is the table's door for an issued command: every
+// dram.Device.Issue call site in the controller calls it once the
+// command's own bookkeeping is done (the request removed, the preventive
+// action popped, the activate observers run). It re-reads what the
+// command can have moved, which follows from the state each command
+// writes:
+//
+//   - Any command to bank refills the bank's row if the bank is occupied:
+//     its row state, timing history, FIFO, capCount and prevQ are the
+//     bank's own, and classify reads nothing else but refPending.
+//   - RD/WR also move every other column candidate: busFreeAt and the
+//     channel's and bank group's tCCD/tWTR history are shared. What
+//     classify names is unchanged, so only the legal-at cycle is re-read.
+//   - ACT also moves the ACT of every other closed bank in its rank
+//     (tRRD, tFAW), floored at backoffUntil as fillBank does.
+//   - REF refills its whole rank: refUntil, the banks' recovery and
+//     refPending are rank-wide (refillRank; tryRefresh calls that too
+//     when a deadline turns a rank pending).
+//
+// A stale table (tabQ nil) has nothing to patch: candidates rebuilds it.
+// Dropping a clause leaves stale entries: too early a legal-at cycle makes
+// Device.Issue panic on the command schedule picks, too late a one or a
+// stale classify answer makes the frozen scheduler and the polling twin
+// diverge, and tableMatchesRebuild, run after every Tick of the
+// differential tests, names the first stale entry.
+func (c *Controller) patch(cmd dram.Command, bank int) {
+	q := c.tabQ
+	if q == nil {
+		return
+	}
+	switch cmd {
+	case dram.CmdREF:
+		c.refillRank(c.dev.RankOf(bank))
+		return
+	case dram.CmdRD, dram.CmdWR:
+		for _, b := range q.active {
+			if e := &c.tab[b]; int(b) != bank && e.col.at != dram.Never {
+				r := q.banks[b].reqs[e.col.idx]
+				e.col.at = c.dev.EarliestIssue(columnCmd(r), r.Addr)
+			}
+		}
+	case dram.CmdACT:
+		rank := c.dev.RankOf(bank)
+		for _, b := range q.active {
+			e := &c.tab[b]
+			if int(b) == bank || e.row.at == dram.Never || e.row.open || c.dev.RankOf(int(b)) != rank {
+				continue
+			}
+			r := q.banks[b].reqs[e.row.idx]
+			e.row.at = max(c.dev.EarliestIssue(dram.CmdACT, r.Addr), c.backoffUntil)
+		}
+	}
+	if len(q.banks[bank].reqs) > 0 {
+		c.fillBank(q, bank)
+	}
+}
+
+// refillRank refills the table rows of rank's occupied banks, if the
+// table is current: after its REF, and when its refresh deadline turns it
+// pending (classify drops its banks' row commands).
+func (c *Controller) refillRank(rank int) {
+	q := c.tabQ
+	if q == nil {
+		return
+	}
+	for b := rank * c.banksPerRank; b < (rank+1)*c.banksPerRank; b++ {
+		if len(q.banks[b].reqs) > 0 {
+			c.fillBank(q, b)
+		}
 	}
 }
 
@@ -302,6 +377,7 @@ func (c *Controller) schedule(q *readyQueue) bool {
 		}
 		q.removeAt(bank, int(idx))
 		c.completeColumn(req, res)
+		c.patch(columnCmd(req), bank)
 		return true
 	}
 
@@ -321,6 +397,7 @@ func (c *Controller) schedule(q *readyQueue) bool {
 	if c.tab[bank].row.open {
 		c.dev.Issue(dram.CmdPRE, dram.Addr{Bank: bank}, c.now)
 		c.capCount[bank] = 0
+		c.patch(dram.CmdPRE, bank)
 		return true
 	}
 	c.issueACT(q.banks[bank].reqs[idx], bank)
@@ -384,8 +461,9 @@ func (c *Controller) gateWalk(q *readyQueue) (bank, idx int32) {
 	return -1, 0
 }
 
-// issueACT performs a demand activation for req and fires the activate
-// observers (inline or deferred into the event buffer).
+// issueACT performs a demand activation for req, fires the activate
+// observers (inline or deferred into the event buffer) and then patches
+// the table, which an observer's preventive request may have dropped.
 func (c *Controller) issueACT(req *Request, bank int) {
 	c.dev.Issue(dram.CmdACT, req.Addr, c.now)
 	req.opened = true
@@ -397,7 +475,8 @@ func (c *Controller) issueACT(req *Request, bank int) {
 	if c.events != nil {
 		c.events.events = append(c.events.events,
 			Event{Kind: EventActivate, Bank: bank, Row: req.Addr.Row, Thread: req.Thread, At: c.now})
-		return
+	} else {
+		c.Activated(bank, req.Addr.Row, req.Thread, c.now)
 	}
-	c.Activated(bank, req.Addr.Row, req.Thread, c.now)
+	c.patch(dram.CmdACT, bank)
 }

@@ -32,9 +32,9 @@ func runSleepProfile(t *testing.T, p diffProfile, seed int64, poll, events bool)
 		t.Fatal(err)
 	}
 	r := &sleepRun{}
-	recordDevice(t, dev, &r.se)
 	c := New(DefaultConfig(), dev, 4)
 	h := prodHarness(c)
+	watchTable(t, c, h, &r.se)
 	attachObservers(&r.se, p, h, c.SetFillFunc, c.SetLatencySink)
 	c.AddActivateHook(func(bank, row, thread int, now int64) {
 		r.acts = append(r.acts, actRec{bank, row, thread, now})
@@ -45,8 +45,9 @@ func runSleepProfile(t *testing.T, p diffProfile, seed int64, poll, events bool)
 	tick := h.tick
 	if events {
 		c.SetEventBuffer(NewEventBuffer(16))
+		watched := tick
 		tick = func(now int64) bool {
-			prog := c.Tick(now)
+			prog := watched(now)
 			c.ReplayEvents()
 			return prog
 		}
