@@ -53,7 +53,6 @@ func main() {
 		nrh        = flag.Int("nrh", 1024, "RowHammer threshold N_RH")
 		bh         = flag.Bool("bh", false, "pair the mechanism with BreakHammer")
 		channels   = flag.Int("channels", 1, "memory channels (power of two; each gets its own controller, DRAM device and mechanism instance)")
-		parallelCh = flag.Bool("parallel-channels", false, "tick the memory channels on a worker pool (bit-identical results; wins only with multiple channels and spare cores)")
 		insts      = flag.Int64("insts", 0, "instructions per benign core (0 = FastConfig default)")
 		sample     = flag.Bool("sample", false, "SMARTS interval sampling: fast-forward most of the run functionally, measure short detailed windows, report metrics with 95% confidence bands")
 		warmup     = flag.Int64("warmup", 0, "with -sample: detailed-but-unmeasured warm-up cycles before each measured window (0 = default)")
@@ -87,7 +86,6 @@ func main() {
 	cfg.NRH = *nrh
 	cfg.BreakHammer = *bh
 	cfg.Channels = *channels
-	cfg.ParallelChannels = *parallelCh
 	cfg.Seed = *seed
 	if *insts > 0 {
 		cfg.TargetInsts = *insts

@@ -40,20 +40,14 @@ type OptionSpec struct {
 	Strategies string // comma-separated adaptive strategies for the scenario grid; "" = preset default
 	Defenses   string // comma-separated composed defenses ("graphene+bh,prac+rfm+bh"); "" = preset default
 
-	// ParallelChannels ticks each simulation's memory channels on a
-	// worker pool. Results (and therefore store keys) are identical to
-	// the serial batch; this is purely an execution-speed knob for
-	// multi-channel points on hosts with spare cores.
-	ParallelChannels bool
-
 	// Sample switches every simulation of the sweep to interval
 	// sampling (sim.Config.Sampling): alternating fast-forwarded and
 	// detailed windows whose measured metrics carry confidence bands.
-	// Unlike ParallelChannels this changes what is simulated — sampled
-	// points key separately in the results store and can never serve an
-	// exact figure. Warmup, Detail and FF override the window sizes in
-	// cycles (0 = the sampling package defaults, sized for paper-scale
-	// runs; CI-scale runs need explicit smaller windows).
+	// This changes what is simulated — sampled points key separately in
+	// the results store and can never serve an exact figure. Warmup,
+	// Detail and FF override the window sizes in cycles (0 = the
+	// sampling package defaults, sized for paper-scale runs; CI-scale
+	// runs need explicit smaller windows).
 	Sample bool
 	Warmup int64
 	Detail int64
@@ -77,7 +71,6 @@ func (sp *OptionSpec) Bind(fs *flag.FlagSet) {
 	fs.Int64Var(&sp.Warmup, "warmup", 0, "with -sample: detailed-but-unmeasured warm-up cycles before each measured window (0 = default)")
 	fs.Int64Var(&sp.Detail, "detail", 0, "with -sample: measured detailed window length in cycles (0 = default)")
 	fs.Int64Var(&sp.FF, "ff", 0, "with -sample: functional fast-forward window length in cycles (0 = default)")
-	fs.BoolVar(&sp.ParallelChannels, "parallel-channels", false, "tick each simulation's memory channels on a worker pool (identical results and cache keys; pair with -jobs 1 on dedicated multi-core hosts)")
 }
 
 // Resolve expands the spec into concrete Options, validating the preset
@@ -114,7 +107,6 @@ func (sp OptionSpec) ApplyTo(o Options) (Options, error) {
 	if sp.Channels > 0 {
 		o.Base.Channels = sp.Channels
 	}
-	o.Base.ParallelChannels = sp.ParallelChannels
 	if sp.Insts > 0 {
 		o.Base.TargetInsts = sp.Insts
 	}

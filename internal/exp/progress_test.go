@@ -556,10 +556,10 @@ func TestOptionSpecBind(t *testing.T) {
 				p := o.Base.Sampling
 				return p.Enabled && p.WarmupCycles == 100 && p.DetailCycles == 200 && p.FFCycles == 300
 			}},
-		{name: "scenario grid and execution strategy", visited: 4,
-			args: []string{"-strategies", "probe,decoy", "-defenses", "graphene+bh", "-traces", "a.trace", "-parallel-channels"},
+		{name: "scenario grid and execution strategy", visited: 3,
+			args: []string{"-strategies", "probe,decoy", "-defenses", "graphene+bh", "-traces", "a.trace"},
 			check: func(o Options) bool {
-				return len(o.Strategies) == 2 && len(o.Defenses) == 1 && len(o.Traces) == 1 && o.Base.ParallelChannels
+				return len(o.Strategies) == 2 && len(o.Defenses) == 1 && len(o.Traces) == 1
 			}},
 		{name: "window without -sample", args: []string{"-detail", "200"}, wantErr: "sampling"},
 		{name: "bad N_RH", args: []string{"-nrhs", "512,potato"}, wantErr: "potato"},

@@ -65,21 +65,20 @@ func TestScenariosWarmRerunSimulatesNothing(t *testing.T) {
 	}
 }
 
-// TestScenariosSerialParallelIdentical: the frontier table is
-// byte-identical whether each simulation ticks its channels serially or
-// on the parallel worker pool — the scenario feedback loop must not leak
-// scheduling nondeterminism into results.
+// TestScenariosSerialParallelIdentical: the frontier table of a
+// 2-channel grid is byte-identical whether its points are simulated one
+// at a time as the table asks for them, or all up front by Prefetch,
+// four at once — the scenario feedback loop must not leak scheduling
+// nondeterminism between concurrently simulated points.
 func TestScenariosSerialParallelIdentical(t *testing.T) {
-	serialOpts := scenarioTestOptions()
-	serialOpts.Base.Channels = 2
-	parallelOpts := serialOpts
-	parallelOpts.Base.ParallelChannels = true
+	opts := scenarioTestOptions()
+	opts.Base.Channels = 2
 
 	storeS, err := results.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := NewRunnerWithStore(serialOpts, storeS).Scenarios()
+	serial, err := NewRunnerWithStore(opts, storeS).Scenarios()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,16 +86,22 @@ func TestScenariosSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := NewRunnerWithStore(parallelOpts, storeP)
+	rp := NewRunnerWithStore(opts, storeP)
+	rp.SetJobs(4)
+	if err := rp.Prefetch(rp.PointsFor([]string{"scenarios"})); err != nil {
+		t.Fatal(err)
+	}
+	executed := rp.Executed()
 	parallel, err := rp.Scenarios()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Executed() == 0 {
-		t.Fatal("parallel grid executed nothing — the comparison is vacuous")
+	if executed < 2 || rp.Executed() != executed {
+		t.Fatalf("Prefetch simulated %d point(s) and the table %d more; want several, then none",
+			executed, rp.Executed()-executed)
 	}
 	if serial.CSV() != parallel.CSV() {
-		t.Errorf("frontier table diverges between serial and parallel channel ticking:\nserial:\n%s\nparallel:\n%s",
+		t.Errorf("frontier table diverges between serial and concurrent points:\nserial:\n%s\nparallel:\n%s",
 			serial.CSV(), parallel.CSV())
 	}
 }

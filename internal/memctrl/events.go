@@ -29,11 +29,11 @@ type Event struct {
 // EventBuffer collects the cross-component side effects of one
 // controller's tick — LLC fills, latency reports, activate-hook
 // notifications — instead of invoking the callbacks inline. The memsys
-// layer attaches one buffer per channel so that a cycle batch can tick
-// every channel concurrently (no channel touches shared state mid-tick)
-// and then replay each buffer in channel-index order, giving
-// cross-channel observers the exact event order of a serial
-// channel-by-channel walk.
+// layer attaches one buffer per channel so that a cycle batch ticks
+// every channel without touching shared state mid-tick and then
+// replays each buffer in channel-index order, giving cross-channel
+// observers one event order: channel 0's events of the cycle, then
+// channel 1's, and so on.
 type EventBuffer struct {
 	events []Event
 }
@@ -57,9 +57,8 @@ func (c *Controller) SetEventBuffer(buf *EventBuffer) { c.events = buf }
 
 // ReplayEvents invokes the real callbacks for every buffered event, in
 // the exact order the tick recorded them, then empties the buffer (its
-// capacity is retained). The caller must serialize ReplayEvents with the
-// controller's Tick; the memsys layer calls it after the cycle-batch
-// barrier, from the simulation goroutine.
+// capacity is retained). The memsys layer calls it once every channel
+// of the cycle batch has ticked.
 func (c *Controller) ReplayEvents() {
 	if c.events == nil || len(c.events.events) == 0 {
 		return

@@ -29,15 +29,6 @@ type Config struct {
 	Timing     dram.Timing
 	MC         memctrl.Config
 	AddressMap string // "" or "mop" (MOP-across-channels), "rowint" (RoBaRaCoCh)
-
-	// Parallel ticks the channels of a cycle batch on a pool of reused
-	// worker goroutines instead of a serial loop. The pool sizes itself
-	// to min(Channels, GOMAXPROCS) shares — on a single-core host it
-	// collapses to the serial batch — and results are identical either
-	// way (the batch drain fixes the observable event order); it pays
-	// off when spare cores exist and the per-cycle channel work
-	// outweighs the barrier (see EXPERIMENTS.md).
-	Parallel bool
 }
 
 // Validate reports configuration errors.
@@ -70,11 +61,9 @@ type Interleaved struct {
 	// Multi-channel systems attach one event buffer per channel and
 	// drain them in channel-index order after each cycle batch, so the
 	// LLC, latency sinks and cross-channel activate hooks observe one
-	// deterministic event stream regardless of how the batch executed.
+	// deterministic event stream in which channel c's events of a cycle
+	// all precede channel c+1's.
 	bufs []*memctrl.EventBuffer
-
-	pool   *tickPool // lazily started when cfg.Parallel and Channels > 1
-	closed bool
 }
 
 // New builds the memory subsystem. threads is the hardware thread count
@@ -106,8 +95,9 @@ func New(cfg Config, threads int) (*Interleaved, error) {
 	}
 	if n > 1 {
 		// Single-channel systems keep inline callback delivery (there is
-		// nothing to order against); multi-channel systems always run the
-		// buffered batch so serial and parallel execution are identical.
+		// nothing to order against); multi-channel systems run the
+		// buffered batch, whose drain order is the one event order every
+		// multi-channel result is recorded in.
 		m.bufs = make([]*memctrl.EventBuffer, n)
 		for i, c := range m.ctrls {
 			// Pre-grown: a cycle batch emits at most a few events per
@@ -177,24 +167,22 @@ func (m *Interleaved) AddActivateHook(h ChannelActivateHook) {
 
 // Tick advances every channel one command-bus cycle and reports whether
 // any channel made progress. With more than one channel the cycle is a
-// batch: channels tick with cross-component side effects buffered
-// (serially, or concurrently on the worker pool when Config.Parallel is
-// set), a barrier ends the batch, and the buffers drain in channel-index
-// order — so every observer outside the channels sees the same event
-// stream either way, and a channel never reads another channel's
-// mid-cycle state.
+// batch: each channel ticks in turn with its cross-component side
+// effects buffered, then the buffers drain in channel-index order — so
+// every observer outside the channels sees channel 0's events of the
+// cycle, then channel 1's, and so on, and no channel ticks after
+// another channel's same-cycle fills have reached the LLC (a writeback
+// such a fill evicts joins its channel's queue in the next cycle).
+// Delivering inline instead changes multi-channel results, so the
+// buffers stay until a results-schema change adopts that order.
 func (m *Interleaved) Tick(now int64) bool {
 	if len(m.ctrls) == 1 {
 		return m.ctrls[0].Tick(now)
 	}
 	var progress bool
-	if p := m.tickPool(); p != nil {
-		progress = p.tick(now)
-	} else {
-		for _, c := range m.ctrls {
-			if c.Tick(now) {
-				progress = true
-			}
+	for _, c := range m.ctrls {
+		if c.Tick(now) {
+			progress = true
 		}
 	}
 	for _, c := range m.ctrls {
@@ -205,8 +193,7 @@ func (m *Interleaved) Tick(now int64) bool {
 
 // NextWake returns the next cycle any channel could make progress,
 // assuming the preceding Tick made none: the minimum of the per-channel
-// bounds. Each is a field read (memctrl.Controller.NextWake), so the
-// worker pool is not involved.
+// bounds. Each is a field read (memctrl.Controller.NextWake).
 func (m *Interleaved) NextWake(now int64) int64 {
 	next := dram.Never
 	for _, c := range m.ctrls {
@@ -215,29 +202,13 @@ func (m *Interleaved) NextWake(now int64) int64 {
 	return next
 }
 
-// tickPool returns the worker pool, starting it on first use when the
-// configuration asks for parallel ticking and the system is still open.
-func (m *Interleaved) tickPool() *tickPool {
-	if !m.cfg.Parallel || m.closed || len(m.ctrls) < 2 {
-		return m.pool // nil unless started earlier
-	}
-	if m.pool == nil {
-		m.pool = newTickPool(m.ctrls)
-	}
-	return m.pool
-}
-
-// Close stops the channel-tick workers (if parallel ticking ever
-// started); it must be called once ticking is over. A Tick after Close
-// falls back to the serial batch. Close is idempotent; results are
-// unaffected.
-func (m *Interleaved) Close() {
-	m.closed = true
-	if m.pool != nil {
-		m.pool.stop()
-		m.pool = nil
-	}
-}
+// Close does nothing: the memory system holds no goroutines or other
+// resources to release.
+//
+// Deprecated: Close stopped the channel-tick worker pool, which is
+// gone. Its last caller is the repository benchmark's shadow rig
+// (bench/rig.go); it goes with that rig.
+func (m *Interleaved) Close() {}
 
 // Stats merges every channel's controller counters into one
 // system-level view.

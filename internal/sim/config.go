@@ -28,13 +28,13 @@ type Config struct {
 	// instance; lines interleave across channels per AddressMap.
 	Channels int
 
-	// ParallelChannels ticks the memory channels of each cycle batch on
-	// a pool of reused worker goroutines instead of a serial loop.
-	// Results are bit-identical either way (the memsys batch drain fixes
-	// the observable event order; sim.TestParallelChannelsDeterministic
-	// asserts it), so the knob is excluded from Fingerprint and never
-	// forks the results store. It pays off on multi-core hosts running
-	// one big multi-channel simulation at a time; see EXPERIMENTS.md.
+	// ParallelChannels does nothing: every multi-channel cycle is the
+	// serial batch (memsys.Interleaved.Tick). Fingerprint zeroes it and
+	// aloneNormalised lists it, so setting it moves no store key.
+	//
+	// Deprecated: it selected a channel-tick worker pool, which is gone.
+	// Its last reader is the repository benchmark's memsys.parallel_ratio
+	// (bench/simwl.go); it goes with that metric.
 	ParallelChannels bool
 
 	// DisableSkipAhead runs the one detailed driver (System.runDetailed)

@@ -31,10 +31,11 @@ func canonicalJSON(v any) ([]byte, error) {
 // therefore cache — identically.
 func (c Config) normalizedForFingerprint() Config {
 	c.Channels = c.channels()
-	// Parallel ticking and lockstep execution are execution strategies,
-	// not simulated systems: serial and parallel runs are bit-identical,
-	// and so are lockstep and skip-ahead runs, so they must share one
-	// fingerprint (and therefore one results-store key).
+	// Lockstep execution is an execution strategy, not a simulated
+	// system: lockstep and skip-ahead runs are bit-identical, so they
+	// must share one fingerprint (and therefore one results-store key).
+	// ParallelChannels is a deprecated no-op, zeroed so that setting it
+	// moves no key either.
 	c.ParallelChannels = false
 	c.DisableSkipAhead = false
 	c.BHWindow = c.bhWindow()

@@ -194,3 +194,36 @@ func TestFingerprintPinnedAcrossRowCensus(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintIgnoresParallelChannels pins the cache contract: the
+// execution strategy (lockstep execution) and the deprecated no-op
+// ParallelChannels must fork neither the results store nor the
+// alone-baseline cache.
+func TestFingerprintIgnoresParallelChannels(t *testing.T) {
+	mix, err := workload.ParseMix("HA", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := FastConfig()
+	want, err := Fingerprint(base, []workload.Mix{mix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, set := range map[string]func(*Config){
+		"ParallelChannels": func(c *Config) { c.ParallelChannels = true },
+		"DisableSkipAhead": func(c *Config) { c.DisableSkipAhead = true },
+	} {
+		cfg := base
+		set(&cfg)
+		got, err := Fingerprint(cfg, []workload.Mix{mix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s changed the fingerprint:\n%s\n%s", name, want, got)
+		}
+		if a, b := aloneKey(base, mix.Specs[0]), aloneKey(cfg, mix.Specs[0]); a != b {
+			t.Errorf("%s changed the alone-baseline key:\n%s\n%s", name, a, b)
+		}
+	}
+}

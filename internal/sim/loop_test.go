@@ -13,6 +13,53 @@ import (
 	"breakhammer/internal/workload/sourcetest"
 )
 
+// runOnce simulates mixName under cfg and returns the full Result
+// serialized to JSON — the byte-level identity the determinism contract
+// is stated in (Stats, histograms, per-channel counters, everything).
+func runOnce(t *testing.T, cfg Config, mixName string) []byte {
+	t.Helper()
+	mix, err := workload.ParseMix(mixName, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(cfg, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sys.Run()
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestParallelChannelsDeterministic pins the multi-channel half of the
+// skip-ahead claim: channels that tick side by side in one cycle batch
+// give one result whether the driver skips idle cycles or ticks every
+// one, at 1, 2, 4 and 8 channels and for an attack and a benign mix. The
+// comparison is the JSON of the complete Result — merged and per-channel
+// controller stats, cache stats, BreakHammer stats, latency histograms,
+// energy — so a channel whose wake bound let the driver jump past one of
+// its events, or a batch drain that depended on which cycles ran, would
+// surface.
+func TestParallelChannelsDeterministic(t *testing.T) {
+	for _, channels := range []int{1, 2, 4, 8} {
+		for _, mixName := range []string{"HLMA", "HML"} {
+			t.Run(fmt.Sprintf("channels=%d/mix=%s", channels, mixName), func(t *testing.T) {
+				cfg := parallelTestConfig(channels)
+				skip := runOnce(t, cfg, mixName)
+				cfg.DisableSkipAhead = true
+				lockstep := runOnce(t, cfg, mixName)
+				if !bytes.Equal(skip, lockstep) {
+					t.Fatalf("skip-ahead diverged from lockstep (%d channels, mix %s):\nskip:     %.400s\nlockstep: %.400s",
+						channels, mixName, skip, lockstep)
+				}
+			})
+		}
+	}
+}
+
 // TestSkipAheadMatchesEveryCycle verifies the central claim of the
 // event-batched driver: skipping provably idle cycles changes nothing.
 // Config.DisableSkipAhead (lockstep: every core ticks on every cycle) is

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"breakhammer/internal/mitigation"
@@ -112,6 +114,57 @@ func TestBreakHammerUnreachableIsBaseMechanism(t *testing.T) {
 				t.Errorf("an idle BreakHammer changed the run: %s", d)
 			}
 		})
+	}
+}
+
+// TestIdleBreakHammerIsBaseMechanism: at the Table 2 TH_threat, a
+// BreakHammer that never marks a suspect in a run leaves that run
+// exactly as the bare mechanism runs it — every field but BreakHammer's
+// own, byte for byte. Unlike TestBreakHammerUnreachableIsBaseMechanism
+// the threshold is the real one, so this is the premise a benign +BH run
+// with no suspect can be derived from its bare twin on: every mechanism
+// at three N_RH over the benign mixes. Runs that marked a suspect are
+// counted and skipped; the relation is vacuous unless at least half of
+// the +BH runs were idle.
+func TestIdleBreakHammerIsBaseMechanism(t *testing.T) {
+	mixes := workload.BenignMixes(1)
+	var idle, suspect atomic.Int64
+	t.Run("grid", func(t *testing.T) {
+		for _, mech := range mitigation.Names() {
+			for _, nrh := range []int{1024, 256, 128} {
+				cfg := FastConfig()
+				cfg.TargetInsts = 30_000
+				cfg.BHWindow = 60_000
+				cfg.MaxCycles = 400_000
+				cfg.NRH = nrh
+				cfg.Mechanism = mech
+				t.Run(fmt.Sprintf("%s/nrh=%d", mech, nrh), func(t *testing.T) {
+					t.Parallel()
+					for _, mix := range mixes {
+						bh := cfg
+						bh.BreakHammer = true
+						with := mustRun(t, bh, mix)
+						if with.BH == nil {
+							t.Fatal("BreakHammer run carries no BreakHammer stats")
+						}
+						if slices.ContainsFunc(with.BH.SuspectEvents, func(n int64) bool { return n != 0 }) {
+							suspect.Add(1)
+							continue
+						}
+						idle.Add(1)
+						base := mustRun(t, cfg, mix)
+						with.BH = nil
+						for _, d := range differingFields(t, base, with) {
+							t.Errorf("%s: a BreakHammer that marked no suspect changed the run: %s", mix.Name, d)
+						}
+					}
+				})
+			}
+		}
+	})
+	t.Logf("%d idle +BH runs compared with their bare twins, %d skipped (a suspect was marked)", idle.Load(), suspect.Load())
+	if total := idle.Load() + suspect.Load(); 2*idle.Load() < total {
+		t.Errorf("only %d of %d +BH runs marked no suspect; the relation is vacuous", idle.Load(), total)
 	}
 }
 

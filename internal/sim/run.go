@@ -20,12 +20,13 @@ var aloneCache sync.Map
 // depend on, so aloneConfig pins them to DefaultConfig's values: the
 // mechanism and BreakHammer (a baseline has neither) with everything that
 // only parameterises them, the seed (the trace stream is seeded by
-// spec.Seed, not cfg.Seed), the two execution strategies whose results
-// are identical, sampling (see AloneIPC) and the row census (an observer
-// the baseline never pays for). Every other field — DRAM geometry and
-// timing, controller, cache and core parameters, channel count, address
-// map, run length — is carried through, and so is a new Config field until
-// it is named here (TestAloneConfigFields checks the partition).
+// spec.Seed, not cfg.Seed), the lockstep switch and the deprecated
+// ParallelChannels (neither changes a result), sampling (see AloneIPC)
+// and the row census (an observer the baseline never pays for). Every
+// other field — DRAM geometry and timing, controller, cache and core
+// parameters, channel count, address map, run length — is carried
+// through, and so is a new Config field until it is named here
+// (TestAloneConfigFields checks the partition).
 var aloneNormalised = []string{
 	"Mechanism", "BreakHammer", "NRH", "BlastRadius", "RowPressFactor",
 	"ThrottleAt", "BHWindow", "BHThreat", "BHOutlier",

@@ -9,6 +9,21 @@ import (
 	"breakhammer/internal/workload"
 )
 
+// parallelTestConfig returns a small configuration of channels that
+// tick side by side, which still exercises the full callback surface: a trigger-based mechanism
+// (Graphene) paired with BreakHammer, so activate hooks, observer
+// signals, LLC fills and latency reports all cross the channel boundary.
+func parallelTestConfig(channels int) Config {
+	cfg := FastConfig()
+	cfg.TargetInsts = 40_000
+	cfg.BHWindow = 200_000
+	cfg.Channels = channels
+	cfg.Mechanism = "graphene"
+	cfg.NRH = 256
+	cfg.BreakHammer = true
+	return cfg
+}
+
 // sampledTestConfig shrinks the sampling windows to CI scale: the
 // defaults assume multi-million-cycle runs. A 50k-cycle period (2k
 // warm-up, 8k detailed, 40k fast-forwarded) paired with a run long
@@ -82,21 +97,21 @@ func TestSampledRunSanity(t *testing.T) {
 	}
 }
 
-// TestSampledParallelChannelsDeterministic extends the serial-vs-
-// parallel byte-identity pin to the sampled loop: the mode switches,
-// functional replay and window aggregation must not depend on the
-// channel execution strategy.
+// TestSampledParallelChannelsDeterministic extends the multi-channel
+// execution-strategy pin to the sampled loop: the mode switches,
+// functional replay and window aggregation give one Result whether the
+// warm-up and detail spans skip idle cycles or tick every one, at 1, 2
+// and 4 channels.
 func TestSampledParallelChannelsDeterministic(t *testing.T) {
 	for _, channels := range []int{1, 2, 4} {
 		for _, mixName := range []string{"HLMA", "HML"} {
 			t.Run(fmt.Sprintf("channels=%d/mix=%s", channels, mixName), func(t *testing.T) {
-				serial := sampledTestConfig(channels)
-				parallel := serial
-				parallel.ParallelChannels = true
-				a := runOnce(t, serial, mixName)
-				b := runOnce(t, parallel, mixName)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("sampled serial and parallel results diverge:\nserial:   %s\nparallel: %s", a, b)
+				cfg := sampledTestConfig(channels)
+				skip := runOnce(t, cfg, mixName)
+				cfg.DisableSkipAhead = true
+				lockstep := runOnce(t, cfg, mixName)
+				if !bytes.Equal(skip, lockstep) {
+					t.Fatalf("sampled skip-ahead and lockstep results diverge:\nskip:     %s\nlockstep: %s", skip, lockstep)
 				}
 			})
 		}

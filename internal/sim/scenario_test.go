@@ -41,12 +41,13 @@ func runScenarioOnce(t *testing.T, cfg Config, strategy string) []byte {
 	return raw
 }
 
-// TestScenarioParallelChannelsDeterministic extends the serial-vs-
-// parallel determinism pin to the adaptive scenario engine: feedback
-// delivery and strategy adaptation must not fork the cycle-batch
-// contract. Two adaptive strategies run against two composed defenses
-// (one of them a genuine mechanism stack), each with multi-channel
-// parallel ticking compared byte-for-byte against the serial batch.
+// TestScenarioParallelChannelsDeterministic extends the multi-channel
+// execution-strategy pin to the adaptive scenario engine: feedback
+// delivery and strategy adaptation must give one result whether the
+// driver skips idle cycles or ticks every one. Two adaptive strategies
+// run against two composed defenses (one of them a genuine mechanism
+// stack) on two channels, skip-ahead compared byte-for-byte against
+// lockstep.
 func TestScenarioParallelChannelsDeterministic(t *testing.T) {
 	defenses := []scenario.Defense{
 		{Mechanism: "graphene", BH: true},
@@ -55,14 +56,13 @@ func TestScenarioParallelChannelsDeterministic(t *testing.T) {
 	for _, strategy := range []string{scenario.StrategyProbe, scenario.StrategyDecoy} {
 		for _, d := range defenses {
 			t.Run(fmt.Sprintf("%s/%s", strategy, d), func(t *testing.T) {
-				serial := scenarioTestConfig(d, 2)
-				parallel := serial
-				parallel.ParallelChannels = true
-				a := runScenarioOnce(t, serial, strategy)
-				b := runScenarioOnce(t, parallel, strategy)
-				if string(a) != string(b) {
-					t.Fatalf("parallel scenario result diverged from serial (%s vs %s):\nserial:   %.400s\nparallel: %.400s",
-						strategy, d, a, b)
+				cfg := scenarioTestConfig(d, 2)
+				skip := runScenarioOnce(t, cfg, strategy)
+				cfg.DisableSkipAhead = true
+				lockstep := runScenarioOnce(t, cfg, strategy)
+				if string(skip) != string(lockstep) {
+					t.Fatalf("scenario skip-ahead diverged from lockstep (%s vs %s):\nskip:     %.400s\nlockstep: %.400s",
+						strategy, d, skip, lockstep)
 				}
 			})
 		}

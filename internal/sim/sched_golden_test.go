@@ -25,6 +25,13 @@ import (
 // fast-forward spans see back-offs, from benign rows too (whose next access
 // would be a row hit): a back-off there is dropped (memctrl.Controller.
 // SetFunctional), neither queued nor a row closure.
+//
+// The two 4-channel rows were recorded later, at schema 5, while the
+// cycle batch could still also run on a worker pool (both executions
+// gave these strings); they pin the channel-index drain order of
+// memsys.Interleaved.Tick past two channels — PRAC's RFMs and back-offs
+// in four channels, and a lockstep BlockHammer run whose ActGate acts
+// inside the batch.
 var schedGoldenCases = []struct {
 	name    string
 	mix     string
@@ -45,6 +52,10 @@ var schedGoldenCases = []struct {
 		golden: "cycles=93184 acts=6142 hits=1297 reads=7431 writes=65 ref=38 vrr=0 rfm=0 mig=0 aux=172 gated=0 total=6174 backoff=0 actions=172"},
 	{name: "attack-aqua-migrations", mix: "LA", mech: "aqua", bh: false, nrh: 64, chans: 1,
 		golden: "cycles=96256 acts=5640 hits=237 reads=5776 writes=0 ref=20 vrr=0 rfm=0 mig=132 aux=0 gated=0 total=5640 backoff=0 actions=132"},
+	{name: "attack-4ch-prac-bh", mix: "HHMA", mech: "prac", bh: true, nrh: 16, chans: 4,
+		golden: "cycles=1006592 acts=11438 hits=1677 reads=13115 writes=457 ref=859 vrr=0 rfm=3365 mig=0 aux=0 gated=0 total=11661 backoff=1535808 actions=842"},
+	{name: "attack-4ch-blockhammer", mix: "MLLA", mech: "blockhammer", bh: false, nrh: 128, chans: 4,
+		golden: "cycles=135168 acts=11916 hits=1802 reads=13713 writes=66 ref=112 vrr=0 rfm=0 mig=0 aux=0 gated=36229 total=11948 backoff=0 actions=24"},
 	{name: "sampled-graphene-bh", mix: "MLLA", mech: "graphene", bh: true, nrh: 256, chans: 1, sampled: true,
 		golden: "cycles=593776 acts=6760 hits=1609 reads=8316 writes=71 ref=24 vrr=156 rfm=0 mig=0 aux=0 gated=0 total=6792 backoff=0 actions=343 detailed=123197 ff=470579 windows=12"},
 	{name: "sampled-prac-bh", mix: "HHMA", mech: "prac", bh: true, nrh: 16, chans: 2, sampled: true,

@@ -122,7 +122,6 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 		Timing:     timing,
 		MC:         cfg.MC,
 		AddressMap: cfg.AddressMap,
-		Parallel:   cfg.ParallelChannels,
 	}, threads)
 	if err != nil {
 		return nil, err
@@ -369,10 +368,6 @@ func (r Result) Sampled() bool { return r.Sampling != nil }
 // over the whole run; a sampled run alternates detailed spans with
 // functional fast-forward (sampled.go).
 func (s *System) Run() Result {
-	// Release the channel-tick workers (if ParallelChannels started any)
-	// once the simulation is over; rerunning a closed system falls back
-	// to the serial batch with identical results.
-	defer s.mem.Close()
 	if s.cfg.Sampling.Enabled {
 		return s.runSampled()
 	}
