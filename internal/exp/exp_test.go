@@ -262,6 +262,9 @@ func TestFigure13BreakHammerHarmlessBenign(t *testing.T) {
 }
 
 func TestFigure18BlockHammerComparison(t *testing.T) {
+	// Parallel: its BlockHammer points take most of the package's wall,
+	// and they overlap TestQuickFiguresMatchGolden's.
+	t.Parallel()
 	r := NewRunner(testOptions())
 	tb, err := r.Figure18()
 	if err != nil {

@@ -126,7 +126,6 @@ type Controller struct {
 	responses respRing // FIFO: read data arrivals are monotonic in time
 	fill      func(line uint64)
 	latency   LatencySink
-	events    *EventBuffer // non-nil: defer fill/latency/hook calls (see events.go)
 
 	// Activate observers, split so the common zero- and one-hook
 	// configurations dispatch without ranging over a slice.
@@ -238,11 +237,10 @@ func (c *Controller) AddActivateHook(h ActivateHook) {
 
 // Activated dispatches a row activation to the registered hooks, inline and
 // in registration order. Every activation the hooks see enters here: the
-// controller's own demand ACTs (directly, or replayed from the event
-// buffer), and the functional fast-forward's shadow-row activations
-// (internal/sim's sampled loop), which therefore reach the mechanism,
-// BreakHammer and any other observer in the detailed order. It touches no
-// counter and bypasses the event buffer.
+// controller's own demand ACTs, and the functional fast-forward's
+// shadow-row activations (internal/sim's sampled loop), which therefore
+// reach the mechanism, BreakHammer and any other observer in the detailed
+// order. It touches no counter.
 func (c *Controller) Activated(bank, row, thread int, now int64) {
 	if c.hook0 == nil {
 		return
@@ -450,13 +448,6 @@ func (c *Controller) deliverResponses() bool {
 		delivered = true
 		r := c.responses.pop()
 		c.stats.ReadsDone[r.req.Thread]++
-		if c.events != nil {
-			c.events.events = append(c.events.events,
-				Event{Kind: EventLatency, Thread: r.req.Thread, Cycles: r.at - r.req.Arrive},
-				Event{Kind: EventFill, Line: r.req.Line})
-			c.arena.put(r.req)
-			continue
-		}
 		if c.latency != nil {
 			c.latency(r.req.Thread, r.at-r.req.Arrive)
 		}

@@ -465,60 +465,3 @@ func checkMatchesReference(t *testing.T, p diffProfile, seed int64) patchCoverag
 	}
 	return watch.covered
 }
-
-// TestSchedulerMatchesReferenceEventMode re-runs the hot profile with the
-// production controller in deferred-event mode (one EventBuffer, replayed
-// after every tick, as the memsys cycle batch does) and asserts the
-// replayed callback stream still matches the reference's inline stream.
-func TestSchedulerMatchesReferenceEventMode(t *testing.T) {
-	p := diffProfiles()[0]
-	devA, err := dram.NewDevice(dram.Default(), dram.DDR5())
-	if err != nil {
-		t.Fatal(err)
-	}
-	devB, err := dram.NewDevice(dram.Default(), dram.DDR5())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seA, seB sideEffects
-	recordDevice(t, devA, &seA)
-	recordDevice(t, devB, &seB)
-
-	prod := New(DefaultConfig(), devA, 4)
-	ref := newRefController(DefaultConfig(), devB, 4)
-	h, hRef := prodHarness(prod), refHarness(ref)
-	attachObservers(&seA, p, h, prod.SetFillFunc, prod.SetLatencySink)
-	attachObservers(&seB, p, hRef, ref.SetFillFunc, ref.SetLatencySink)
-	var acts []string
-	prod.AddActivateHook(func(bank, row, thread int, now int64) {
-		acts = append(acts, fmt.Sprintf("%d/%d/%d@%d", bank, row, thread, now))
-	})
-	var refActs []string
-	ref.AddActivateHook(func(bank, row, thread int, now int64) {
-		refActs = append(refActs, fmt.Sprintf("%d/%d/%d@%d", bank, row, thread, now))
-	})
-
-	buf := &EventBuffer{}
-	prod.SetEventBuffer(buf)
-	baseTick := h.tick
-	h.tick = func(now int64) bool {
-		prog := baseTick(now)
-		prod.ReplayEvents()
-		return prog
-	}
-	runDiffProfile(t, p, 7, h, &seA)
-	runDiffProfile(t, p, 7, hRef, &seB)
-
-	if !reflect.DeepEqual(seA.issues, seB.issues) {
-		t.Fatal("event-mode command streams diverge")
-	}
-	if !reflect.DeepEqual(seA.fills, seB.fills) || !reflect.DeepEqual(seA.lats, seB.lats) {
-		t.Fatal("event-mode callback sequences diverge")
-	}
-	if !reflect.DeepEqual(acts, refActs) {
-		t.Fatal("event-mode activate-hook sequences diverge")
-	}
-	if !reflect.DeepEqual(*prod.Stats(), *ref.Stats()) {
-		t.Fatalf("event-mode stats diverge:\n got %+v\n ref %+v", *prod.Stats(), *ref.Stats())
-	}
-}

@@ -15,14 +15,14 @@ const profileBytes = 24
 
 // encodeProfile is decodeProfile's inverse for in-range profiles:
 // probabilities in per mille, cycles in thousands, gaps in hundreds.
-func encodeProfile(p diffProfile, seed int64, events bool) []byte {
+func encodeProfile(p diffProfile, seed int64) []byte {
 	b := make([]byte, profileBytes)
 	b[0] = byte(p.banks - 1)
 	b[1] = byte(p.rows - 1)
 	binary.LittleEndian.PutUint16(b[2:], uint16(p.readProb*1000+0.5))
 	binary.LittleEndian.PutUint16(b[4:], uint16(p.enqProb*1000+0.5))
 	binary.LittleEndian.PutUint16(b[6:], uint16(p.prevProb*1000+0.5))
-	for i, on := range []bool{p.gate, p.backoff, events} {
+	for i, on := range []bool{p.gate, p.backoff} {
 		if on {
 			b[8] |= 1 << i
 		}
@@ -40,7 +40,7 @@ func encodeProfile(p diffProfile, seed int64, events bool) []byte {
 // decodeProfile maps any bytes to a valid profile (missing bytes read as
 // zero): at most 8 banks, 16 rows and bursts of 16, 80 000 cycles, and
 // a gap shorter than its period.
-func decodeProfile(data []byte) (p diffProfile, seed int64, events bool) {
+func decodeProfile(data []byte) (p diffProfile, seed int64) {
 	var b [profileBytes]byte
 	copy(b[:], data)
 	prob := func(i int) float64 {
@@ -65,7 +65,7 @@ func decodeProfile(data []byte) (p diffProfile, seed int64, events bool) {
 	if p.gapLen >= p.gapEvery {
 		p.gapEvery, p.gapLen = 0, 0
 	}
-	return p, int64(binary.LittleEndian.Uint64(b[16:])), b[8]&4 != 0
+	return p, int64(binary.LittleEndian.Uint64(b[16:]))
 }
 
 // FuzzSchedulerMatchesReference rolls request streams — bank and row
@@ -75,12 +75,12 @@ func decodeProfile(data []byte) (p diffProfile, seed int64, events bool) {
 // differential tests' profiles, each under its first seed.
 func FuzzSchedulerMatchesReference(f *testing.F) {
 	for _, p := range diffProfiles() {
-		f.Add(encodeProfile(p, 1, false))
+		f.Add(encodeProfile(p, 1))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, seed, events := decodeProfile(data)
+		p, seed := decodeProfile(data)
 		checkMatchesReference(t, p, seed)
-		checkSleepMatchesPolling(t, p, seed, events)
+		checkSleepMatchesPolling(t, p, seed)
 	})
 }
 
@@ -89,10 +89,10 @@ func FuzzSchedulerMatchesReference(f *testing.F) {
 // name).
 func TestFuzzProfileRoundTrips(t *testing.T) {
 	for _, want := range diffProfiles() {
-		got, seed, events := decodeProfile(encodeProfile(want, 7, true))
+		got, seed := decodeProfile(encodeProfile(want, 7))
 		got.name = want.name
-		if got != want || seed != 7 || !events {
-			t.Errorf("%s decoded as %+v (seed %d, events %v)", want.name, got, seed, events)
+		if got != want || seed != 7 {
+			t.Errorf("%s decoded as %+v (seed %d)", want.name, got, seed)
 		}
 	}
 }

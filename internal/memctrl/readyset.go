@@ -462,8 +462,8 @@ func (c *Controller) gateWalk(q *readyQueue) (bank, idx int32) {
 }
 
 // issueACT performs a demand activation for req, fires the activate
-// observers (inline or deferred into the event buffer) and then patches
-// the table, which an observer's preventive request may have dropped.
+// observers and then patches the table, which an observer's preventive
+// request may have dropped.
 func (c *Controller) issueACT(req *Request, bank int) {
 	c.dev.Issue(dram.CmdACT, req.Addr, c.now)
 	req.opened = true
@@ -472,11 +472,6 @@ func (c *Controller) issueACT(req *Request, bank int) {
 	if req.Thread >= 0 {
 		c.stats.DemandACTs[req.Thread]++
 	}
-	if c.events != nil {
-		c.events.events = append(c.events.events,
-			Event{Kind: EventActivate, Bank: bank, Row: req.Addr.Row, Thread: req.Thread, At: c.now})
-	} else {
-		c.Activated(bank, req.Addr.Row, req.Thread, c.now)
-	}
+	c.Activated(bank, req.Addr.Row, req.Thread, c.now)
 	c.patch(dram.CmdACT, bank)
 }

@@ -25,7 +25,7 @@ type actRec struct {
 	at                int64
 }
 
-func runSleepProfile(t *testing.T, p diffProfile, seed int64, poll, events bool) *sleepRun {
+func runSleepProfile(t *testing.T, p diffProfile, seed int64, poll bool) *sleepRun {
 	t.Helper()
 	dev, err := dram.NewDevice(dram.Default(), dram.DDR5())
 	if err != nil {
@@ -42,17 +42,7 @@ func runSleepProfile(t *testing.T, p diffProfile, seed int64, poll, events bool)
 	if p.gate {
 		c.SetActGate(gateFn(&r.se))
 	}
-	tick := h.tick
-	if events {
-		c.SetEventBuffer(NewEventBuffer(16))
-		watched := tick
-		tick = func(now int64) bool {
-			prog := watched(now)
-			c.ReplayEvents()
-			return prog
-		}
-	}
-	inner := tick
+	inner := h.tick
 	h.tick = func(now int64) bool {
 		if c.asleepAt(now) {
 			r.asleep++
@@ -81,8 +71,7 @@ func TestSleepMatchesPolling(t *testing.T) {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				events := seed == 2 // second seed: deferred-event mode, as memsys batches run
-				a := checkSleepMatchesPolling(t, p, seed, events)
+				a := checkSleepMatchesPolling(t, p, seed)
 				if !p.gate && a.asleep < len(a.progress)/10 {
 					t.Fatalf("seed %d: the sleep hardly engaged (%d of %d ticks): the test is vacuous",
 						seed, a.asleep, len(a.progress))
@@ -96,10 +85,10 @@ func TestSleepMatchesPolling(t *testing.T) {
 // controller and on its forced-polling twin (which also rebuilds its
 // candidate table on every Tick), fails unless everything observable
 // agrees, and returns the sleeping run.
-func checkSleepMatchesPolling(t *testing.T, p diffProfile, seed int64, events bool) *sleepRun {
+func checkSleepMatchesPolling(t *testing.T, p diffProfile, seed int64) *sleepRun {
 	t.Helper()
-	a := runSleepProfile(t, p, seed, false, events)
-	b := runSleepProfile(t, p, seed, true, events)
+	a := runSleepProfile(t, p, seed, false)
+	b := runSleepProfile(t, p, seed, true)
 	for cycle := range a.progress {
 		if a.progress[cycle] != b.progress[cycle] {
 			t.Fatalf("seed %d: Tick verdict diverges at cycle %d: sleeping %v, polling %v",

@@ -57,13 +57,6 @@ type Interleaved struct {
 	mapper memctrl.AddressMapper
 	ctrls  []*memctrl.Controller
 	devs   []*dram.Device
-
-	// Multi-channel systems attach one event buffer per channel and
-	// drain them in channel-index order after each cycle batch, so the
-	// LLC, latency sinks and cross-channel activate hooks observe one
-	// deterministic event stream in which channel c's events of a cycle
-	// all precede channel c+1's.
-	bufs []*memctrl.EventBuffer
 }
 
 // New builds the memory subsystem. threads is the hardware thread count
@@ -92,20 +85,6 @@ func New(cfg Config, threads int) (*Interleaved, error) {
 		mc.SetMapper(mapper)
 		m.devs = append(m.devs, dev)
 		m.ctrls = append(m.ctrls, mc)
-	}
-	if n > 1 {
-		// Single-channel systems keep inline callback delivery (there is
-		// nothing to order against); multi-channel systems run the
-		// buffered batch, whose drain order is the one event order every
-		// multi-channel result is recorded in.
-		m.bufs = make([]*memctrl.EventBuffer, n)
-		for i, c := range m.ctrls {
-			// Pre-grown: a cycle batch emits at most a few events per
-			// channel (one command plus drained responses), so 256 keeps
-			// the batch loop allocation-free from the first tick.
-			m.bufs[i] = memctrl.NewEventBuffer(256)
-			c.SetEventBuffer(m.bufs[i])
-		}
 	}
 	return m, nil
 }
@@ -165,28 +144,19 @@ func (m *Interleaved) AddActivateHook(h ChannelActivateHook) {
 	}
 }
 
-// Tick advances every channel one command-bus cycle and reports whether
-// any channel made progress. With more than one channel the cycle is a
-// batch: each channel ticks in turn with its cross-component side
-// effects buffered, then the buffers drain in channel-index order — so
-// every observer outside the channels sees channel 0's events of the
-// cycle, then channel 1's, and so on, and no channel ticks after
-// another channel's same-cycle fills have reached the LLC (a writeback
-// such a fill evicts joins its channel's queue in the next cycle).
-// Delivering inline instead changes multi-channel results, so the
-// buffers stay until a results-schema change adopts that order.
+// Tick advances every channel one command-bus cycle, in channel-index
+// order, and reports whether any channel made progress. Each channel's
+// fills, latency reports and activate hooks fire inline during its own
+// tick, so observers outside the channels see channel 0's events of the
+// cycle, then channel 1's, and so on; and a request one channel's events
+// enqueue to a later channel (a writeback a fill evicts, say) is already
+// queued when that channel ticks in the same cycle.
 func (m *Interleaved) Tick(now int64) bool {
-	if len(m.ctrls) == 1 {
-		return m.ctrls[0].Tick(now)
-	}
 	var progress bool
 	for _, c := range m.ctrls {
 		if c.Tick(now) {
 			progress = true
 		}
-	}
-	for _, c := range m.ctrls {
-		c.ReplayEvents()
 	}
 	return progress
 }

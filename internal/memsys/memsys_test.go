@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"fmt"
 	"testing"
 
 	"breakhammer/internal/dram"
@@ -156,89 +155,57 @@ func TestNextWakeCoversResponsesAndRefresh(t *testing.T) {
 	}
 }
 
-// batchEvent is one observation made outside the channels: the cycle
-// whose Tick delivered it, the channel it came from and what it was.
-type batchEvent struct {
-	tick    int64
-	channel int
-	what    string
-}
-
-// driveBatch exercises one Interleaved with a deterministic request
-// pattern and records every externally observable event — fills,
-// latencies and activate-hook notifications — as one sequence. Each
-// read is issued by the thread numbered after the channel its line
-// decodes to, so every event names its channel: a fill by its line, a
-// latency report by its thread, an activation explicitly.
-func driveBatch(t *testing.T, channels int) []batchEvent {
-	t.Helper()
-	m, err := New(testConfig(channels), channels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []batchEvent
-	var tick int64
-	m.SetFillFunc(func(line uint64) {
-		ch := m.Mapper().Map(line).Channel
-		events = append(events, batchEvent{tick, ch, fmt.Sprintf("fill %#x", line)})
-	})
-	m.SetLatencySink(func(thread int, cycles int64) {
-		events = append(events, batchEvent{tick, thread, fmt.Sprintf("lat %d", cycles)})
-	})
-	m.AddActivateHook(func(channel, bank, row, thread int, now int64) {
-		if thread != channel {
-			t.Fatalf("channel %d activated for thread %d, whose reads all map to channel %d", channel, thread, thread)
-		}
-		events = append(events, batchEvent{tick, channel, fmt.Sprintf("act b%d r%d @%d", bank, row, now)})
-	})
-	next := uint64(0)
-	for tick = 0; tick < 30000; tick++ {
-		// Keep a trickle of traffic flowing so every channel stays busy
-		// and responses from different channels interleave.
-		if tick%7 == 0 {
-			line := next * 37
-			m.EnqueueRead(line, m.Mapper().Map(line).Channel)
-			next++
-		}
-		if !m.Tick(tick) && m.NextWake(tick) <= tick {
-			t.Fatalf("NextWake(%d) not in the future on an idle tick", tick)
-		}
-	}
-	return events
-}
-
-// TestBatchDrainsInChannelOrder pins the order every multi-channel
-// result is recorded in: within one Tick, each fill, latency report and
-// activation of channel c reaches its observer before any of channel
-// c+1's. It counts where one tick's events move on to a later channel,
-// so a pattern that never mixes channels in one cycle fails as vacuous
-// instead of passing.
-func TestBatchDrainsInChannelOrder(t *testing.T) {
+// TestCycleTicksChannelsInIndexOrder pins the order of a multi-channel
+// cycle: the channels tick in index order and each one's callbacks fire
+// inline, during its own tick. So a read that channel 0's activate hook
+// enqueues at cycle t to a later channel is issued by that channel in
+// cycle t. (Delivering channel 0's events only after every channel has
+// ticked, as a buffered cycle would, issues it at t+1.)
+func TestCycleTicksChannelsInIndexOrder(t *testing.T) {
 	for _, channels := range []int{2, 4, 8} {
-		events := driveBatch(t, channels)
-		seen := make([]bool, channels)
-		mixed := 0 // places where one tick's events move on to a later channel
-		for i, ev := range events {
-			seen[ev.channel] = true
-			if i == 0 || events[i-1].tick != ev.tick {
-				continue
-			}
-			prev := events[i-1]
-			if prev.channel > ev.channel {
-				t.Fatalf("channels=%d: tick %d delivered channel %d's %q after channel %d's %q",
-					channels, ev.tick, ev.channel, ev.what, prev.channel, prev.what)
-			}
-			if prev.channel < ev.channel {
-				mixed++
-			}
+		m, err := New(testConfig(channels), channels)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for ch, ok := range seen {
-			if !ok {
-				t.Errorf("channels=%d: channel %d delivered no event", channels, ch)
+		lineOn := func(ch int) uint64 {
+			line := uint64(0)
+			for m.Mapper().Map(line).Channel != ch {
+				line++
 			}
+			return line
 		}
-		if mixed == 0 {
-			t.Errorf("channels=%d: no tick delivered events of two channels; the order is unobserved", channels)
+		first := make([]int64, channels) // each channel's first activation, -1 before it
+		for ch := range first {
+			first[ch] = -1
+		}
+		m.AddActivateHook(func(channel, bank, row, thread int, now int64) {
+			if first[channel] >= 0 {
+				return
+			}
+			first[channel] = now
+			if channel == 0 {
+				for ch := 1; ch < channels; ch++ {
+					if !m.EnqueueRead(lineOn(ch), ch) {
+						t.Fatalf("channels=%d: channel %d refused a read", channels, ch)
+					}
+				}
+			}
+		})
+		m.SetFillFunc(func(uint64) {})
+		if !m.EnqueueRead(lineOn(0), 0) {
+			t.Fatal("channel 0 refused a read")
+		}
+		for now := int64(0); now < 1000 && first[channels-1] < 0; now++ {
+			m.Tick(now)
+		}
+		if first[0] < 0 {
+			t.Fatalf("channels=%d: channel 0 never activated", channels)
+		}
+		for ch := 1; ch < channels; ch++ {
+			if first[ch] != first[0] {
+				t.Errorf("channels=%d: channel 0's hook enqueued at cycle %d; channel %d activated at %d, want the same cycle",
+					channels, first[0], ch, first[ch])
+			}
 		}
 	}
 }

@@ -15,12 +15,17 @@ import (
 )
 
 // parentStore is a recorded shard: two exact points, one sampled point and
-// one raw table from real simulations at results schema 5, plus records
-// of schemas 4 and 3 (lines the schema-4 and schema-3 code wrote), a
-// garbage line and a torn tail. It was first written by the commit before
-// stats.Histogram's JSON codec was rewritten by hand (92107d9), and
-// re-recorded with the schema-5 bump. It is a recording — regenerate it
-// only with a schema bump.
+// one raw table from real simulations at results schema 6, plus records
+// of schemas 5, 4 and 3 (lines the older code wrote), a garbage line and
+// a torn tail. It was first written by the commit before stats.Histogram's
+// JSON codec was rewritten by hand (92107d9), and re-recorded with the
+// schema-5 and schema-6 bumps. The points are single-channel (the exact
+// ones are HHMM-0 bare and HHMA-0 with BreakHammer alone, 12 000
+// instructions; the sampled one is HHHA-0 aqua+BH at N_RH 128, 40 000
+// instructions, windows of 2 000/6 000/16 000 cycles; all FastConfig with
+// a 30 000-cycle throttling window), so the schema-6 results are the
+// schema-5 bytes. It is a recording — regenerate it only with a schema
+// bump.
 const parentStore = "testdata/parent-store"
 
 // TestParentWrittenStoreReplays is the cross-version contract of the
@@ -42,10 +47,10 @@ func TestParentWrittenStoreReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The four schema-5 records load; the schema-4 and schema-3 records,
-	// the garbage line and the torn tail are skipped.
-	if st := s.Stats(); st.Loaded != 4 || st.Skipped != 4 {
-		t.Fatalf("loaded %d, skipped %d; the recording loads 4 and skips 4", st.Loaded, st.Skipped)
+	// The four schema-6 records load; the schema-5, schema-4 and
+	// schema-3 records, the garbage line and the torn tail are skipped.
+	if st := s.Stats(); st.Loaded != 4 || st.Skipped != 5 {
+		t.Fatalf("loaded %d, skipped %d; the recording loads 4 and skips 5", st.Loaded, st.Skipped)
 	}
 
 	rewritten, err := Open(t.TempDir())

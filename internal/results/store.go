@@ -37,6 +37,11 @@ import (
 //
 // Version history:
 //
+//	6: a multi-channel cycle delivers each channel's fills, latency
+//	   reports and activations inline, during that channel's tick,
+//	   instead of buffering them to the end of the cycle, which re-times
+//	   multi-channel simulations; single-channel results are unchanged,
+//	   but stored multi-channel records must not be served.
 //	5: known-wrong behaviours fixed in one deliberate shift, Result's shape
 //	   unchanged. Fast-forward activations enter through the channels'
 //	   activate hooks (memctrl.Controller.Activated), so BreakHammer hears
@@ -64,7 +69,7 @@ import (
 //	   slightly re-times multi-channel simulations; pre-batch
 //	   multi-channel records are unreproducible and must not be served.
 //	1: initial persistent store.
-const SchemaVersion = 5
+const SchemaVersion = 6
 
 // Key returns the content address of one experiment point: a hex SHA-256
 // over the schema version and the canonical fingerprint of (config,

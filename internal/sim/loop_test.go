@@ -66,9 +66,9 @@ func TestParallelChannelsDeterministic(t *testing.T) {
 // the differential oracle; the JSON of the complete Result must match,
 // counters included — the LLC counts a stalled core's refusals once per
 // episode, not once per ticked retry. The sampled row checks skip-ahead
-// inside warm-up and detail spans; the 4-channel row has its fills, and
-// so the completions that wake a sleeping core, replayed from the
-// channels' event buffers. The last two rows reach the refusal kinds the
+// inside warm-up and detail spans; the 4-channel row has the
+// completions that wake a sleeping core delivered by four channels in
+// one cycle. The last two rows reach the refusal kinds the
 // others barely see, each waking a core by its own clause of
 // cache.LLC.RefusalLifted: "queue" shrinks the controller's queues until
 // every thread meets a full read queue, "benign-quota" makes BreakHammer

@@ -26,12 +26,15 @@ import (
 // would be a row hit): a back-off there is dropped (memctrl.Controller.
 // SetFunctional), neither queued nor a row closure.
 //
-// The two 4-channel rows were recorded later, at schema 5, while the
-// cycle batch could still also run on a worker pool (both executions
-// gave these strings); they pin the channel-index drain order of
-// memsys.Interleaved.Tick past two channels — PRAC's RFMs and back-offs
-// in four channels, and a lockstep BlockHammer run whose ActGate acts
-// inside the batch.
+// The multi-channel rows barely see the order of a multi-channel cycle.
+// Draining buffered channel events in reverse channel order moved only
+// sampled-prac-bh, and so did delivering them inline (results schema
+// 6, which re-recorded that one string); attack-2ch-hydra and the two
+// 4-channel rows (PRAC's RFMs and back-offs in four channels, and a
+// lockstep BlockHammer run whose ActGate acts inside the cycle) kept
+// theirs. The pins that see the order are
+// memsys.TestCycleTicksChannelsInIndexOrder and the 4-channel figure
+// goldens (internal/exp/testdata/quick-4ch).
 var schedGoldenCases = []struct {
 	name    string
 	mix     string
@@ -59,7 +62,7 @@ var schedGoldenCases = []struct {
 	{name: "sampled-graphene-bh", mix: "MLLA", mech: "graphene", bh: true, nrh: 256, chans: 1, sampled: true,
 		golden: "cycles=593776 acts=6760 hits=1609 reads=8316 writes=71 ref=24 vrr=156 rfm=0 mig=0 aux=0 gated=0 total=6792 backoff=0 actions=343 detailed=123197 ff=470579 windows=12"},
 	{name: "sampled-prac-bh", mix: "HHMA", mech: "prac", bh: true, nrh: 16, chans: 2, sampled: true,
-		golden: "cycles=6788048 acts=17617 hits=2915 reads=20509 writes=890 ref=809 vrr=0 rfm=4344 mig=0 aux=0 gated=0 total=18074 backoff=1980864 actions=5296 detailed=1929970 ff=4858078 windows=136"},
+		golden: "cycles=7252992 acts=18611 hits=2941 reads=21520 writes=903 ref=875 vrr=0 rfm=4754 mig=0 aux=0 gated=0 total=19071 backoff=2168736 actions=5712 detailed=2091025 ff=5161967 windows=145"},
 }
 
 // schedGoldenFingerprint compresses a run's scheduler-observable outcome

@@ -385,15 +385,14 @@ func (s *System) Run() Result {
 // so the driver stops calling it. The wake set: a BreakHammer window
 // rotation (it may restore quotas); the core's NextWake (its head load's
 // known completion time); a completion callback for its head load, or
-// under an LSU quota for any of its loads (cpu.Core.Wakes, delivered by
-// this cycle's memory tick, inline or replayed from a channel's event
-// buffer); and the LLC reporting that the core's latest refusal may have
-// lifted (cache.LLC.RefusalLifted: a quota refusal at a release of an
-// MSHR the thread allocated, a full MSHR file at any release, a full read
-// queue at any memory progress). Nothing else can unblock a core: quotas
-// only fall within a window, and since threads own disjoint address
-// slices no other thread's access turns a refused line into a hit or a
-// merge.
+// under an LSU quota for any of its loads (cpu.Core.Wakes, delivered
+// inline by this cycle's memory tick); and the LLC reporting that the
+// core's latest refusal may have lifted (cache.LLC.RefusalLifted: a
+// quota refusal at a release of an MSHR the thread allocated, a full
+// MSHR file at any release, a full read queue at any memory progress).
+// Nothing else can unblock a core: quotas only fall within a window, and
+// since threads own disjoint address slices no other thread's access
+// turns a refused line into a hit or a merge.
 //
 // Per-controller sleep: a memory controller whose scheduler found nothing
 // legal knows the exact first cycle at which any command it could pick
