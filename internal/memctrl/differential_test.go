@@ -423,6 +423,13 @@ func checkMatchesReference(t *testing.T, p diffProfile, seed int64) patchCoverag
 		prod.SetActGate(gateFn(&seA))
 		ref.SetActGate(gateFn(&seB))
 	}
+	var actsA, actsB []actRec
+	prod.AddActivateHook(func(bank, row, thread int, now int64) {
+		actsA = append(actsA, actRec{bank, row, thread, now})
+	})
+	ref.AddActivateHook(func(bank, row, thread int, now int64) {
+		actsB = append(actsB, actRec{bank, row, thread, now})
+	})
 
 	progA := runDiffProfile(t, p, seed, hA, &seA)
 	progB := runDiffProfile(t, p, seed, hB, &seB)
@@ -441,6 +448,9 @@ func checkMatchesReference(t *testing.T, p diffProfile, seed int64) patchCoverag
 	}
 	if !reflect.DeepEqual(seA.fills, seB.fills) {
 		t.Fatalf("seed %d: fill sequences diverge", seed)
+	}
+	if !reflect.DeepEqual(actsA, actsB) {
+		t.Fatalf("seed %d: activate-hook sequences diverge", seed)
 	}
 	if !reflect.DeepEqual(seA.lats, seB.lats) {
 		t.Fatalf("seed %d: latency sequences diverge", seed)

@@ -148,9 +148,9 @@ func (m *Interleaved) AddActivateHook(h ChannelActivateHook) {
 // order, and reports whether any channel made progress. Each channel's
 // fills, latency reports and activate hooks fire inline during its own
 // tick, so observers outside the channels see channel 0's events of the
-// cycle, then channel 1's, and so on; and a request one channel's events
-// enqueue to a later channel (a writeback a fill evicts, say) is already
-// queued when that channel ticks in the same cycle.
+// cycle, then channel 1's, and so on; and a request one channel's
+// callbacks enqueue to a later channel is already queued when that
+// channel ticks in the same cycle.
 func (m *Interleaved) Tick(now int64) bool {
 	var progress bool
 	for _, c := range m.ctrls {
