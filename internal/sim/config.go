@@ -28,9 +28,10 @@ type Config struct {
 	// instance; lines interleave across channels per AddressMap.
 	Channels int
 
-	// ParallelChannels does nothing: every multi-channel cycle is the
-	// serial batch (memsys.Interleaved.Tick). Fingerprint zeroes it and
-	// aloneNormalised lists it, so setting it moves no store key.
+	// ParallelChannels does nothing: every multi-channel cycle ticks its
+	// channels in index order (memsys.Interleaved.Tick). Fingerprint
+	// zeroes it and aloneNormalised lists it, so setting it moves no
+	// store key.
 	//
 	// Deprecated: it selected a channel-tick worker pool, which is gone.
 	// Its last reader is the repository benchmark's memsys.parallel_ratio

@@ -35,14 +35,14 @@ func runOnce(t *testing.T, cfg Config, mixName string) []byte {
 }
 
 // TestParallelChannelsDeterministic pins the multi-channel half of the
-// skip-ahead claim: channels that tick side by side in one cycle batch
+// skip-ahead claim: channels that tick one after another in one cycle
 // give one result whether the driver skips idle cycles or ticks every
 // one, at 1, 2, 4 and 8 channels and for an attack and a benign mix. The
 // comparison is the JSON of the complete Result — merged and per-channel
 // controller stats, cache stats, BreakHammer stats, latency histograms,
 // energy — so a channel whose wake bound let the driver jump past one of
-// its events, or a batch drain that depended on which cycles ran, would
-// surface.
+// its events, or a channel order that depended on which cycles ran,
+// would surface.
 func TestParallelChannelsDeterministic(t *testing.T) {
 	for _, channels := range []int{1, 2, 4, 8} {
 		for _, mixName := range []string{"HLMA", "HML"} {
