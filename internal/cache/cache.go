@@ -267,7 +267,8 @@ func (l *LLC) refuse(thread int, counter []int64, waits *int64) {
 // memProgress says whether the memory side progressed since the refusal.
 // A quota refusal lifts only when an MSHR the thread allocated is
 // released, write-miss registers included (a quota only rises at a
-// BreakHammer window rotation, which this method does not see); a full
+// BreakHammer window rotation or a BlockHammer activation, which this
+// method does not see: the simulation loop wakes every core then); a full
 // MSHR file lifts at any release; a full read queue only with memory
 // progress. It is false when the thread's latest Read or Write was
 // accepted: nothing in the LLC holds the thread back then. The answer

@@ -36,9 +36,13 @@ type Request struct {
 // and BreakHammer register hooks; thread is -1 for writeback traffic.
 type ActivateHook func(bank, row, thread int, now int64)
 
-// ActGate can veto a demand activation (BlockHammer's row blacklisting).
-// Returning false delays the activation; the scheduler retries later.
-type ActGate func(bank, row, thread int, now int64) bool
+// ActGate delays demand activations (BlockHammer's row blacklisting): it
+// returns the first cycle at which thread's activation of (bank, row) may
+// issue, and an answer at or before now passes it. The answer must be a
+// pure function of state that only the channel's activations change — the
+// controller asks again after each ACT it issues and otherwise sleeps to
+// the answer.
+type ActGate func(bank, row, thread int, now int64) int64
 
 // LatencySink receives the queuing+service latency (in cycles) of each
 // completed read, attributed to the requesting thread.
@@ -60,7 +64,7 @@ type Stats struct {
 	RFMs          int64
 	Migrations    int64
 	AuxAccesses   int64 // metadata accesses (Hydra table traffic)
-	GatedACTs     int64 // activations delayed by an ActGate
+	GatedACTs     int64 // demand ACTs whose row the ActGate held past the request's arrival
 	TotalACTs     int64 // all activations including writebacks
 	BackoffCycles int64 // cycles spent with the channel paused by PRAC back-off
 }
@@ -160,8 +164,6 @@ type Controller struct {
 	tab  []bankCands
 	tabQ *readyQueue
 
-	gateCands []gateCand // gateWalk's reusable scratch
-
 	// idleUntil is the controller's sleep: every Tick that runs the
 	// scheduler leaves here the exact first cycle at which any command it
 	// could pick next becomes legal (see earliestCommand), and Tick only
@@ -195,7 +197,6 @@ func New(cfg Config, dev *dram.Device, threads int) *Controller {
 		prevQ:        make([]prevFIFO, banks),
 		capCount:     make([]int, banks),
 		tab:          make([]bankCands, banks),
-		gateCands:    make([]gateCand, 0, banks),
 		backoffUntil: -1,
 	}
 	for r := 0; r < ranks; r++ {
@@ -251,9 +252,7 @@ func (c *Controller) Activated(bank, row, thread int, now int64) {
 	}
 }
 
-// SetActGate installs an activation veto (BlockHammer). A gated controller
-// never sleeps: the gate is stateful and counts every evaluation, so every
-// cycle's scheduling pass is observable.
+// SetActGate installs an activation delay (BlockHammer).
 func (c *Controller) SetActGate(g ActGate) {
 	c.actGate = g
 	c.wake()
@@ -419,7 +418,8 @@ func (c *Controller) SkipTo(now int64) {
 // Having run the scheduler, Tick puts the controller to sleep until
 // earliestCommand: the scheduling passes are pure functions of queue,
 // refresh, preventive and device state, and until that cycle re-running
-// them on the same state could only reach the verdict "nothing legal".
+// them on the same state could only reach the verdict "nothing legal" —
+// an ActGate's answers included, which only an activation moves.
 // Any lower bound would keep every Tick's verdict identical; an exact one
 // means the controller wakes only to issue. The command a Tick issues has
 // already patched the candidate table, so the bound reads it as it is.
@@ -436,9 +436,7 @@ func (c *Controller) Tick(nowCycle int64) bool {
 	if c.tryRefresh() || c.tryPreventive() || c.tryDemand() {
 		progress = true
 	}
-	if c.actGate == nil {
-		c.idleUntil = c.earliestCommand()
-	}
+	c.idleUntil = c.earliestCommand()
 	return progress
 }
 
@@ -628,7 +626,12 @@ func (c *Controller) earliestCommand() int64 {
 	if q, _ := c.pickQueue(); q != nil {
 		c.candidates(q)
 		for _, b := range q.active {
-			at = min(at, c.tab[b].col.at, c.tab[b].row.at)
+			e := &c.tab[b]
+			row := e.row.at
+			if c.actGate != nil && !e.row.open && row != dram.Never {
+				row = max(row, c.gatedAt(q, int(b)))
+			}
+			at = min(at, e.col.at, row)
 		}
 	}
 	return at
@@ -639,9 +642,10 @@ func (c *Controller) earliestCommand() int64 {
 // only change that bank's entries (it is younger than every request
 // already there, and classify reads no other bank), so refilling the bank
 // is a full rebuild's answer, and the bound is the minimum of the old one
-// and the bank's new share — unless the table is stale or the enqueue
-// flips which queue tryDemand selects (wake), or lands on the queue it
-// does not (nothing to do).
+// and the bank's new share (under an ActGate it may be early: one more
+// scheduler run, never a late one) — unless the table is stale or the
+// enqueue flips which queue tryDemand selects (wake), or lands on the
+// queue it does not (nothing to do).
 func (c *Controller) admit(q *readyQueue, bank int) {
 	if picked, _ := c.pickQueue(); picked != c.tabQ {
 		c.wake()
@@ -655,8 +659,7 @@ func (c *Controller) admit(q *readyQueue, bank int) {
 // front read-data arrival or the end of the controller's sleep, whichever
 // is first. The skip-ahead loop jumps to the minimum NextWake across
 // components during globally idle spans. A controller that is not asleep
-// (it has an ActGate, or something woke it since its last Tick) answers
-// now+1.
+// (something woke it since its last Tick) answers now+1.
 func (c *Controller) NextWake(now int64) int64 {
 	next := c.idleUntil
 	if c.responses.len() > 0 {

@@ -191,15 +191,15 @@ func TestActGateDelaysActivation(t *testing.T) {
 	done := 0
 	c.SetFillFunc(func(uint64) { done++ })
 	var releaseAt int64 = 3000
-	c.SetActGate(func(bank, row, thread int, now int64) bool { return now >= releaseAt })
+	c.SetActGate(func(bank, row, thread int, now int64) int64 { return releaseAt })
 
 	c.EnqueueRead(0, 0)
 	end := run(t, c, 50000, func() bool { return done == 1 })
 	if end < releaseAt {
 		t.Errorf("read completed at %d despite gate releasing at %d", end, releaseAt)
 	}
-	if c.Stats().GatedACTs == 0 {
-		t.Error("GatedACTs not counted")
+	if n := c.Stats().GatedACTs; n != 1 {
+		t.Errorf("GatedACTs = %d, want 1", n)
 	}
 }
 
@@ -303,7 +303,7 @@ func TestWritebackThreadNotAttributed(t *testing.T) {
 // TestTickDoesNotAllocate guards the allocation-free path: with the read
 // queue held full, writes arriving slowly enough for the write drain to
 // come and go, and every kind of preventive action arriving now and then,
-// a warmed-up controller's Tick, ungated and behind a stateful ActGate —
+// a warmed-up controller's Tick, ungated and behind an ActGate —
 // admit's bank refills, the patches after demand, refresh and preventive
 // commands, table rebuilds, the one-scan pick, the gate walk, read
 // delivery — performs no heap allocation. The table is checked against a
@@ -315,11 +315,15 @@ func TestTickDoesNotAllocate(t *testing.T) {
 		c := newTestController(t)
 		c.SetFillFunc(func(uint64) {})
 		if gated {
-			evals := 0
-			c.SetActGate(func(bank, row, thread int, now int64) bool {
-				evals++
-				return row%2 == 0 || evals%3 != 0
+			// Odd rows (row/37) wait 300 cycles after their last ACT.
+			var last [16][6]int64
+			c.SetActGate(func(bank, row, thread int, now int64) int64 {
+				if row/37%2 == 0 {
+					return 0
+				}
+				return last[bank][row/37] + 300
 			})
+			c.AddActivateHook(func(bank, row, thread int, now int64) { last[bank][row/37] = now })
 		}
 		h := prodHarness(c)
 		w := watchTable(t, c, h, nil)
@@ -384,7 +388,7 @@ func TestTickDoesNotAllocate(t *testing.T) {
 			t.Errorf("gated=%v: read queue holds %d: the profile does not keep it full", gated, r)
 		}
 		if gated && c.Stats().GatedACTs == 0 {
-			t.Error("the gate never rejected: the gated walk is not exercised")
+			t.Error("the gate never held an activation: the gated walk is not exercised")
 		}
 		for k, n := range w.covered {
 			if n == 0 {

@@ -7,7 +7,7 @@ package memctrl
 // the guardrail that lets the ready-set scheduler replace the full-queue
 // scan without forking any cached result (results.SchemaVersion stays
 // put): FR-FCFS+Cap ordering, write-drain hysteresis, preventive and
-// refresh priority, gate evaluation order and every counter are all
+// refresh priority, the gate's delays and every counter are all
 // observable here.
 
 import (
@@ -33,7 +33,6 @@ type sideEffects struct {
 	issues  []issueRec
 	fills   []uint64
 	lats    []string
-	gates   []string
 	rejects int // enqueue rejections (full queue)
 }
 
@@ -53,7 +52,7 @@ type diffProfile struct {
 	enqProb  float64 // per-cycle enqueue probability
 	prevProb float64 // per-cycle preventive-request probability
 	backoff  bool    // occasionally request PRAC back-off
-	gate     bool    // install a (deterministic, stateful) ActGate
+	gate     bool    // install gateFn's ActGate
 	cycles   int64
 	burst    int // enqueue attempts per enqueue event (drives queues full)
 
@@ -94,22 +93,23 @@ func diffProfiles() []diffProfile {
 	}
 }
 
-// gateFn builds a deterministic, stateful gate: it blocks a (bank,row)
-// pair for a fixed window after each allowed activation, the shape of
-// BlockHammer's delay, and records every evaluation so the differential
-// test also pins gate call order and count (the gate mutates state, so
-// evaluation order is part of the contract).
-func gateFn(se *sideEffects) ActGate {
+// gateFn builds a deterministic gate of BlockHammer's shape and the
+// activate hook that trains it: after an activation of a (bank,row) pair
+// with row%3 == 0, the pair's next activation waits a window that depends
+// on the thread asking, cut short at the next 4096-cycle boundary, which
+// forgets the activation. The answer is a pure function of the
+// activations so far.
+func gateFn() (ActGate, ActivateHook) {
 	lastACT := map[int]int64{}
-	return func(bank, row, thread int, now int64) bool {
-		se.gates = append(se.gates, fmt.Sprintf("%d/%d/%d@%d", bank, row, thread, now))
-		key := bank<<20 | row
-		if last, ok := lastACT[key]; ok && now-last < 200 && row%3 == 0 {
-			return false
+	gate := func(bank, row, thread int, now int64) int64 {
+		last, ok := lastACT[bank<<20|row]
+		if !ok || row%3 != 0 {
+			return 0
 		}
-		lastACT[key] = now
-		return true
+		return min(last+600+200*int64(thread&3), last|4095+1)
 	}
+	hook := func(bank, row, thread int, now int64) { lastACT[bank<<20|row] = now }
+	return gate, hook
 }
 
 // diffHarness drives one controller implementation through a profile.
@@ -420,8 +420,12 @@ func checkMatchesReference(t *testing.T, p diffProfile, seed int64) patchCoverag
 	attachObservers(&seA, p, hA, prod.SetFillFunc, prod.SetLatencySink)
 	attachObservers(&seB, p, hB, ref.SetFillFunc, ref.SetLatencySink)
 	if p.gate {
-		prod.SetActGate(gateFn(&seA))
-		ref.SetActGate(gateFn(&seB))
+		gate, train := gateFn()
+		prod.SetActGate(gate)
+		prod.AddActivateHook(train)
+		gate, train = gateFn()
+		ref.SetActGate(gate)
+		ref.AddActivateHook(train)
 	}
 	var actsA, actsB []actRec
 	prod.AddActivateHook(func(bank, row, thread int, now int64) {
@@ -454,10 +458,6 @@ func checkMatchesReference(t *testing.T, p diffProfile, seed int64) patchCoverag
 	}
 	if !reflect.DeepEqual(seA.lats, seB.lats) {
 		t.Fatalf("seed %d: latency sequences diverge", seed)
-	}
-	if !reflect.DeepEqual(seA.gates, seB.gates) {
-		t.Fatalf("seed %d: gate evaluation sequences diverge (%d vs %d evals)",
-			seed, len(seA.gates), len(seB.gates))
 	}
 	if seA.rejects != seB.rejects {
 		t.Fatalf("seed %d: enqueue rejections diverge: %d vs %d", seed, seA.rejects, seB.rejects)

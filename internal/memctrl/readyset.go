@@ -22,10 +22,11 @@ import (
 //   - CanIssue(ACT) does not depend on the row, and CanIssue(PRE) only on
 //     the bank, so in pass 2 a bank is exhausted after its first failed
 //     attempt. An installed ActGate is the one exception, and a branch of
-//     pass 2 (gateWalk) rather than a second scheduler: the gate is
-//     stateful (BlockHammer counts every rejection), so a closed bank
-//     advances to its next request where the ungated pick drops the bank,
-//     and every evaluation happens in the flat scan's order and count.
+//     pass 2 (gateWalk) rather than a second scheduler: a closed bank whose
+//     ACT is legal offers its oldest request the gate passes, where the
+//     ungated pick offers its oldest request or nothing. The gate answers
+//     when, from state only an activation changes, so asking it in any
+//     order, or not at all while the controller sleeps, changes nothing.
 //   - The cap rule and the bank-ownership rule are stated once, in
 //     classify, and read once per bank per state: fillBank turns what it
 //     names into the bank's row of a candidate table, with each
@@ -223,7 +224,8 @@ func (c *Controller) classify(q *readyQueue, bank int) (hit, next int, open bool
 // classify names, and when each command becomes legal — EarliestIssue of
 // the hit's RD/WR, of the PRE, or of the ACT floored at backoffUntil (PRAC
 // back-off holds the ACT, and only the ACT). It returns the earlier of the
-// two cycles, the bank's share of the controller's sleep.
+// two cycles, the bank's share of the controller's sleep — ungated: an
+// installed ActGate can only hold the ACT later (gatedAt).
 func (c *Controller) fillBank(q *readyQueue, bank int) int64 {
 	hit, next, open := c.classify(q, bank)
 	reqs := q.banks[bank].reqs
@@ -244,6 +246,16 @@ func (c *Controller) fillBank(q *readyQueue, bank int) int64 {
 		e.row = cand{at: at, seq: r.seq, idx: int32(next), open: open}
 	}
 	return min(e.col.at, e.row.at)
+}
+
+// gatedAt is the first cycle the ActGate passes one of bank's requests:
+// a closed bank's ACT waits for the later of it and its legal-at cycle.
+func (c *Controller) gatedAt(q *readyQueue, bank int) int64 {
+	at := dram.Never
+	for _, r := range q.banks[bank].reqs {
+		at = min(at, c.actGate(bank, r.Addr.Row, r.Thread, c.now))
+	}
+	return at
 }
 
 // candidates makes the candidate table cover q, rebuilding it if it is
@@ -381,9 +393,8 @@ func (c *Controller) schedule(q *readyQueue) bool {
 		return true
 	}
 
-	// Pass 2 issues the oldest legal row command — unless an ActGate is
-	// installed, whose evaluations must keep the flat scan's order and
-	// count: gateWalk then picks the row command to issue.
+	// Pass 2 issues the oldest legal row command; gateWalk picks it under
+	// an installed ActGate.
 	var idx int32
 	if c.actGate != nil {
 		row, idx = c.gateWalk(q)
@@ -404,67 +415,39 @@ func (c *Controller) schedule(q *readyQueue) bool {
 	return true
 }
 
-// gateCand is one row entry in gateWalk's scratch: a copy of a table
-// entry, and its bank.
-type gateCand struct {
-	cand
-	bank int32
-}
-
-// gateWalk is pass 2's branch for an installed ActGate. The gate is
-// stateful (BlockHammer counts every rejection), so it runs the flat
-// scan's walk: row entries oldest first across banks, where a closed
-// bank's entry — not blocked, channel not paused — advances to the bank's
-// next request after a rejection or after a pass its ACT cannot use yet,
-// instead of dropping the bank. It walks a copy of the entries, so the
-// table stays as it is, and returns the bank and request whose row command
-// issues (a legal PRE, or a legal ACT the gate passed), or bank -1. It
-// reads no legal-at cycle the ungated pick does not, and computes none.
+// gateWalk is pass 2's pick under an installed ActGate: among the row
+// entries legal now, an open bank offers its PRE and a closed bank its
+// oldest request the gate passes now; the oldest wins. It returns that
+// bank and request, or bank -1.
 func (c *Controller) gateWalk(q *readyQueue) (bank, idx int32) {
-	paused := c.now < c.backoffUntil
-	walk := c.gateCands[:0]
+	bank, seq := -1, uint64(math.MaxUint64)
 	for _, b := range q.active {
 		e := c.tab[b].row
-		switch {
-		case e.at == dram.Never:
-		case e.open && e.at > c.now: // an illegal PRE fails without side effects
-		case e.open || !paused && c.dev.BankBlockedUntil(int(b)) <= c.now:
-			walk = append(walk, gateCand{cand: e, bank: b})
-		}
-	}
-	c.gateCands = walk
-	for len(walk) > 0 {
-		i := 0
-		for j := 1; j < len(walk); j++ {
-			if walk[j].seq < walk[i].seq {
-				i = j
-			}
-		}
-		gc := &walk[i]
-		if gc.open {
-			return gc.bank, gc.idx
-		}
-		reqs := q.banks[gc.bank].reqs
-		req := reqs[gc.idx]
-		if !c.actGate(int(gc.bank), req.Addr.Row, req.Thread, c.now) {
-			c.stats.GatedACTs++
-		} else if gc.at <= c.now {
-			return gc.bank, gc.idx
-		}
-		if gc.idx++; int(gc.idx) < len(reqs) {
-			gc.seq = reqs[gc.idx].seq
+		if e.at > c.now || e.seq >= seq {
 			continue
 		}
-		walk[i] = walk[len(walk)-1] // bank walked to its end
-		walk = walk[:len(walk)-1]
+		if e.open {
+			bank, idx, seq = b, e.idx, e.seq
+			continue
+		}
+		reqs := q.banks[b].reqs
+		for i := e.idx; int(i) < len(reqs) && reqs[i].seq < seq; i++ {
+			if r := reqs[i]; c.actGate(int(b), r.Addr.Row, r.Thread, c.now) <= c.now {
+				bank, idx, seq = b, i, r.seq
+				break
+			}
+		}
 	}
-	return -1, 0
+	return bank, idx
 }
 
 // issueACT performs a demand activation for req, fires the activate
 // observers and then patches the table, which an observer's preventive
 // request may have dropped.
 func (c *Controller) issueACT(req *Request, bank int) {
+	if c.actGate != nil && c.actGate(bank, req.Addr.Row, req.Thread, c.now) > req.Arrive {
+		c.stats.GatedACTs++ // the gate held the row after the request arrived
+	}
 	c.dev.Issue(dram.CmdACT, req.Addr, c.now)
 	req.opened = true
 	c.capCount[bank] = 0

@@ -7,7 +7,11 @@ package memctrl
 // Controller and this reference side by side with identical request
 // streams and assert byte-identical command streams, callbacks and
 // stats. Do not "fix" or optimise this copy: its value is that it never
-// changes.
+// changes. One deliberate change since the seed follows ActGate's
+// contract: the gate answers when an activation may issue (a cycle, not a
+// verdict), and GatedACTs counts, at issue, the demand ACTs whose row the
+// gate held past the request's arrival instead of every rejected poll —
+// a count that depended on how often the gate was asked.
 
 import "breakhammer/internal/dram"
 
@@ -342,12 +346,14 @@ func (c *refController) schedule(queue *[]*refRequest) bool {
 		if c.now < c.backoffUntil {
 			continue
 		}
-		if c.actGate != nil && !c.actGate(bank, req.Addr.Row, req.Thread, c.now) {
-			c.stats.GatedACTs++
+		if c.actGate != nil && c.actGate(bank, req.Addr.Row, req.Thread, c.now) > c.now {
 			continue
 		}
 		if !c.dev.CanIssue(dram.CmdACT, req.Addr, c.now) {
 			continue
+		}
+		if c.actGate != nil && c.actGate(bank, req.Addr.Row, req.Thread, c.now) > req.Arrive {
+			c.stats.GatedACTs++
 		}
 		c.dev.Issue(dram.CmdACT, req.Addr, c.now)
 		req.opened = true

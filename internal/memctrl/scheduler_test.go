@@ -126,8 +126,11 @@ func TestGatedActDoesNotBlockOtherRequests(t *testing.T) {
 	c.SetFillFunc(func(l uint64) { done[l] = true })
 	// Gate bank of line 0 forever; a request to another bank proceeds.
 	blockedBank := c.Mapper().Map(0).Bank
-	c.SetActGate(func(bank, row, thread int, now int64) bool {
-		return bank != blockedBank
+	c.SetActGate(func(bank, row, thread int, now int64) int64 {
+		if bank == blockedBank {
+			return dram.Never
+		}
+		return 0
 	})
 	c.EnqueueRead(0, 0)
 	c.EnqueueRead(4, 1) // next MOP block: different bank

@@ -40,7 +40,9 @@ func runSleepProfile(t *testing.T, p diffProfile, seed int64, poll bool) *sleepR
 		r.acts = append(r.acts, actRec{bank, row, thread, now})
 	})
 	if p.gate {
-		c.SetActGate(gateFn(&r.se))
+		gate, train := gateFn()
+		c.SetActGate(gate)
+		c.AddActivateHook(train)
 	}
 	inner := h.tick
 	h.tick = func(now int64) bool {
@@ -62,22 +64,28 @@ func runSleepProfile(t *testing.T, p diffProfile, seed int64, poll bool) *sleepR
 // TestSleepMatchesPolling is the identity the controller's sleep rests on:
 // the same controller, denied its sleep before every Tick, returns the
 // same verdict on every cycle and issues the same command stream, with the
-// same callbacks, gate evaluations and counters. The profiles idle the
-// controller, wake it with enqueues, preventive and back-off requests
-// mid-sleep, and flip the write drain between ticks; the gated profiles
-// must never sleep at all.
+// same callbacks and counters. The profiles idle the controller, wake it
+// with enqueues, preventive and back-off requests mid-sleep, and flip the
+// write drain between ticks; the gated profiles sleep through the gate's
+// delays too.
 func TestSleepMatchesPolling(t *testing.T) {
+	held, ran := int64(0), 0
 	for _, p := range diffProfiles() {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
+			ran++
 			for seed := int64(1); seed <= 3; seed++ {
 				a := checkSleepMatchesPolling(t, p, seed)
-				if !p.gate && a.asleep < len(a.progress)/10 {
+				held += a.stats.GatedACTs
+				if a.asleep < len(a.progress)/10 {
 					t.Fatalf("seed %d: the sleep hardly engaged (%d of %d ticks): the test is vacuous",
 						seed, a.asleep, len(a.progress))
 				}
 			}
 		})
+	}
+	if ran == len(diffProfiles()) && held == 0 {
+		t.Error("no gated profile's gate held an activation: the gated sleep is not exercised")
 	}
 }
 
@@ -105,7 +113,7 @@ func checkSleepMatchesPolling(t *testing.T, p diffProfile, seed int64) *sleepRun
 		t.Fatalf("seed %d: sleeping issued %d commands, polling %d", seed, len(a.se.issues), len(b.se.issues))
 	}
 	if !reflect.DeepEqual(a.se, b.se) {
-		t.Fatalf("seed %d: fill, latency, gate or rejection sequences diverge", seed)
+		t.Fatalf("seed %d: fill, latency or rejection sequences diverge", seed)
 	}
 	if !reflect.DeepEqual(a.acts, b.acts) {
 		t.Fatalf("seed %d: activate-hook sequences diverge", seed)
@@ -118,9 +126,6 @@ func checkSleepMatchesPolling(t *testing.T, p diffProfile, seed int64) *sleepRun
 	}
 	if b.asleep != 0 {
 		t.Fatalf("seed %d: the polling controller slept through %d ticks", seed, b.asleep)
-	}
-	if p.gate && a.asleep != 0 {
-		t.Fatalf("seed %d: a gated controller slept through %d ticks", seed, a.asleep)
 	}
 	return a
 }
@@ -169,11 +174,41 @@ func TestSleepWakesOnEveryInput(t *testing.T) {
 	if c.asleepAt(1 << 20) {
 		t.Error("SkipTo left the controller asleep")
 	}
-	// Installing a gate ends the sleep for good.
+	// Installing a gate wakes the controller.
 	c.Tick(1 << 20)
-	c.SetActGate(func(bank, row, thread int, now int64) bool { return true })
-	c.Tick(1<<20 + 1)
-	if c.asleepAt(1<<20 + 2) {
-		t.Error("a gated controller went to sleep")
+	if !c.asleepAt(1<<20 + 1) {
+		t.Fatal("an empty controller is not asleep after SkipTo's Tick")
+	}
+	c.SetActGate(func(bank, row, thread int, now int64) int64 { return 0 })
+	if c.asleepAt(1<<20 + 1) {
+		t.Error("installing a gate left the controller asleep")
+	}
+}
+
+// TestGatedSleepEndsAtAllowedAt: a controller whose one request waits on
+// its ActGate sleeps to exactly the gate's answer and activates then.
+func TestGatedSleepEndsAtAllowedAt(t *testing.T) {
+	dev, err := dram.NewDevice(dram.Default(), dram.DDR5())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(DefaultConfig(), dev, 1)
+	const allowedAt = 1000
+	if c.nextRef[0] <= allowedAt {
+		t.Fatalf("the first refresh deadline %d precedes the gate's answer", c.nextRef[0])
+	}
+	c.SetActGate(func(bank, row, thread int, now int64) int64 { return allowedAt })
+	var acts []int64
+	c.AddActivateHook(func(bank, row, thread int, now int64) { acts = append(acts, now) })
+	c.EnqueueReadAddr(1, 0, dram.Addr{Bank: 2, Row: 5})
+	c.Tick(0)
+	if !c.asleepAt(allowedAt-1) || c.asleepAt(allowedAt) {
+		t.Fatalf("a gated controller sleeps until %d, want the gate's answer %d", c.idleUntil, allowedAt)
+	}
+	for now := int64(1); now <= allowedAt; now++ {
+		c.Tick(now)
+	}
+	if len(acts) != 1 || acts[0] != allowedAt {
+		t.Errorf("activations at %v, want one at %d", acts, allowedAt)
 	}
 }

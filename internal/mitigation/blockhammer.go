@@ -34,7 +34,6 @@ type BlockHammer struct {
 	maxQuota      int
 
 	actions int64 // activations observed above the blacklist threshold
-	delays  int64 // gate rejections
 }
 
 const (
@@ -80,15 +79,17 @@ func (m *BlockHammer) Name() string { return "blockhammer" }
 // Actions implements Mechanism: activations that hit the blacklist.
 func (m *BlockHammer) Actions() int64 { return m.actions }
 
-// Delays returns how many activations the gate rejected.
-func (m *BlockHammer) Delays() int64 { return m.delays }
-
 // Threshold returns the blacklist threshold N_BL.
 func (m *BlockHammer) Threshold() uint32 { return m.nbl }
 
 // Delay returns the enforced inter-activation gap for blacklisted rows.
 func (m *BlockHammer) Delay() int64 { return m.tDelay }
 
+// ensureEpoch applies the epoch swaps due by now. Only OnActivate calls
+// it, so a swap takes effect at the channel's first activation at or
+// after its cycle: ActAllowedAt already caps every delay at the swap, and
+// the AttackThrottler's quotas rise with an activation, which the system
+// loop sees as memory progress.
 func (m *BlockHammer) ensureEpoch(now int64) {
 	for now >= m.nextSwap {
 		// The active filter has lived a full lifetime: clear it and make
@@ -152,18 +153,16 @@ func (m *BlockHammer) MSHRQuota(thread int) int {
 	return q
 }
 
-// ActAllowed implements the memory controller's ActGate: a blacklisted
-// row's activation is delayed until tDelay has passed since its previous
-// activation.
-func (m *BlockHammer) ActAllowed(bank, row, thread int, now int64) bool {
-	m.ensureEpoch(now)
-	if m.filters[bank][m.active].Estimate(uint64(row)) < m.nbl {
-		return true
-	}
+// ActAllowedAt implements the memory controller's ActGate: a blacklisted
+// row's activation waits until tDelay after its previous one, or until
+// the next epoch swap forgets that one, whichever comes first; any other
+// row is allowed at once (0). lastACT holds only rows blacklisted at their
+// activation, and the active filter only grows within an epoch. The
+// answer changes only with OnActivate.
+func (m *BlockHammer) ActAllowedAt(bank, row, thread int, now int64) int64 {
 	last, seen := m.lastACT[rccKey(bank, row)]
-	if !seen || now-last >= m.tDelay {
-		return true
+	if !seen {
+		return 0
 	}
-	m.delays++
-	return false
+	return min(last+m.tDelay, m.nextSwap)
 }

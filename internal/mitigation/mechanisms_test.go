@@ -416,41 +416,48 @@ func TestBlockHammerBlacklistsAndDelays(t *testing.T) {
 
 	// Below the blacklist threshold: always allowed.
 	for i := 0; i < int(m.Threshold())-1; i++ {
-		if !m.ActAllowed(bank, row, 0, int64(i)) {
-			t.Fatalf("act %d rejected below threshold", i)
+		if at := m.ActAllowedAt(bank, row, 0, int64(i)); at > int64(i) {
+			t.Fatalf("act %d held until %d below threshold", i, at)
 		}
 		m.OnActivate(bank, row, 0, int64(i))
 	}
-	// Crossing the threshold: next activation within tDelay is rejected.
+	// Crossing the threshold: the next activation waits exactly tDelay.
 	m.OnActivate(bank, row, 0, 1000)
-	if m.ActAllowed(bank, row, 0, 1001) {
-		t.Error("blacklisted row allowed immediately after an ACT")
-	}
-	if !m.ActAllowed(bank, row, 0, 1000+m.Delay()) {
-		t.Error("blacklisted row still rejected after tDelay")
-	}
-	if m.Delays() == 0 {
-		t.Error("delays not counted")
+	if at := m.ActAllowedAt(bank, row, 0, 1001); at != 1000+m.Delay() {
+		t.Errorf("blacklisted row allowed at %d, want last ACT + tDelay = %d", at, 1000+m.Delay())
 	}
 	// A different row in the same bank is unaffected.
-	if !m.ActAllowed(bank, 9999, 0, 1001) {
-		t.Error("non-blacklisted row rejected")
+	if at := m.ActAllowedAt(bank, 9999, 0, 1001); at > 1001 {
+		t.Errorf("non-blacklisted row held until %d", at)
 	}
 }
 
 func TestBlockHammerEpochSwapClearsHistory(t *testing.T) {
 	p := testParams(256)
 	m := NewBlockHammer(p)
+	swap := p.REFW / 2 // the first half-epoch swap
+	last := swap - m.Delay()/2
 	for i := 0; i < int(m.Threshold())+10; i++ {
-		m.OnActivate(0, 5, 0, int64(i))
+		m.OnActivate(0, 5, 0, last-int64(m.Threshold())-10+int64(i)+1)
 	}
-	if m.ActAllowed(0, 5, 0, 2000) {
-		t.Fatal("row should be blacklisted")
+	// The delay would run past the swap, which forgets the activation:
+	// the answer is capped there, with or without the clock having
+	// reached it.
+	if at := m.ActAllowedAt(0, 5, 0, last+1); at != swap {
+		t.Fatalf("delay crossing the swap ends at %d, want the swap at %d", at, swap)
+	}
+	if at := m.ActAllowedAt(0, 5, 0, swap); at > swap {
+		t.Errorf("row held until %d at the swap", at)
+	}
+	// Right after the swap is applied, the row is allowed at once.
+	m.OnActivate(0, 77, 1, swap)
+	if at := m.ActAllowedAt(0, 5, 0, swap+1); at > swap+1 {
+		t.Errorf("row held until %d after the swap", at)
 	}
 	// After a full lifetime (two half-epochs) both filters have been
 	// cleared; the row is no longer blacklisted.
-	later := p.REFW + p.REFW/2 + 1
-	if !m.ActAllowed(0, 5, 0, later) {
+	m.OnActivate(0, 5, 0, p.REFW+p.REFW/2+1)
+	if at := m.ActAllowedAt(0, 5, 0, p.REFW+p.REFW/2+2); at > p.REFW+p.REFW/2+2 {
 		t.Error("blacklist survived a full filter lifetime")
 	}
 }

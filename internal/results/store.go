@@ -37,6 +37,11 @@ import (
 //
 // Version history:
 //
+//	7: memctrl.Stats.GatedACTs counts, at issue, the demand activations
+//	   whose row the ActGate (BlockHammer) held past the request's
+//	   arrival, instead of every rejected poll of the gate — a count that
+//	   depended on how often a controller asked; the simulation itself is
+//	   unchanged, but stored BlockHammer records carry the old count.
 //	6: a multi-channel cycle delivers each channel's fills, latency
 //	   reports and activations inline, during that channel's tick,
 //	   instead of buffering them to the end of the cycle, which re-times
@@ -69,7 +74,7 @@ import (
 //	   slightly re-times multi-channel simulations; pre-batch
 //	   multi-channel records are unreproducible and must not be served.
 //	1: initial persistent store.
-const SchemaVersion = 6
+const SchemaVersion = 7
 
 // Key returns the content address of one experiment point: a hex SHA-256
 // over the schema version and the canonical fingerprint of (config,

@@ -68,11 +68,14 @@ func TestParallelChannelsDeterministic(t *testing.T) {
 // episode, not once per ticked retry. The sampled row checks skip-ahead
 // inside warm-up and detail spans; the 4-channel row has the
 // completions that wake a sleeping core delivered by four channels in
-// one cycle. The last two rows reach the refusal kinds the
-// others barely see, each waking a core by its own clause of
+// one cycle. The "queue" and "benign-quota" rows reach the refusal kinds
+// the others barely see, each waking a core by its own clause of
 // cache.LLC.RefusalLifted: "queue" shrinks the controller's queues until
 // every thread meets a full read queue, "benign-quota" makes BreakHammer
-// suspect (and throttle) a benign thread too.
+// suspect (and throttle) a benign thread too. "half-epoch" runs
+// BlockHammer at bhsim's default scale past its first epoch swap, where
+// the AttackThrottler's quotas rise with an activation rather than an
+// MSHR release.
 func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 	for _, tc := range []struct {
 		mech     string
@@ -81,7 +84,7 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 		lsu      bool
 		sampled  bool
 		channels int
-		variant  string // "queue" or "benign-quota"; see above
+		variant  string // "queue", "benign-quota" or "half-epoch"; see above
 	}{
 		{mech: "none", mix: "HHMM"},
 		{mech: "graphene", mix: "MLLA", bh: true},
@@ -94,6 +97,7 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 		{mech: "graphene", mix: "HHMA", bh: true},
 		{mech: "graphene", mix: "HHMA", bh: true, variant: "queue"},
 		{mech: "graphene", mix: "HHMM", bh: true, variant: "benign-quota"},
+		{mech: "blockhammer", mix: "HHHA", variant: "half-epoch"},
 	} {
 		tc := tc
 		name := tc.mech + "/" + tc.mix
@@ -112,8 +116,11 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := tinyConfig()
-			if tc.sampled {
+			switch {
+			case tc.sampled:
 				cfg = sampledTestConfig(1)
+			case tc.variant == "half-epoch":
+				cfg = FastConfig()
 			}
 			cfg.Mechanism = tc.mech
 			cfg.NRH = 256
@@ -157,6 +164,10 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 			case "benign-quota":
 				if benign := cs.QuotaBlocks[0] + cs.QuotaBlocks[1] + cs.QuotaBlocks[2] + cs.QuotaBlocks[3]; benign == 0 {
 					t.Errorf("no benign thread met its quota: QuotaBlocks %v", cs.QuotaBlocks)
+				}
+			case "half-epoch":
+				if swap := cfg.Timing.REFW / 2; res.Cycles <= swap {
+					t.Errorf("the run ends at cycle %d, before BlockHammer's first epoch swap at %d", res.Cycles, swap)
 				}
 			}
 		})

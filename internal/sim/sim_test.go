@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"breakhammer/internal/mitigation"
 	"breakhammer/internal/workload"
 )
 
@@ -234,14 +235,24 @@ func TestBlockHammerRunsStandalone(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Mechanism = "blockhammer"
 	cfg.NRH = 128 // low threshold: the attacker's rows blacklist quickly
-	res, err := RunMix(cfg, mustMix(t, "LLLA"))
+	sys, err := NewSystem(cfg, mustMix(t, "LLLA"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The installed gate, watched: did it ever hold the attacker (thread
+	// 3) past the cycle it was asked at?
+	bhm := sys.mechs[0].(*mitigation.BlockHammer)
+	held := false
+	sys.mem.Channel(0).SetActGate(func(bank, row, thread int, now int64) int64 {
+		at := bhm.ActAllowedAt(bank, row, thread, now)
+		held = held || thread == 3 && at > now
+		return at
+	})
+	res := sys.Run()
 	if !res.BenignFinished {
 		t.Error("benign cores did not finish under BlockHammer")
 	}
-	if res.MC.GatedACTs == 0 {
+	if !held {
 		t.Error("BlockHammer never gated the attacker's activations")
 	}
 }

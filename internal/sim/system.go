@@ -24,11 +24,13 @@ type System struct {
 	bh    *core.BreakHammer
 
 	// lockstep makes runDetailed execute every cycle: no core ever sleeps
-	// and the next cycle is always cycle+1. Set by Config.DisableSkipAhead,
-	// or automatically when an ActGate (BlockHammer) is installed — the
-	// gate's verdict changes with time outside the wake-signal set, so
-	// skipping could delay activations.
+	// and the next cycle is always cycle+1 (Config.DisableSkipAhead).
 	lockstep bool
+
+	// quotaMoved is set by an activation under BlockHammer, whose
+	// AttackThrottler may have raised a quota (a lower RHLI, or the epoch
+	// swap the activation applies); runDetailed wakes every core on it.
+	quotaMoved bool
 
 	// runDetailed's per-core sleep set: asleep[i] marks a core whose last
 	// Tick made no progress, coreWake[i] its self-scheduled wake-up cycle,
@@ -188,7 +190,7 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 		s.mechs = append(s.mechs, mech)
 		mem.Channel(ch).AddActivateHook(mech.OnActivate)
 		if bhm, ok := mech.(*mitigation.BlockHammer); ok {
-			mem.Channel(ch).SetActGate(bhm.ActAllowed)
+			mem.Channel(ch).SetActGate(bhm.ActAllowedAt)
 			// BlockHammer's AttackThrottler shrinks in-flight request
 			// quotas by each thread's RowHammer likelihood index.
 			bhm.SetMaxQuota(cfg.Cache.MSHRs)
@@ -202,9 +204,9 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 		})
 	}
 	if len(blockers) > 0 {
-		// The gate's time-dependent verdict is invisible to the wake-signal
-		// set; execute every cycle for correctness.
-		s.lockstep = true
+		mem.AddActivateHook(func(channel, bank, row, thread int, now int64) {
+			s.quotaMoved = true
+		})
 		providers := make([]cache.QuotaProvider, len(blockers))
 		for i, b := range blockers {
 			providers[i] = b
@@ -383,16 +385,16 @@ func (s *System) Run() Result {
 // Per-core sleep: a core whose Tick made no progress is frozen until one
 // of its own events fires, and until then its Tick would be a pure no-op,
 // so the driver stops calling it. The wake set: a BreakHammer window
-// rotation (it may restore quotas); the core's NextWake (its head load's
-// known completion time); a completion callback for its head load, or
-// under an LSU quota for any of its loads (cpu.Core.Wakes, delivered
-// inline by this cycle's memory tick); and the LLC reporting that the
-// core's latest refusal may have lifted (cache.LLC.RefusalLifted: a
-// quota refusal at a release of an MSHR the thread allocated, a full
-// MSHR file at any release, a full read queue at any memory progress).
-// Nothing else can unblock a core: quotas only fall within a window, and
-// since threads own disjoint address slices no other thread's access
-// turns a refused line into a hit or a merge.
+// rotation or an activation under BlockHammer (either may raise a
+// quota); the core's NextWake (its head load's known completion time); a
+// completion callback for its head load, or under an LSU quota for any of
+// its loads (cpu.Core.Wakes, delivered inline by this cycle's memory
+// tick); and the LLC reporting that the core's latest refusal may have
+// lifted (cache.LLC.RefusalLifted: a quota refusal at a release of an
+// MSHR the thread allocated, a full MSHR file at any release, a full read
+// queue at any memory progress). Nothing else can unblock a core: quotas
+// rise at nothing else, and since threads own disjoint address slices no
+// other thread's access turns a refused line into a hit or a merge.
 //
 // Per-controller sleep: a memory controller whose scheduler found nothing
 // legal knows the exact first cycle at which any command it could pick
@@ -428,6 +430,8 @@ func (s *System) runDetailed(from, to int64) int64 {
 		if s.llc.Tick() {
 			memProgress = true
 		}
+		wakeAll = wakeAll || s.quotaMoved
+		s.quotaMoved = false
 		s.deliverFeedback(cycle)
 		coreProgress := false
 		for i, c := range s.cores {

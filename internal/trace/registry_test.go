@@ -219,24 +219,24 @@ func TestReadManifestDoesNotMaterialiseRecords(t *testing.T) {
 }
 
 // TestManifestScanMemoizedWithoutSidecar: when the sidecar cannot be
-// written (read-only trace directory), repeated manifest reads must be
+// written (a non-empty directory holds its path, which no rename replaces,
+// whatever the user's permissions), repeated manifest reads must be
 // served from the registry's memoized scan, not by re-scanning the file
 // each time.
 func TestManifestScanMemoizedWithoutSidecar(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "ro.trace")
+	path := filepath.Join(dir, "blocked.trace")
 	writeFile(t, path, sampleTrace)
-	if err := os.Chmod(dir, 0o555); err != nil {
+	if err := os.MkdirAll(filepath.Join(ManifestPath(path), "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	defer os.Chmod(dir, 0o755) // let TempDir cleanup succeed
 
 	m1, err := ReadManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(ManifestPath(path)); err == nil {
-		t.Skip("sidecar write succeeded despite read-only directory (running as root?)")
+	if st, err := os.Stat(ManifestPath(path)); err != nil || !st.IsDir() {
+		t.Fatalf("the sidecar path no longer holds the blocking directory (err %v)", err)
 	}
 	// The second read must be a registry hit for the same file state.
 	shared.mu.Lock()
